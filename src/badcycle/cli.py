@@ -19,6 +19,7 @@ from .balance import balanced_coloring, check_two_balanced_equivalence, is_alpha
 from .corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
 from .errors import BudgetError, InputError, PreconditionError, UnbalancedError
 from .fileio import (
+    _write_json,
     load_hypergraph,
     load_machine,
     load_order,
@@ -71,12 +72,6 @@ from .sat import cnf_from_dimacs, order_to_assignment, sat_to_machine
 DEFAULT_SEED = 20251
 
 
-def _dump_json(obj, path):
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def _read_text(path):
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -91,9 +86,20 @@ def _budget(args):
     if env is None or env == "":
         return None
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
         raise InputError(f"BADCYCLE_BUDGET must be an integer, not {env!r}") from None
+    if budget < 0:
+        raise InputError(f"BADCYCLE_BUDGET must be non-negative, not {budget}")
+    return budget
+
+
+def _check_counts(args):
+    for name in ("budget", "trials", "max_len", "n_max"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be non-negative, not {value}")
 
 
 def _witness_lines(witness):
@@ -134,7 +140,7 @@ def _cmd_check_good(args):
         return 0, {"good": True}, ["good"]
     obj = witness_to_obj(verdict.witness)
     if args.output:
-        _dump_json(obj, args.output)
+        _write_json(obj, args.output)
     return 1, {"good": False, "witness": obj}, ["bad"] + _witness_lines(verdict.witness)
 
 
@@ -159,7 +165,7 @@ def _cmd_find_order_system(args):
             lines.extend(_system_lines(system))
         payload = {"systems": [order_system_to_obj(s) for s in systems]}
         if args.output:
-            _dump_json(payload["systems"], args.output)
+            _write_json(payload["systems"], args.output)
         return (0 if systems else 1), payload, lines
     system = find_order_system(machine, budget=budget)
     if system is None:
@@ -209,7 +215,7 @@ def _cmd_paths_good(args):
     n, witness = hit
     obj = witness_to_obj(witness)
     if args.output:
-        _dump_json(obj, args.output)
+        _write_json(obj, args.output)
     return 1, {"bad_path": n, "witness": obj}, [f"path P_{n} is bad"] + _witness_lines(
         witness
     )
@@ -223,7 +229,7 @@ def _cmd_chromatic(args):
     result = chromatic_number_exact(graph, budget=_budget(args))
     payload = {"number": result.number}
     if args.output:
-        _dump_json({"number": result.number, "coloring": result.coloring}, args.output)
+        _write_json({"number": result.number, "coloring": result.coloring}, args.output)
     return 0, payload, [str(result.number)]
 
 
@@ -255,7 +261,7 @@ def _cmd_color_balanced(args):
         "colors": {v: result.colors[v] for v in sorted(graph.vertices)},
     }
     if args.output:
-        _dump_json(payload, args.output)
+        _write_json(payload, args.output)
     return 0, payload, lines
 
 
@@ -373,7 +379,7 @@ def _cmd_rel(args):
         lines += [f"  {n}: {_relation_line(r)}" for n, r in enumerate(closure)]
         payload = {"relations": [relation_to_obj(r) for r in closure]}
         if args.output:
-            _dump_json(payload["relations"], args.output)
+            _write_json(payload["relations"], args.output)
         return 0, payload, lines
     if op == "pq-check":
         members = []
@@ -433,7 +439,7 @@ def _cmd_oracle(args):
             return 0, {"good": True}, [f"good (cycles up to length {args.max_len})"]
         obj = witness_to_obj(verdict.witness)
         if args.output:
-            _dump_json(obj, args.output)
+            _write_json(obj, args.output)
         return 1, {"good": False, "witness": obj}, ["bad"] + _witness_lines(
             verdict.witness
         )
@@ -650,6 +656,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         code, payload, lines = args.handler(args)
     except PreconditionError as err:
         return _emit(

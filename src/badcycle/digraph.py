@@ -1,8 +1,8 @@
 """Weighted digraph kernels shared by the deciders.
 
-Strong components (iterative Tarjan), reachability, exact minimum and
-maximum cycle means (Karp), and bounded longest-walk potentials.  All
-weights are Fractions; there is no floating point anywhere.
+One Tarjan pass yields the components, the condensation and each
+component's internal arcs; the exact cycle means (Karp), positive cycles
+and longest-walk potentials read those.  All weights are Fractions.
 """
 from __future__ import annotations
 
@@ -63,19 +63,13 @@ class WeightedDigraph:
 
 @dataclass(frozen=True)
 class SCCResult:
-    """Strong components in topological order plus the condensation DAG."""
+    """Strong components in topological order, the condensation DAG, and
+    each component's internal arcs in input order (empty when acyclic)."""
 
     components: tuple
     component_of: dict
     condensation: tuple
-
-    def internal_arc_components(self, graph):
-        """Component indices that contain at least one arc."""
-        found = set()
-        for u, v, _ in graph.arcs:
-            if self.component_of[u] == self.component_of[v]:
-                found.add(self.component_of[u])
-        return found
+    internal_arcs: tuple
 
 
 def strong_components(graph):
@@ -130,59 +124,61 @@ def strong_components(graph):
     for n, comp in enumerate(components):
         for v in comp:
             component_of[v] = n
+    internal = [[] for _ in components]
     conden = set()
-    for u, v, _ in graph.arcs:
-        a, b = component_of[u], component_of[v]
-        if a != b:
+    for arc in graph.arcs:
+        a, b = component_of[arc[0]], component_of[arc[1]]
+        if a == b:
+            internal[a].append(arc)
+        else:
             conden.add((a, b))
-    return SCCResult(components, component_of, tuple(sorted(conden)))
+    return SCCResult(
+        components,
+        component_of,
+        tuple(sorted(conden)),
+        tuple(tuple(arcs) for arcs in internal),
+    )
+
+
+def _reached(graph, source):
+    """Every vertex a directed walk (possibly empty) from source reaches."""
+    seen = {source}
+    frontier = [source]
+    while frontier:
+        for y in graph.successors(frontier.pop()):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def reachable(graph, u, v):
     """True iff a directed walk (possibly empty) leads from u to v."""
     graph.index_of(u)
     graph.index_of(v)
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        x = frontier.pop()
-        if x == v:
-            return True
-        for y in graph.successors(x):
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return False
+    return v in _reached(graph, u)
+
+
+def _cyclic_components(graph):
+    """(component, internal arcs) for each component that carries a cycle."""
+    result = strong_components(graph)
+    return [pair for pair in zip(result.components, result.internal_arcs) if pair[1]]
 
 
 def min_cycle_mean(graph):
     """Minimum mean weight over directed cycles; None when acyclic."""
-    result = strong_components(graph)
-    best = None
-    for cn in sorted(result.internal_arc_components(graph)):
-        comp = result.components[cn]
-        internal = [
-            (u, v, w)
-            for u, v, w in graph.arcs
-            if result.component_of[u] == cn and result.component_of[v] == cn
-        ]
-        mean = _karp_min_mean(comp, internal)
-        if best is None or mean < best:
-            best = mean
-    return best
+    means = [karp_min_mean(c, arcs) for c, arcs in _cyclic_components(graph)]
+    return min(means, default=None)
 
 
 def max_cycle_mean(graph):
     """Maximum mean weight over directed cycles; None when acyclic."""
-    flipped = WeightedDigraph(
-        graph.vertices, [(u, v, -w) for u, v, w in graph.arcs]
-    )
-    mean = min_cycle_mean(flipped)
-    return None if mean is None else -mean
+    means = [karp_max_mean(c, arcs) for c, arcs in _cyclic_components(graph)]
+    return max(means, default=None)
 
 
-def _karp_min_mean(comp, arcs):
-    """Karp's formula on one strongly connected component."""
+def karp_min_mean(comp, arcs):
+    """Karp's formula on one strong component with a cycle, given its arcs."""
     n = len(comp)
     rank = {v: i for i, v in enumerate(comp)}
     rows = [(rank[u], rank[v], w) for u, v, w in arcs]
@@ -196,20 +192,18 @@ def _karp_min_mean(comp, arcs):
             cand = prev[u] + w
             if cur[v] is None or cand < cur[v]:
                 cur[v] = cand
-    best = None
-    for v in range(n):
-        if d[n][v] is None:
-            continue
-        worst = None
-        for k in range(n):
-            if d[k][v] is None:
-                continue
-            val = (d[n][v] - d[k][v]) / (n - k)
-            if worst is None or val > worst:
-                worst = val
-        if best is None or worst < best:
-            best = worst
-    return best
+    # min over v of max over k of (d_n(v) - d_k(v)) / (n - k); a walk of
+    # length n to v repeats a vertex, so some shorter one reaches v too
+    return min(
+        max((d[n][v] - d[k][v]) / (n - k) for k in range(n) if d[k][v] is not None)
+        for v in range(n)
+        if d[n][v] is not None
+    )
+
+
+def karp_max_mean(comp, arcs):
+    """Maximum cycle mean of one strong component: Karp on negated weights."""
+    return -karp_min_mean(comp, [(u, v, -w) for u, v, w in arcs])
 
 
 def find_positive_cycle(graph):
@@ -219,19 +213,12 @@ def find_positive_cycle(graph):
     the tight subgraph of max-mean-shifted potentials, so the result is
     exact.
     """
-    result = strong_components(graph)
-    for cn in sorted(result.internal_arc_components(graph)):
-        comp = result.components[cn]
-        internal = [
-            (u, v, w)
-            for u, v, w in graph.arcs
-            if result.component_of[u] == cn and result.component_of[v] == cn
-        ]
-        mean = -_karp_min_mean(comp, [(u, v, -w) for u, v, w in internal])
+    for comp, internal in _cyclic_components(graph):
+        mean = karp_max_mean(comp, internal)
         if mean <= 0:
             continue
         shifted = [(u, v, w - mean) for u, v, w in internal]
-        pot = _max_potentials(comp, shifted, comp[0])
+        pot, _ = _relax(comp, shifted, comp[0], max(len(comp) - 1, 1))
         tight = [
             (u, v, w)
             for u, v, w in internal
@@ -243,11 +230,15 @@ def find_positive_cycle(graph):
     return None
 
 
-def _max_potentials(vertices, arcs, source):
-    """Longest-walk values when no positive cycles exist; plain relaxation."""
-    dist = {v: None for v in vertices}
+def _relax(vertices, arcs, source, rounds):
+    """Longest-walk relaxation from source for at most ``rounds`` sweeps.
+
+    Returns the values and whether the last sweep still raised one; a
+    raise in sweep |V| means a positive cycle is reachable.
+    """
+    dist = dict.fromkeys(vertices)
     dist[source] = Fraction(0)
-    for _ in range(max(len(vertices) - 1, 1)):
+    for _ in range(rounds):
         changed = False
         for u, v, w in arcs:
             if dist[u] is None:
@@ -258,7 +249,7 @@ def _max_potentials(vertices, arcs, source):
                 changed = True
         if not changed:
             break
-    return dist
+    return dist, changed
 
 
 def _any_cycle(vertices, arcs):
@@ -318,32 +309,11 @@ def longest_walk_potentials(graph, source):
     witness cycle is returned instead.
     """
     graph.index_of(source)
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        x = frontier.pop()
-        for y in graph.successors(x):
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
+    seen = _reached(graph, source)
     missing = [v for v in graph.vertices if v not in seen]
     if missing:
         raise InputError(f"vertex {missing[0]!r} is not reachable from {source!r}")
-    dist = {v: None for v in graph.vertices}
-    dist[source] = Fraction(0)
-    changed = True
-    for _ in range(len(graph.vertices)):
-        changed = False
-        for u, v, w in graph.arcs:
-            if dist[u] is None:
-                continue
-            cand = dist[u] + w
-            if dist[v] is None or cand > dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
+    dist, changed = _relax(graph.vertices, graph.arcs, source, len(graph.vertices))
     if changed:
-        cycle = find_positive_cycle(graph)
-        return LongestWalks(None, cycle)
-    return LongestWalks(dict(dist), None)
+        return LongestWalks(None, find_positive_cycle(graph))
+    return LongestWalks(dist, None)

@@ -167,24 +167,9 @@ def gen_explicit_hasse_digraph(n):
             RuntimeWarning,
             stacklevel=2,
         )
-    ground = range(1, 2**n + 1)
-    subsets = list(combinations(ground, 2))
-    below = {
-        (x, y): max(x) <= min(y) for x in subsets for y in subsets if x != y
-    }
-    edges = []
-    for x in subsets:
-        for y in subsets:
-            if x == y or not below[(x, y)]:
-                continue
-            if any(
-                below[(x, z)] and below[(z, y)]
-                for z in subsets
-                if z != x and z != y
-            ):
-                continue
-            edges.append((_subset_name(x), _subset_name(y)))
-    return DirectedHypergraph(2, [_subset_name(s) for s in subsets], edges)
+    # the cover pairs of this order are exactly the shift digraph's edges
+    # on [2^n], in the same vertex and edge order
+    return gen_shift_digraph(2**n)
 
 
 def gen_cycling_construction(machine, order, m):

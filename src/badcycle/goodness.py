@@ -65,10 +65,11 @@ def build_auxiliary(graph, machine):
     """Product digraph of a hypergraph and a machine."""
     _require_same_k(graph, machine)
     nodes = [(v, s) for v in graph.vertices for s in machine.states]
+    atoms = list(machine.transition_atoms())
     tags = {}
     arcs = []
     for edge_index, edge in enumerate(graph.edges):
-        for s, i, j, t in machine.transition_atoms():
+        for s, i, j, t in atoms:
             arc = ((edge[i - 1], s), (edge[j - 1], t))
             if arc not in tags:
                 tags[arc] = []
@@ -79,20 +80,13 @@ def build_auxiliary(graph, machine):
     return AuxiliaryDigraph(weighted, provenance)
 
 
-def _adjacency(aux):
-    out = {v: [] for v in aux.graph.vertices}
-    for u, v, _ in aux.graph.arcs:
-        out[u].append(v)
-    return out
-
-
-def _bfs(out, source):
+def _bfs(graph, source):
     dist = {source: 0}
     parent = {}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in out[u]:
+        for v in graph.successors(u):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 parent[v] = u
@@ -121,16 +115,11 @@ def _witness_from_walk(graph, aux, walk):
 
 
 def _component_reachability(result):
-    n = len(result.components)
-    succ = [[] for _ in range(n)]
-    for a, b in result.condensation:
-        succ[a].append(b)
-    reach = [set() for _ in range(n)]
-    for c in reversed(range(n)):
-        r = {c}
-        for d in succ[c]:
-            r |= reach[d]
-        reach[c] = r
+    # condensation pairs (a, b) are sorted with a < b, so every pair out of
+    # b is folded in before any pair into b
+    reach = [{c} for c in range(len(result.components))]
+    for a, b in reversed(result.condensation):
+        reach[a] |= reach[b]
     return reach
 
 
@@ -143,39 +132,44 @@ def is_good(graph, machine):
     harmless because bad pairs are off the diagonal.  Witnesses are the
     shortest ones through the first qualifying product vertex.
     """
+    return _decide(graph, machine)[0]
+
+
+def _decide(graph, machine):
+    """The goodness verdict with the product digraph and SCCs behind it."""
     _require_same_k(graph, machine)
-    semantics = _semantics(machine)
-    require_valid(machine, semantics)
+    require_valid(machine, _semantics(machine))
     aux = build_auxiliary(graph, machine)
     result = strong_components(aux.graph)
-    out = _adjacency(aux)
-    if semantics == "cycling":
-        flagged = result.internal_arc_components(aux.graph)
+    walk = _bad_walk(graph, machine, aux, result)
+    if walk is None:
+        return GoodnessVerdict(True), aux, result
+    return GoodnessVerdict(False, _witness_from_walk(graph, aux, walk)), aux, result
+
+
+def _bad_walk(graph, machine, aux, result):
+    """Shortest bad product walk through the first qualifying vertex, or None."""
+    if machine.is_cycling:
         for node in aux.graph.vertices:
-            comp = result.component_of[node]
-            if comp not in flagged:
+            internal = result.internal_arcs[result.component_of[node]]
+            if not internal:
                 continue
-            members = set(result.components[comp])
-            dist, parent = _bfs(out, node)
+            # the whole component is reachable from node, so the nearest
+            # in-component predecessor closes a shortest closed walk
+            dist, parent = _bfs(aux.graph, node)
             best = None
-            for u, v, _ in aux.graph.arcs:
-                if v == node and u in members and u in dist:
-                    if best is None or dist[u] < dist[best]:
-                        best = u
-            walk = _walk_to(parent, node, best) + [node]
-            return GoodnessVerdict(False, _witness_from_walk(graph, aux, walk))
-        return GoodnessVerdict(True)
+            for u, v, _ in internal:
+                if v == node and (best is None or dist[u] < dist[best]):
+                    best = u
+            return _walk_to(parent, node, best) + [node]
+        return None
     reach = _component_reachability(result)
     for v in graph.vertices:
         for s, t in machine.bad_rows():
-            a = result.component_of[(v, s)]
-            b = result.component_of[(v, t)]
-            if b not in reach[a]:
-                continue
-            dist, parent = _bfs(out, (v, s))
-            walk = _walk_to(parent, (v, s), (v, t))
-            return GoodnessVerdict(False, _witness_from_walk(graph, aux, walk))
-    return GoodnessVerdict(True)
+            if result.component_of[(v, t)] in reach[result.component_of[(v, s)]]:
+                _, parent = _bfs(aux.graph, (v, s))
+                return _walk_to(parent, (v, s), (v, t))
+    return None
 
 
 def _accepting_run(machine, cycle):
@@ -300,15 +294,13 @@ def induced_order_system_coloring(graph, machine):
     condensation (least product vertex first among the ready components)
     gives the linear order.  Requires the hypergraph to be good.
     """
-    verdict = is_good(graph, machine)
+    verdict, aux, result = _decide(graph, machine)
     if not verdict.good:
         raise NotGoodError("hypergraph is not good for this machine", verdict.witness)
-    aux = build_auxiliary(graph, machine)
-    result = strong_components(aux.graph)
     reach = _component_reachability(result)
-    node_rank = {x: n for n, x in enumerate(aux.graph.vertices)}
     count = len(result.components)
-    key = [min(node_rank[x] for x in comp) for comp in result.components]
+    # components list their members in product-vertex order
+    key = [aux.graph.index_of(comp[0]) for comp in result.components]
     succ = [[] for _ in range(count)]
     indeg = [0] * count
     for a, b in result.condensation:

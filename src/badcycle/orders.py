@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .digraph import WeightedDigraph, max_cycle_mean, min_cycle_mean, strong_components
+from .digraph import WeightedDigraph, karp_max_mean, karp_min_mean, strong_components
 from .errors import BudgetError, InputError
 from .machine import require_valid
 
@@ -507,15 +507,10 @@ def decide_cycling_2machine(machine):
     arcs = [(s, t, j - i) for s, i, j, t in machine.transition_atoms()]
     graph = WeightedDigraph(machine.states, arcs)
     result = strong_components(graph)
-    for idx in sorted(result.internal_arc_components(graph)):
-        comp = result.components[idx]
-        members = set(comp)
-        internal = [a for a in graph.arcs if a[0] in members and a[1] in members]
-        sub = WeightedDigraph(comp, internal)
-        lo = min_cycle_mean(sub)
-        if lo is None:
+    for comp, internal in zip(result.components, result.internal_arcs):
+        if not internal:
             continue
-        if lo <= 0 <= max_cycle_mean(sub):
+        if karp_min_mean(comp, internal) <= 0 <= karp_max_mean(comp, internal):
             return False
     return True
 

@@ -367,6 +367,27 @@ def test_oracle_modes(tmp_path, capsys):
     assert "0 disagreements" in out
 
 
+def test_negative_counts_are_input_errors(tmp_path, capsys, monkeypatch):
+    alt = tmp_path / "alt.machine"
+    graph = tmp_path / "s6.graph"
+    save_machine(gen_alternating_machine().machine, alt)
+    save_hypergraph(gen_shift_digraph(6), graph)
+    for argv in (
+        ["chromatic", "-g", str(graph), "--budget", "-5"],
+        ["oracle", "corpus", "--trials", "-1"],
+        ["oracle", "good", "-m", str(alt), "-g", str(graph), "--max-len", "-1"],
+        ["oracle", "balance2", "-g", str(graph), "--n-max", "-1"],
+        ["paths-good", "-m", str(alt), "--n-max", "-1"],
+    ):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert "must be non-negative" in json.loads(out)["error"]
+    monkeypatch.setenv("BADCYCLE_BUDGET", "-5")
+    code, out = run(capsys, "chromatic", "-g", str(graph))
+    assert code == 2
+    assert "BADCYCLE_BUDGET" in out
+
+
 def test_json_output_is_deterministic(tmp_path, capsys):
     graph = tmp_path / "s6.graph"
     save_hypergraph(gen_shift_digraph(6), graph)

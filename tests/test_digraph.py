@@ -102,6 +102,12 @@ def test_strong_components_agree_with_reachability():
                 assert together == ((u, v) in reach and (v, u) in reach)
         for a, b in res.condensation:
             assert a < b
+        for n, comp in enumerate(res.components):
+            members = set(comp)
+            expected = tuple(
+                arc for arc in g.arcs if arc[0] in members and arc[1] in members
+            )
+            assert res.internal_arcs[n] == expected
 
 
 def test_reachable_matches_closure_oracle():

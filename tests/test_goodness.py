@@ -304,6 +304,20 @@ def test_induced_coloring_edgeless_is_discrete():
         assert system == expected
 
 
+def test_induced_coloring_builds_the_product_once(monkeypatch):
+    import badcycle.goodness as goodness
+
+    calls = []
+
+    def counting(graph, machine):
+        calls.append(1)
+        return build_auxiliary(graph, machine)
+
+    monkeypatch.setattr(goodness, "build_auxiliary", counting)
+    induced_order_system_coloring(path_digraph(3), hasse_machine())
+    assert len(calls) == 1
+
+
 def test_induced_coloring_p2_hasse_pigeonhole():
     graph = path_digraph(2)
     machine = hasse_machine()
