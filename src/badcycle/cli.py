@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .balance import balanced_coloring, check_two_balanced_equivalence, is_alpha_balanced
@@ -48,10 +49,9 @@ from .generators import (
     gen_unbalanced_machine,
     unbalanced_machine_order_system,
 )
-from .goodness import brute_force_is_good, is_good, validate_witness
+from .goodness import brute_force_is_good, check_paths_good, is_good, validate_witness
 from .hypergraph import chromatic_number_exact, chromatic_upper_greedy
 from .orders import (
-    check_paths_good,
     decide_cycling_2machine,
     find_compatible_order,
     find_order_system,
@@ -675,6 +675,11 @@ def main(argv=None):
         return _emit(args, 3, payload, lines)
     except InputError as err:
         return _emit(args, 2, {"error": str(err)}, [f"error: {err}"])
+    except Exception as err:
+        # a crash must not read as exit 1, "negative answer"
+        traceback.print_exc()
+        message = f"internal error: {type(err).__name__}: {err}"
+        return _emit(args, 4, {"error": message}, [message])
     return _emit(args, code, payload, lines)
 
 

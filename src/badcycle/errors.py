@@ -1,7 +1,7 @@
 """Shared exception types.
 
 CLI exit-code convention: 0 affirmative, 1 negative, 2 input error,
-3 budget exhausted.
+3 budget exhausted, 4 internal error (any other exception).
 """
 
 

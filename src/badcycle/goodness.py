@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .digraph import WeightedDigraph, strong_components
 from .errors import BudgetError, InputError, NotGoodError
-from .hypergraph import HyperCycle
+from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
 from .orders import CheckResult, OrderSystem
 
@@ -133,6 +133,22 @@ def is_good(graph, machine):
     shortest ones through the first qualifying product vertex.
     """
     return _decide(graph, machine)[0]
+
+
+def check_paths_good(machine, n_max):
+    """Scan the directed paths P_1..P_n_max for a bad cycle.
+
+    Returns (n, witness) for the first bad path, or None when every one
+    of them is good.
+    """
+    require_valid(machine, "cycling")
+    if machine.k != 2:
+        raise InputError("path digraphs are 2-uniform")
+    for n in range(1, int(n_max) + 1):
+        verdict = is_good(path_digraph(n), machine)
+        if not verdict.good:
+            return n, verdict.witness
+    return None
 
 
 def _decide(graph, machine):

@@ -172,11 +172,6 @@ class HyperCycle:
         return f"HyperCycle(base={self.base!r}, length={self.length})"
 
 
-def trace(cycle, i):
-    """Trace of the cycle at step i (1-based)."""
-    return cycle.trace(i)
-
-
 def enumerate_cycles(graph, max_len):
     """Yield every cycle of length at most max_len, once per rotation class.
 

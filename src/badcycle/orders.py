@@ -1,6 +1,7 @@
 """Compatible orders and order systems: verify, search, fast 2-machine decision."""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -222,93 +223,111 @@ def verify_compatible_order(machine, order):
 def find_compatible_order(machine, budget=None):
     """Search for a compatible order on a cycling machine.
 
-    Backtracks over prefixes of the state order; a prefix is abandoned as
-    soon as the arcs it already forces (position chains so far, every
-    placed state below every unplaced one, and all transition arcs) close
-    a directed cycle.  Returns the first order in canonical enumeration
-    order (states tried in declaration order, position chains interleaved
-    lowest position first) or None when the space is exhausted.  The
-    budget counts prefix nodes.
+    Backtracks over prefixes of the state order.  A prefix forces every
+    transition arc, the position chains in prefix order, and every placed
+    state below every unplaced one; it is abandoned as soon as these arcs
+    close a directed cycle.  Such a cycle is a chain of transition atoms
+    joined by stretches of one position's chain, so the check runs on the
+    atoms: atom (s,i)->(t,j) leads on to every atom leaving (t,j) and,
+    once t is placed, to every atom leaving position j at a state placed
+    after t or not yet placed.  Each atom keeps the atoms it reaches as an
+    int bitset.  Placing a state only adds follow-ons to the atoms landing
+    on it, so along a branch the reach sets only grow, and a prefix is
+    abandoned when an atom reaches itself.
+
+    Returns the first order in canonical enumeration order (states tried
+    in declaration order, position chains interleaved lowest position
+    first) or None when the space is exhausted.  The budget counts prefix
+    nodes.
     """
     require_valid(machine, "cycling")
     states = machine.states
     positions = machine.positions
-    trans = [((s, i), (t, j)) for s, i, j, t in machine.transition_atoms()]
+    index = {s: n for n, s in enumerate(states)}
+    atoms = [(index[s], i, j, index[t]) for s, i, j, t in machine.transition_atoms()]
     counter = _Spend(budget, "compatible order search budget exhausted")
+    # bitsets over the atoms leaving each state and each position;
+    # landing[t][j] holds the atoms landing on (t,j) as a bitset and as
+    # indices
+    from_state = [0] * len(states)
+    from_position = [0] * (machine.k + 1)
+    landing = [{} for _ in states]
+    for e, (s, i, j, t) in enumerate(atoms):
+        bit = 1 << e
+        from_state[s] |= bit
+        from_position[i] |= bit
+        group = landing[t].setdefault(j, [0, []])
+        group[0] |= bit
+        group[1].append(e)
 
-    def forced_arcs(prefix, placed):
-        arcs = list(trans)
-        for i in positions:
-            for a, b in zip(prefix, prefix[1:]):
-                arcs.append(((a, i), (b, i)))
-            if prefix:
-                for u in states:
-                    if u not in placed:
-                        arcs.append(((prefix[-1], i), (u, i)))
-        return arcs
-
-    def has_cycle(arcs):
-        out = {}
-        for a, b in arcs:
-            out.setdefault(a, []).append(b)
-            out.setdefault(b, [])
-        color = dict.fromkeys(out, 0)
-        for root in out:
-            if color[root]:
-                continue
-            color[root] = 1
-            stack = [(root, iter(out[root]))]
-            while stack:
-                v, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    stack.pop()
-                    color[v] = 2
-                elif color[nxt] == 1:
-                    return True
-                elif color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(out[nxt])))
-        return False
+    def land(t, reach, leaving):
+        # reach sets once every atom landing on some (t,j) also leads on to
+        # the atoms in leaving that leave position j, or None when an atom
+        # then reaches itself; such an atom's old reach lies in its new one
+        for j, (group, members) in landing[t].items():
+            grown = rest = leaving & from_position[j]
+            while rest:
+                low = rest & -rest
+                grown |= reach[low.bit_length() - 1]
+                rest ^= low
+            if grown & group:
+                return None
+            reach = [r | grown if r & group else r for r in reach]
+            for e in members:
+                reach[e] = grown
+        return reach
 
     def interleave(prefix):
-        nodes = [(s, i) for i in positions for s in prefix]
-        indeg = {x: 0 for x in nodes}
-        out = {x: [] for x in nodes}
-        arcs = list(trans)
+        # Kahn's algorithm on the transition and chain arcs, taking the
+        # ready pair of lowest (position, prefix rank) each time
+        rank = [0] * len(states)
+        for r, s in enumerate(prefix):
+            rank[s] = r
+        succ = {}
+        indeg = {}
         for i in positions:
-            for a, b in zip(prefix, prefix[1:]):
-                arcs.append(((a, i), (b, i)))
-        for a, b in arcs:
-            out[a].append(b)
-            indeg[b] += 1
+            for r in range(len(prefix)):
+                succ[(i, r)] = [(i, r + 1)] if r + 1 < len(prefix) else []
+                indeg[(i, r)] = 1 if r else 0
+        for s, i, j, t in atoms:
+            succ[(i, rank[s])].append((j, rank[t]))
+            indeg[(j, rank[t])] += 1
+        ready = [x for x, d in indeg.items() if not d]
+        heapq.heapify(ready)
         order = []
-        placed = set()
-        while len(order) < len(nodes):
-            ready = [x for x in nodes if x not in placed and indeg[x] == 0]
-            if not ready:
-                return None
-            pick = min(ready, key=lambda x: x[1])
-            order.append(pick)
-            placed.add(pick)
-            for y in out[pick]:
+        while ready:
+            x = heapq.heappop(ready)
+            order.append((states[prefix[x[1]]], x[0]))
+            for y in succ[x]:
                 indeg[y] -= 1
+                if not indeg[y]:
+                    heapq.heappush(ready, y)
         return tuple(order)
 
-    def extend(prefix, placed):
-        counter.spend()
-        if has_cycle(forced_arcs(prefix, placed)):
-            return None
+    def extend(prefix, reach, unplaced):
         if len(prefix) == len(states):
             return interleave(prefix)
-        for s in states:
-            if s not in placed:
-                found = extend(prefix + [s], placed | {s})
-                if found is not None:
-                    return found
+        for s in range(len(states)):
+            if s not in prefix:
+                counter.spend()
+                # an atom landing on (s,j) now leads on to every atom
+                # leaving position j at an unplaced state, s included
+                grown = land(s, reach, unplaced)
+                if grown is not None:
+                    found = extend(prefix + [s], grown, unplaced & ~from_state[s])
+                    if found is not None:
+                        return found
         return None
 
-    return extend([], frozenset())
+    # with nothing placed, an atom landing on (t,j) leads on to the atoms
+    # leaving (t,j)
+    counter.spend()
+    reach = [0] * len(atoms)
+    for t in range(len(states)):
+        reach = land(t, reach, from_state[t])
+        if reach is None:
+            return None
+    return extend([], reach, (1 << len(atoms)) - 1)
 
 
 def induced_on_position(system, position):
@@ -514,21 +533,3 @@ def decide_cycling_2machine(machine):
             return False
     return True
 
-
-def check_paths_good(machine, n_max):
-    """Scan the directed paths P_1..P_n_max for a bad cycle.
-
-    Returns (n, witness) for the first bad path, or None when every one
-    of them is good.
-    """
-    require_valid(machine, "cycling")
-    if machine.k != 2:
-        raise InputError("path digraphs are 2-uniform")
-    from .goodness import is_good
-    from .hypergraph import path_digraph
-
-    for n in range(1, int(n_max) + 1):
-        verdict = is_good(path_digraph(n), machine)
-        if not verdict.good:
-            return n, verdict.witness
-    return None

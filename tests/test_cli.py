@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from badcycle import cli
 from badcycle.cli import main
 from badcycle.fileio import (
     load_hypergraph,
@@ -386,6 +387,25 @@ def test_negative_counts_are_input_errors(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "chromatic", "-g", str(graph))
     assert code == 2
     assert "BADCYCLE_BUDGET" in out
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_decide2", crash)
+    machine = tmp_path / "c2.machine"
+    save_machine(gen_counter_machine(2), machine)
+    code, out = run(capsys, "decide2", "-m", str(machine), "--format", "json")
+    assert code == 4
+    assert json.loads(out) == {
+        "command": "decide2",
+        "error": "internal error: RuntimeError: boom",
+        "exit": 4,
+    }
+    code, out = run(capsys, "decide2", "-m", str(machine))
+    assert code == 4
+    assert out.startswith("internal error: RuntimeError: boom")
 
 
 def test_json_output_is_deterministic(tmp_path, capsys):

@@ -14,7 +14,6 @@ from badcycle.hypergraph import (
     enumerate_cycles,
     is_proper_coloring,
     path_digraph,
-    trace,
     weak_components,
 )
 
@@ -74,14 +73,14 @@ def test_construction_rejects_bad_input():
 def test_trace_on_digraph_edge():
     g = DirectedHypergraph(2, ["1", "2"], [("1", "2")])
     back_and_forth = HyperCycle(g, "1", [(0, "2"), (0, "1")])
-    assert trace(back_and_forth, 1) == (1, 2)
-    assert trace(back_and_forth, 2) == (2, 1)
+    assert back_and_forth.trace(1) == (1, 2)
+    assert back_and_forth.trace(2) == (2, 1)
     stay = HyperCycle(g, "1", [(0, "1")])
-    assert trace(stay, 1) == (1, 1)
+    assert stay.trace(1) == (1, 1)
     with pytest.raises(InputError):
-        trace(stay, 2)
+        stay.trace(2)
     with pytest.raises(InputError):
-        trace(stay, 0)
+        stay.trace(0)
 
 
 def test_trace_on_three_uniform_edge():

@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from badcycle.corpus import default_rng, random_cycling_machine, random_machine
+from badcycle.corpus import (
+    default_rng,
+    random_cnf,
+    random_cycling_machine,
+    random_machine,
+)
 from badcycle.digraph import WeightedDigraph, max_cycle_mean, min_cycle_mean
 from badcycle.errors import BudgetError, InputError
-from badcycle.goodness import validate_witness
+from badcycle.generators import gen_counter_machine
+from badcycle.goodness import check_paths_good, validate_witness
 from badcycle.hypergraph import path_digraph
 from badcycle.machine import Machine
 from badcycle.orders import (
     OrderSystem,
-    check_paths_good,
     compatible_order_to_order_system,
     count_order_systems,
     decide_cycling_2machine,
@@ -22,6 +27,7 @@ from badcycle.orders import (
     verify_compatible_order,
     verify_order_system,
 )
+from badcycle.sat import CnfInstance, sat_to_machine
 
 
 def counter_machine(n):
@@ -246,6 +252,118 @@ def test_find_compatible_order_budget():
     with pytest.raises(BudgetError):
         find_compatible_order(machine, budget=1)
     assert find_compatible_order(machine, budget=10**6) == find_compatible_order(machine)
+
+
+def reference_order_search(machine):
+    # the forced-arc search, transcribed: each prefix node builds the arcs
+    # its prefix forces on the state-position pairs (transition arcs,
+    # position chains, last placed below every unplaced) and runs a cycle
+    # DFS; returns the first order and the number of prefix nodes visited
+    states = machine.states
+    positions = machine.positions
+    trans = [((s, i), (t, j)) for s, i, j, t in machine.transition_atoms()]
+    nodes = 0
+
+    def forced_arcs(prefix, placed):
+        arcs = list(trans)
+        for i in positions:
+            for a, b in zip(prefix, prefix[1:]):
+                arcs.append(((a, i), (b, i)))
+            if prefix:
+                for u in states:
+                    if u not in placed:
+                        arcs.append(((prefix[-1], i), (u, i)))
+        return arcs
+
+    def has_cycle(arcs):
+        out = {}
+        for a, b in arcs:
+            out.setdefault(a, []).append(b)
+            out.setdefault(b, [])
+        color = dict.fromkeys(out, 0)
+        for root in out:
+            if color[root]:
+                continue
+            color[root] = 1
+            stack = [(root, iter(out[root]))]
+            while stack:
+                v, it = stack[-1]
+                nxt = next(it, None)
+                if nxt is None:
+                    stack.pop()
+                    color[v] = 2
+                elif color[nxt] == 1:
+                    return True
+                elif color[nxt] == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(out[nxt])))
+        return False
+
+    def interleave(prefix):
+        # repeatedly take the lowest-position ready pair, earliest in the
+        # position-major listing
+        listing = [(s, i) for i in positions for s in prefix]
+        indeg = dict.fromkeys(listing, 0)
+        out = {x: [] for x in listing}
+        for a, b in forced_arcs(prefix, set(prefix)):
+            out[a].append(b)
+            indeg[b] += 1
+        order = []
+        taken = set()
+        while len(order) < len(listing):
+            ready = [x for x in listing if x not in taken and indeg[x] == 0]
+            pick = min(ready, key=lambda x: x[1])
+            order.append(pick)
+            taken.add(pick)
+            for y in out[pick]:
+                indeg[y] -= 1
+        return tuple(order)
+
+    def extend(prefix, placed):
+        nonlocal nodes
+        nodes += 1
+        if has_cycle(forced_arcs(prefix, placed)):
+            return None
+        if len(prefix) == len(states):
+            return interleave(prefix)
+        for s in states:
+            if s not in placed:
+                found = extend(prefix + [s], placed | {s})
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], frozenset()), nodes
+
+
+def reference_corpus():
+    rng = default_rng(5)
+    for _ in range(150):
+        yield sat_to_machine(CnfInstance(*random_cnf(rng)))
+    rng = default_rng(11)
+    for n in range(300):
+        yield random_cycling_machine(
+            rng, k=2 + n % 3, max_states=5, density=(0.1, 0.2, 0.4)[n // 3 % 3]
+        )
+    for n in range(1, 4):
+        yield gen_counter_machine(n)
+
+
+def test_find_compatible_order_matches_the_forced_arc_reference():
+    # same first order, and the budget runs out at the same prefix node
+    found = exhausted = 0
+    for machine in reference_corpus():
+        order, nodes = reference_order_search(machine)
+        assert find_compatible_order(machine) == order
+        assert find_compatible_order(machine, budget=nodes) == order
+        with pytest.raises(BudgetError):
+            find_compatible_order(machine, budget=nodes - 1)
+        if order is None:
+            exhausted += 1
+        else:
+            found += 1
+    assert found >= 200
+    assert exhausted >= 150
 
 
 def all_one_state_cycling_machines():
