@@ -1,8 +1,11 @@
 """Weighted digraph kernels shared by the deciders.
 
-One Tarjan pass yields the components, the condensation and each
-component's internal arcs; the exact cycle means (Karp), positive cycles
-and longest-walk potentials read those.  All weights are Fractions.
+One iterative Tarjan pass on integer successor lists yields the strong
+components; ``strong_components`` runs it on a WeightedDigraph and adds
+the condensation and each component's internal arcs, which the exact
+cycle means (Karp), positive cycles and longest-walk potentials read.
+WeightedDigraph weights are Fractions; the goodness product calls
+``tarjan`` directly on node numbers and carries no weights.
 """
 from __future__ import annotations
 
@@ -72,58 +75,72 @@ class SCCResult:
     internal_arcs: tuple
 
 
-def strong_components(graph):
-    """Tarjan's algorithm, iterative; components come out topologically sorted."""
-    index = {}
-    low = {}
-    on_stack = set()
+def tarjan(succ):
+    """Strong components of the digraph on nodes 0..n-1 with successor lists.
+
+    Tarjan's algorithm (1972), iterative, with roots taken in node order
+    and successors in list order.  Returns the components in topological
+    order (every arc stays inside one or goes to a later one), each
+    listing its members in ascending order, and each node's component
+    number.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    place = [0] * n
     stack = []
     raw = []
     counter = 0
-    for root in graph.vertices:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        call = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        place[root] = len(stack)
+        stack.append(root)
+        call = [(root, iter(succ[root]))]
         while call:
-            v, pos = call.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            succs = graph.successors(v)
-            descended = False
-            for n in range(pos, len(succs)):
-                w = succs[n]
-                if w not in index:
-                    call.append((v, n + 1))
-                    call.append((w, 0))
-                    descended = True
+            v, pending = call[-1]
+            for w in pending:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    place[w] = len(stack)
+                    stack.append(w)
+                    call.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                raw.append(comp)
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[v])
+                # a finished node's index is n, so only stacked ones count
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                call.pop()
+                if low[v] == index[v]:
+                    comp = stack[place[v]:]
+                    del stack[place[v]:]
+                    for w in comp:
+                        index[w] = n
+                    comp.sort()
+                    raw.append(comp)
+                if call:
+                    u = call[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     raw.reverse()
-    components = tuple(
-        tuple(sorted(comp, key=graph.index_of)) for comp in raw
-    )
-    component_of = {}
-    for n, comp in enumerate(components):
+    component_of = [0] * n
+    for c, comp in enumerate(raw):
         for v in comp:
-            component_of[v] = n
+            component_of[v] = c
+    return raw, component_of
+
+
+def strong_components(graph):
+    """Strong components of a WeightedDigraph, topologically sorted (see tarjan)."""
+    names = graph.vertices
+    index = graph._index
+    succ = [[index[w] for w in graph._succ[v]] for v in names]
+    raw, owner = tarjan(succ)
+    components = tuple(tuple(names[v] for v in comp) for comp in raw)
+    component_of = {names[v]: c for v, c in enumerate(owner)}
     internal = [[] for _ in components]
     conden = set()
     for arc in graph.arcs:

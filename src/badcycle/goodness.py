@@ -3,15 +3,17 @@
 A hypergraph is good for a machine when no cycle admits an accepting
 state sequence ending in a bad pair.  The decision runs on the product
 digraph over vertex-state pairs: a step of a cycle together with a
-machine transition becomes one arc.
+machine transition becomes one arc.  The decision numbers the pairs and
+keeps integer successor lists; which edge yields an arc is worked out
+only for the steps of a witness.
 """
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .digraph import WeightedDigraph, strong_components
+from .digraph import WeightedDigraph, tarjan
 from .errors import BudgetError, InputError, NotGoodError
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
@@ -25,7 +27,8 @@ class AuxiliaryDigraph:
     An arc ((a,s),(b,t)) exists exactly when some edge holds a at
     position i and b at position j with t reachable from s under (i,j).
     ``provenance`` maps each arc to the sorted tuple of (edge_index, i, j)
-    triples that generate it.
+    triples that generate it.  This is a public view for inspection;
+    ``is_good`` does not build it and decides on node numbers instead.
     """
 
     graph: WeightedDigraph
@@ -61,37 +64,74 @@ def _semantics(machine):
     return "cycling" if machine.is_cycling else "general"
 
 
+def _product_arcs(graph, machine):
+    """Each edge's product arcs as (u, w) node-number pairs, edge by edge.
+
+    Node (v, s) is numbered index(v) * |S| + index(s), its place in the
+    product's node order, and an edge's n-th arc comes from the n-th
+    transition atom; this is the one definition of the product's arc order.
+    """
+    width = len(machine.states)
+    state = {s: n for n, s in enumerate(machine.states)}
+    start = {v: n * width for n, v in enumerate(graph.vertices)}
+    atoms = [
+        (state[s], i - 1, j - 1, state[t]) for s, i, j, t in machine.transition_atoms()
+    ]
+    for edge in graph.edges:
+        base = [start[v] for v in edge]
+        yield [(base[i] + s, base[j] + t) for s, i, j, t in atoms]
+
+
+def _product(graph, machine):
+    """Successor lists of the product on node numbers, in first-arc order."""
+    succ = [[] for _ in range(len(graph.vertices) * len(machine.states))]
+    for arcs in _product_arcs(graph, machine):
+        for u, w in arcs:
+            succ[u].append(w)
+    # an arc repeats only when two edges share both of its vertices
+    return [list(dict.fromkeys(ws)) for ws in succ]
+
+
 def build_auxiliary(graph, machine):
-    """Product digraph of a hypergraph and a machine."""
+    """Product digraph of a hypergraph and a machine, as a public view.
+
+    Arcs come in first-occurrence order with weight 0.  ``is_good`` does
+    not build this view; it decides on the same arcs by node number.
+    """
     _require_same_k(graph, machine)
     nodes = [(v, s) for v in graph.vertices for s in machine.states]
     atoms = list(machine.transition_atoms())
     tags = {}
-    arcs = []
-    for edge_index, edge in enumerate(graph.edges):
-        for s, i, j, t in atoms:
-            arc = ((edge[i - 1], s), (edge[j - 1], t))
-            if arc not in tags:
-                tags[arc] = []
-                arcs.append(arc)
-            tags[arc].append((edge_index, i, j))
-    weighted = WeightedDigraph(nodes, [(u, v, 0) for u, v in arcs])
-    provenance = {arc: tuple(sorted(found)) for arc, found in tags.items()}
+    for edge_index, arcs in enumerate(_product_arcs(graph, machine)):
+        for arc, (_, i, j, _) in zip(arcs, atoms):
+            tags.setdefault(arc, []).append((edge_index, i, j))
+    weighted = WeightedDigraph(
+        nodes, [(nodes[u], nodes[w], 0) for u, w in tags]
+    )
+    provenance = {
+        (nodes[u], nodes[w]): tuple(sorted(found)) for (u, w), found in tags.items()
+    }
     return AuxiliaryDigraph(weighted, provenance)
 
 
-def _bfs(graph, source):
-    dist = {source: 0}
-    parent = {}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.successors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                queue.append(v)
-    return dist, parent
+def _bfs(succ, source, found):
+    """BFS parents from source, stopped at the first layer holding a node
+    that satisfies ``found``; returns the parents and those nodes in
+    queue order (empty when no reachable node does)."""
+    parent = {source: source}
+    layer = [source]
+    while layer:
+        hits = [u for u in layer if found(u)]
+        if hits:
+            return parent, hits
+        following = []
+        for u in layer:
+            for w in succ[u]:
+                if w not in parent:
+                    parent[w] = u
+                    following.append(w)
+        layer = following
+    return parent, []
 
 
 def _walk_to(parent, source, target):
@@ -102,25 +142,62 @@ def _walk_to(parent, source, target):
     return path
 
 
-def _witness_from_walk(graph, aux, walk):
+def _first_edge(graph, machine, u, w):
+    """(edge_index, i, j) for the least edge that yields the product arc u -> w."""
+    (a, s), (b, t) = u, w
+    for edge_index in graph.incident_edges(a):
+        edge = graph.edges[edge_index]
+        if b in edge:
+            i, j = edge.index(a) + 1, edge.index(b) + 1
+            if t in machine.targets(s, i, j):
+                return edge_index, i, j
+    raise AssertionError(f"no edge yields the product arc {u!r} -> {w!r}")
+
+
+def _witness_from_walk(graph, machine, walk):
     base = walk[0][0]
-    steps = []
-    states = [walk[0][1]]
-    for prev, nxt in zip(walk, walk[1:]):
-        edge_index, _, _ = aux.provenance[(prev, nxt)][0]
-        steps.append((edge_index, nxt[0]))
-        states.append(nxt[1])
+    steps = [
+        (_first_edge(graph, machine, prev, nxt)[0], nxt[0])
+        for prev, nxt in zip(walk, walk[1:])
+    ]
+    states = tuple(s for _, s in walk)
     cycle = HyperCycle(graph, base, steps)
-    return BadCycleWitness(cycle, tuple(states), (states[0], states[-1]))
+    return BadCycleWitness(cycle, states, (states[0], states[-1]))
 
 
-def _component_reachability(result):
-    # condensation pairs (a, b) are sorted with a < b, so every pair out of
-    # b is folded in before any pair into b
-    reach = [{c} for c in range(len(result.components))]
-    for a, b in reversed(result.condensation):
-        reach[a] |= reach[b]
-    return reach
+class _Product:
+    """The product digraph on node numbers with its strong components."""
+
+    def __init__(self, graph, machine):
+        self.graph = graph
+        self.machine = machine
+        self.width = len(machine.states)
+        self.succ = _product(graph, machine)
+        self.components, self.component_of = tarjan(self.succ)
+
+    def name(self, node):
+        """The (vertex, state) pair numbered node."""
+        v, s = divmod(node, self.width)
+        return self.graph.vertices[v], self.machine.states[s]
+
+    @cached_property
+    def condensation(self):
+        """Per component: the later components it has arcs to, and the
+        bitset of components it reaches (itself included)."""
+        following = [None] * len(self.components)
+        bits = [0] * len(self.components)
+        # components are topologically sorted, so every target is done first
+        for c in reversed(range(len(self.components))):
+            targets = {
+                self.component_of[w] for u in self.components[c] for w in self.succ[u]
+            }
+            targets.discard(c)
+            reached = 1 << c
+            for d in targets:
+                reached |= bits[d]
+            following[c] = targets
+            bits[c] = reached
+        return following, bits
 
 
 def is_good(graph, machine):
@@ -152,39 +229,49 @@ def check_paths_good(machine, n_max):
 
 
 def _decide(graph, machine):
-    """The goodness verdict with the product digraph and SCCs behind it."""
+    """The goodness verdict with the product and strong components behind it."""
     _require_same_k(graph, machine)
     require_valid(machine, _semantics(machine))
-    aux = build_auxiliary(graph, machine)
-    result = strong_components(aux.graph)
-    walk = _bad_walk(graph, machine, aux, result)
+    product = _Product(graph, machine)
+    walk = _bad_walk(product)
     if walk is None:
-        return GoodnessVerdict(True), aux, result
-    return GoodnessVerdict(False, _witness_from_walk(graph, aux, walk)), aux, result
+        return GoodnessVerdict(True), product
+    walk = [product.name(node) for node in walk]
+    return GoodnessVerdict(False, _witness_from_walk(graph, machine, walk)), product
 
 
-def _bad_walk(graph, machine, aux, result):
-    """Shortest bad product walk through the first qualifying vertex, or None."""
+def _bad_walk(product):
+    """Shortest bad product walk through the first qualifying node, or None."""
+    graph, machine, succ = product.graph, product.machine, product.succ
+    components, component_of = product.components, product.component_of
     if machine.is_cycling:
-        for node in aux.graph.vertices:
-            internal = result.internal_arcs[result.component_of[node]]
-            if not internal:
+        for node in range(len(succ)):
+            if len(components[component_of[node]]) == 1 and node not in succ[node]:
                 continue
-            # the whole component is reachable from node, so the nearest
-            # in-component predecessor closes a shortest closed walk
-            dist, parent = _bfs(aux.graph, node)
-            best = None
-            for u, v, _ in internal:
-                if v == node and (best is None or dist[u] < dist[best]):
-                    best = u
-            return _walk_to(parent, node, best) + [node]
+            # every node the BFS reaches with an arc back to node lies in
+            # its component; the nearest ones close shortest closed walks,
+            # and ties go to the arc that comes first in the product
+            parent, nearest = _bfs(succ, node, lambda u: node in succ[u])
+            rank = {atom: n for n, atom in enumerate(machine.transition_atoms())}
+            target = product.name(node)
+
+            def order(u):
+                named = product.name(u)
+                edge_index, i, j = _first_edge(graph, machine, named, target)
+                return edge_index, rank[(named[1], i, j, target[1])]
+
+            return _walk_to(parent, node, min(nearest, key=order)) + [node]
         return None
-    reach = _component_reachability(result)
-    for v in graph.vertices:
-        for s, t in machine.bad_rows():
-            if result.component_of[(v, t)] in reach[result.component_of[(v, s)]]:
-                _, parent = _bfs(aux.graph, (v, s))
-                return _walk_to(parent, (v, s), (v, t))
+    _, reach = product.condensation
+    width = product.width
+    state = {s: n for n, s in enumerate(machine.states)}
+    bad = [(state[s], state[t]) for s, t in machine.bad_rows()]
+    for v in range(len(graph.vertices)):
+        for s, t in bad:
+            source, target = v * width + s, v * width + t
+            if reach[component_of[source]] >> component_of[target] & 1:
+                parent, _ = _bfs(succ, source, lambda u: u == target)
+                return _walk_to(parent, source, target)
     return None
 
 
@@ -310,33 +397,33 @@ def induced_order_system_coloring(graph, machine):
     condensation (least product vertex first among the ready components)
     gives the linear order.  Requires the hypergraph to be good.
     """
-    verdict, aux, result = _decide(graph, machine)
+    verdict, product = _decide(graph, machine)
     if not verdict.good:
         raise NotGoodError("hypergraph is not good for this machine", verdict.witness)
-    reach = _component_reachability(result)
-    count = len(result.components)
-    # components list their members in product-vertex order
-    key = [aux.graph.index_of(comp[0]) for comp in result.components]
-    succ = [[] for _ in range(count)]
+    following, reach = product.condensation
+    components, component_of = product.components, product.component_of
+    count = len(components)
+    # components list their members in ascending node order
     indeg = [0] * count
-    for a, b in result.condensation:
-        succ[a].append(b)
-        indeg[b] += 1
-    heap = [(key[c], c) for c in range(count) if indeg[c] == 0]
+    for targets in following:
+        for d in targets:
+            indeg[d] += 1
+    heap = [(components[c][0], c) for c in range(count) if indeg[c] == 0]
     heapq.heapify(heap)
     rank = {}
     while heap:
         _, c = heapq.heappop(heap)
         rank[c] = len(rank)
-        for d in succ[c]:
+        for d in following[c]:
             indeg[d] -= 1
             if indeg[d] == 0:
-                heapq.heappush(heap, (key[d], d))
+                heapq.heappush(heap, (components[d][0], d))
     coloring = {}
-    for v in graph.vertices:
+    width = product.width
+    for n, v in enumerate(graph.vertices):
         groups = {}
-        for s in machine.states:
-            c = result.component_of[(v, s)]
+        for m, s in enumerate(machine.states):
+            c = component_of[n * width + m]
             groups.setdefault(c, []).append(s)
         comps = sorted(groups, key=lambda c: rank[c])
         classes = [frozenset(groups[c]) for c in comps]
@@ -344,7 +431,7 @@ def induced_order_system_coloring(graph, machine):
             (a, b)
             for a in range(len(comps))
             for b in range(len(comps))
-            if a != b and comps[b] in reach[comps[a]]
+            if a != b and reach[comps[a]] >> comps[b] & 1
         }
         coloring[v] = OrderSystem(classes, partial)
     return coloring

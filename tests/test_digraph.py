@@ -13,7 +13,11 @@ from badcycle.digraph import (
     reachable,
     strong_components,
 )
+from badcycle.corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
 from badcycle.errors import InputError
+from badcycle.generators import gen_shift_digraph
+from badcycle.goodness import build_auxiliary
+from badcycle.relations import gen_alternating_machine
 
 
 def random_weighted(rng, max_vertices=6, arc_factor=1.5):
@@ -108,6 +112,45 @@ def test_strong_components_agree_with_reachability():
                 arc for arc in g.arcs if arc[0] in members and arc[1] in members
             )
             assert res.internal_arcs[n] == expected
+
+
+def networkx_cross_check(nx, g):
+    res = strong_components(g)
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from((u, v) for u, v, _ in g.arcs)
+    theirs = {frozenset(c) for c in nx.strongly_connected_components(nxg)}
+    assert {frozenset(c) for c in res.components} == theirs
+    cond = nx.condensation(nxg)
+    ours_of = {x: res.component_of[cond.nodes[x]["members"].pop()] for x in cond}
+    assert set(res.condensation) == {(ours_of[x], ours_of[y]) for x, y in cond.edges}
+    # reachability in our condensation, folded backwards over its sorted pairs
+    reach = [{c} for c in range(len(res.components))]
+    for a, b in reversed(res.condensation):
+        reach[a] |= reach[b]
+    for x in cond:
+        expected = {ours_of[y] for y in nx.descendants(cond, x)} | {ours_of[x]}
+        assert reach[ours_of[x]] == expected
+
+
+def test_strong_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    for n in range(80):
+        networkx_cross_check(
+            nx, random_weighted(rng, max_vertices=10, arc_factor=(0.7, 1.2, 2.0)[n % 3])
+        )
+    rng = default_rng(14)
+    for n in range(40):
+        k = 2 + n % 2
+        graph = random_hypergraph(rng, k=k, max_vertices=5, max_edges=5)
+        if n % 4 < 2:
+            machine = random_cycling_machine(rng, k=k, max_states=3)
+        else:
+            machine = random_machine(rng, k=k, max_states=3)
+        networkx_cross_check(nx, build_auxiliary(graph, machine).graph)
+    alternating = gen_alternating_machine().machine
+    networkx_cross_check(nx, build_auxiliary(gen_shift_digraph(6), alternating).graph)
 
 
 def test_reachable_matches_closure_oracle():

@@ -1,9 +1,11 @@
+import heapq
 import itertools
 
 import pytest
 
 from badcycle.corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
 from badcycle.errors import BudgetError, InputError, NotGoodError
+from badcycle.generators import gen_shift_digraph
 from badcycle.goodness import (
     BadCycleWitness,
     brute_force_is_good,
@@ -15,6 +17,7 @@ from badcycle.goodness import (
 from badcycle.hypergraph import DirectedHypergraph, HyperCycle, chromatic_number_exact, is_proper_coloring, path_digraph
 from badcycle.machine import Machine
 from badcycle.orders import OrderSystem, count_order_systems, find_compatible_order, find_order_system
+from badcycle.relations import gen_alternating_machine
 
 
 def hasse_machine():
@@ -308,12 +311,13 @@ def test_induced_coloring_builds_the_product_once(monkeypatch):
     import badcycle.goodness as goodness
 
     calls = []
+    build = goodness._product
 
     def counting(graph, machine):
         calls.append(1)
-        return build_auxiliary(graph, machine)
+        return build(graph, machine)
 
-    monkeypatch.setattr(goodness, "build_auxiliary", counting)
+    monkeypatch.setattr(goodness, "_product", counting)
     induced_order_system_coloring(path_digraph(3), hasse_machine())
     assert len(calls) == 1
 
@@ -426,3 +430,179 @@ def test_no_order_system_implies_count_chromatic_bound():
                 assert chromatic_number_exact(graph).number <= bound
                 checked += 1
     assert checked >= 4
+
+
+def reference_decide(graph, machine):
+    # the tuple-keyed product with per-arc provenance, tuple-keyed Tarjan
+    # and full BFS that goodness ran on before it moved to node numbers;
+    # returns (good, witness or None, induced coloring or None)
+    nodes = [(v, s) for v in graph.vertices for s in machine.states]
+    position = {node: n for n, node in enumerate(nodes)}
+    tags = {}
+    arcs = []
+    for edge_index, edge in enumerate(graph.edges):
+        for s, i, j, t in machine.transition_atoms():
+            arc = ((edge[i - 1], s), (edge[j - 1], t))
+            if arc not in tags:
+                tags[arc] = []
+                arcs.append(arc)
+            tags[arc].append((edge_index, i, j))
+    succ = {node: [] for node in nodes}
+    for u, w in arcs:
+        succ[u].append(w)
+
+    index, low, on_stack, stack, raw = {}, {}, set(), [], []
+    for root in nodes:
+        if root in index:
+            continue
+        call = [(root, 0)]
+        while call:
+            v, pos = call.pop()
+            if pos == 0:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+            descended = False
+            for n in range(pos, len(succ[v])):
+                w = succ[v][n]
+                if w not in index:
+                    call.append((v, n + 1))
+                    call.append((w, 0))
+                    descended = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                raw.append(comp)
+            if call:
+                parent = call[-1][0]
+                low[parent] = min(low[parent], low[v])
+    raw.reverse()
+    components = [sorted(comp, key=position.get) for comp in raw]
+    component_of = {v: n for n, comp in enumerate(components) for v in comp}
+    internal = [[] for _ in components]
+    condensation = set()
+    for u, w in arcs:
+        a, b = component_of[u], component_of[w]
+        if a == b:
+            internal[a].append((u, w))
+        else:
+            condensation.add((a, b))
+    condensation = sorted(condensation)
+    reach = [{c} for c in range(len(components))]
+    for a, b in reversed(condensation):
+        reach[a] |= reach[b]
+
+    def bfs(source):
+        dist, parent, queue = {source: 0}, {}, [source]
+        for u in queue:
+            for w in succ[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+        return dist, parent
+
+    def walk_to(parent, source, target):
+        path = [target]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    walk = None
+    if machine.is_cycling:
+        for node in nodes:
+            inside = internal[component_of[node]]
+            if inside:
+                dist, parent = bfs(node)
+                best = None
+                for u, w in inside:
+                    if w == node and (best is None or dist[u] < dist[best]):
+                        best = u
+                walk = walk_to(parent, node, best) + [node]
+                break
+    else:
+        for v in graph.vertices:
+            for s, t in machine.bad_rows():
+                if walk is None and component_of[(v, t)] in reach[component_of[(v, s)]]:
+                    walk = walk_to(bfs((v, s))[1], (v, s), (v, t))
+    if walk is not None:
+        edges = tuple(min(tags[pair])[0] for pair in zip(walk, walk[1:]))
+        states = tuple(s for _, s in walk)
+        return False, (tuple(v for v, _ in walk), edges, states), None
+
+    ready = [(position[comp[0]], c) for c, comp in enumerate(components)
+             if all(b != c for _, b in condensation)]
+    heapq.heapify(ready)
+    indeg = [sum(1 for _, b in condensation if b == c) for c in range(len(components))]
+    rank = {}
+    while ready:
+        _, c = heapq.heappop(ready)
+        rank[c] = len(rank)
+        for a, b in condensation:
+            if a == c:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    heapq.heappush(ready, (position[components[b][0]], b))
+    coloring = {}
+    for v in graph.vertices:
+        groups = {}
+        for s in machine.states:
+            groups.setdefault(component_of[(v, s)], []).append(s)
+        comps = sorted(groups, key=rank.get)
+        coloring[v] = OrderSystem(
+            [frozenset(groups[c]) for c in comps],
+            {
+                (a, b)
+                for a in range(len(comps))
+                for b in range(len(comps))
+                if a != b and comps[b] in reach[comps[a]]
+            },
+        )
+    return True, None, coloring
+
+
+def reference_goodness_corpus():
+    rng = default_rng(4301)
+    for trial in range(400):
+        k = 2 if trial % 4 else 3
+        graph = random_hypergraph(rng, k=k, max_vertices=6, max_edges=7)
+        if trial % 2:
+            machine = random_cycling_machine(rng, k=k, max_states=3)
+        else:
+            machine = random_machine(rng, k=k, max_states=3)
+        yield graph, machine
+    alternating = gen_alternating_machine().machine
+    rng = default_rng(4302)
+    for m in range(4, 9):
+        graph = gen_shift_digraph(m)
+        yield graph, alternating
+        yield graph, random_cycling_machine(rng, k=2, max_states=4, density=0.2)
+        yield graph, random_machine(rng, k=2, max_states=4)
+
+
+def test_is_good_matches_the_tuple_product_reference():
+    # same verdict, witness and induced coloring as the tuple-keyed product
+    good = bad = 0
+    for graph, machine in reference_goodness_corpus():
+        verdict_good, witness, coloring = reference_decide(graph, machine)
+        verdict = is_good(graph, machine)
+        assert verdict.good == verdict_good
+        if verdict.good:
+            assert induced_order_system_coloring(graph, machine) == coloring
+            good += 1
+        else:
+            cycle = verdict.witness.cycle
+            assert (cycle.vertex_seq, cycle.edge_indices, verdict.witness.states) == witness
+            bad += 1
+    assert good >= 100
+    assert bad >= 100
