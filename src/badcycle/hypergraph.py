@@ -2,13 +2,16 @@
 
 A k-uniform directed hypergraph is a vertex set plus a set of k-tuples
 of pairwise distinct vertices.  A coloring is proper when no edge has
-all of its coordinates colored alike.  The exact solver runs iterative
-deepening on the color count with branch and bound; low-degree vertices
-are peeled first and reinserted greedily.
+all of its coordinates colored alike.  The exact solver splits the graph
+into weak components in one pass and runs iterative deepening on each
+component's color count.  For each count t, vertices on fewer than t
+edges are peeled and reinserted greedily afterwards; the core left is
+searched by an iterative DSATUR branch and bound on vertex numbers,
+with int bitsets for the colors present on each edge and for the
+uncolored vertices at each saturation level.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError
@@ -291,7 +294,7 @@ def chromatic_number_exact(graph, budget=None):
     exhaustion a BudgetError carrying the best known bounds is raised.
     """
     counter = _NodeCounter(budget)
-    parts = [_induced(graph, set(c)) for c in weak_components(graph)]
+    parts = _component_graphs(graph)
     greedies = [_greedy_coloring(p, p.vertices) for p in parts]
     uppers = [max(g.values(), default=0) for g in greedies]
     best = 0
@@ -308,6 +311,19 @@ def chromatic_number_exact(graph, budget=None):
         best = max(best, number)
         coloring.update(found)
     return ChromaticResult(best, coloring)
+
+
+def _component_graphs(graph):
+    """The subgraph induced by each weak component, in ``weak_components`` order.
+
+    One pass over the edges: an edge lies in the component of its first vertex.
+    """
+    groups = weak_components(graph)
+    part_of = {v: n for n, group in enumerate(groups) for v in group}
+    edges = [[] for _ in groups]
+    for edge in graph.edges:
+        edges[part_of[edge[0]]].append(edge)
+    return [DirectedHypergraph(graph.k, g, e) for g, e in zip(groups, edges)]
 
 
 class _NodeCounter:
@@ -329,12 +345,6 @@ class _BudgetHit(Exception):
 class _ComponentBudget(Exception):
     def __init__(self, lower):
         self.lower = lower
-
-
-def _induced(graph, keep):
-    vertices = [v for v in graph.vertices if v in keep]
-    edges = [e for e in graph.edges if all(v in keep for v in e)]
-    return DirectedHypergraph(graph.k, vertices, edges)
 
 
 def _clique_lower_bound(graph):
@@ -375,146 +385,162 @@ def _chromatic_component(graph, greedy, upper, counter):
 def _peel(graph, t):
     """Remove vertices incident to fewer than t edges, cascading.
 
-    Returns (core graph, peel log).  Each log entry is (vertex, removed
-    edge tuples); replaying the log backwards with a greedy choice
-    extends any proper t-coloring of the core.
+    Returns the peel order.  The core is what stays: the unpeeled
+    vertices and the edges with no peeled vertex.  Coloring the peeled
+    vertices greedily in reverse order extends any proper t-coloring of
+    the core: the edges a vertex still had when it was peeled, fewer
+    than t, are then colored everywhere else, and its other edges keep
+    an uncolored vertex.
     """
     alive_vertices = set(graph.vertices)
     alive_edges = set(range(len(graph.edges)))
     degree = {v: len(graph.incident_edges(v)) for v in graph.vertices}
     queue = [v for v in graph.vertices if degree[v] < t]
-    log = []
+    order = []
     while queue:
         v = queue.pop()
         if v not in alive_vertices:
             continue
         alive_vertices.remove(v)
-        removed = []
         for edge_index in graph.incident_edges(v):
             if edge_index not in alive_edges:
                 continue
             alive_edges.remove(edge_index)
-            removed.append(graph.edges[edge_index])
             for u in graph.edges[edge_index]:
                 if u == v or u not in alive_vertices:
                     continue
                 degree[u] -= 1
                 if degree[u] < t:
                     queue.append(u)
-        log.append((v, tuple(removed)))
-    core = DirectedHypergraph(
-        graph.k,
-        [v for v in graph.vertices if v in alive_vertices],
-        [graph.edges[n] for n in sorted(alive_edges)],
-    )
-    return core, log
+        order.append(v)
+    return order
 
 
 def _color_with(graph, t, counter):
     """A proper t-coloring of graph, or None when none exists."""
     if t <= 0:
         return {} if not graph.vertices else None
-    core, log = _peel(graph, t)
-    coloring = _search_core(core, t, counter)
+    order = _peel(graph, t)
+    peeled = set(order)
+    coloring = _search_core(
+        [v for v in graph.vertices if v not in peeled],
+        [e for e in graph.edges if peeled.isdisjoint(e)],
+        t,
+        counter,
+    )
     if coloring is None:
         return None
-    for v, removed in reversed(log):
-        forbidden = set()
-        for edge in removed:
-            others = {coloring[u] for u in edge if u != v}
-            if len(others) == 1:
-                forbidden.add(next(iter(others)))
-        color = next(c for c in range(1, t + 1) if c not in forbidden)
-        coloring[v] = color
+    for v in reversed(order):
+        coloring[v] = _least_free_color(graph, coloring, v)
     return coloring
 
 
-def _search_core(graph, t, counter):
-    """Branch and bound t-coloring of a peeled core.
+def _search_core(vertices, edges, t, counter):
+    """Branch-and-bound t-coloring (DSATUR) of a peeled core, on vertex numbers.
 
-    State per edge: number of uncolored coordinates and the set of
-    colors present.  An edge with one uncolored coordinate and a single
-    present color forbids that color there; a fully colored edge must
-    not be monochromatic.  Vertices are picked by saturation, then
-    degree, then canonical order; colors tried up to one past the
-    current maximum.
+    Vertex i is ``vertices[i]``.  Each edge keeps its number of
+    uncolored coordinates, the sum of their vertex numbers (which names
+    the last one) and its present colors as a bitmask, bit c for color
+    c.  An edge with one uncolored coordinate and one present color
+    forbids that color there, so a fully colored edge is never
+    monochromatic.  A vertex's saturation is its number of forbidden
+    colors.
+
+    The pick is the uncolored vertex of greatest (saturation, degree,
+    -i).  Each vertex has a fixed position by (degree descending, i
+    ascending), and each saturation level keeps an int bitset of the
+    positions of its uncolored vertices, so the pick is the lowest set
+    bit of the highest non-empty level.  Colors are tried in increasing
+    order up to one past the highest used so far.  The depth-first
+    search runs on an explicit stack with one frame per colored vertex,
+    and spends one budget unit per node expanded.
     """
-    vertices = graph.vertices
-    if not vertices:
+    n = len(vertices)
+    if not n:
         return {}
-    color = {v: 0 for v in vertices}
-    forbid_count = {v: [0] * (t + 1) for v in vertices}
-    saturation = {v: 0 for v in vertices}
-    uncolored_in = [len(e) for e in graph.edges]
-    present = [set() for _ in graph.edges]
-    degree = {v: len(graph.incident_edges(v)) for v in vertices}
-    uncolored = set(vertices)
-    rank = {v: n for n, v in enumerate(vertices)}
-
-    def assign(v, c):
-        """Apply v := c; returns (ok, journal) where journal undoes the effects."""
-        journal = []
-        color[v] = c
-        uncolored.remove(v)
-        ok = True
-        for edge_index in graph.incident_edges(v):
-            uncolored_in[edge_index] -= 1
-            fresh = c not in present[edge_index]
-            if fresh:
-                present[edge_index].add(c)
-            journal.append(("edge", edge_index, fresh))
-            if uncolored_in[edge_index] == 0:
-                if len(present[edge_index]) == 1:
-                    ok = False
-            elif uncolored_in[edge_index] == 1 and len(present[edge_index]) == 1:
-                last = next(u for u in graph.edges[edge_index] if color[u] == 0)
-                forbid_count[last][c] += 1
-                if forbid_count[last][c] == 1:
-                    saturation[last] += 1
-                journal.append(("forbid", last, c))
-        return ok, journal
-
-    def undo(v, journal):
-        for tag, first, second in reversed(journal):
-            if tag == "edge":
-                uncolored_in[first] += 1
-                if second:
-                    present[first].discard(color[v])
-            else:
-                forbid_count[first][second] -= 1
-                if forbid_count[first][second] == 0:
-                    saturation[first] -= 1
-        color[v] = 0
-        uncolored.add(v)
-
-    def pick():
-        return max(
-            uncolored,
-            key=lambda v: (saturation[v], degree[v], -rank[v]),
-        )
-
-    def extend(used):
-        if not uncolored:
-            return True
+    index = {v: i for i, v in enumerate(vertices)}
+    members = [[index[u] for u in edge] for edge in edges]
+    incident = [[] for _ in range(n)]
+    for e, edge in enumerate(members):
+        for u in edge:
+            incident[u].append(e)
+    ranked = sorted(range(n), key=lambda v: (-len(incident[v]), v))
+    bit = [0] * n
+    for position, v in enumerate(ranked):
+        bit[v] = 1 << position
+    color = [0] * n
+    uncolored_in = [len(edge) for edge in members]
+    rest = [sum(edge) for edge in members]
+    present = [0] * len(members)
+    forbid_count = [[0] * (t + 1) for _ in range(n)]
+    forbidden = [0] * n
+    saturation = [0] * n
+    level = [0] * (t + 1)
+    level[0] = (1 << n) - 1
+    stack = []
+    left = n
+    used = 0
+    while left:
         counter.spend()
-        v = pick()
-        limit = min(used + 1, t)
-        for c in range(1, limit + 1):
-            if forbid_count[v][c]:
-                continue
-            ok, journal = assign(v, c)
-            if ok and extend(max(used, c)):
-                return True
-            undo(v, journal)
-        return False
-
-    depth = len(vertices) + 50
-    old_limit = sys.getrecursionlimit()
-    if depth > old_limit - 100:
-        sys.setrecursionlimit(depth + 200)
-    try:
-        if extend(0):
-            return {v: color[v] for v in vertices}
-        return None
-    finally:
-        sys.setrecursionlimit(old_limit)
+        s = t
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        level[s] ^= low
+        v = ranked[low.bit_length() - 1]
+        left -= 1
+        choices = ((2 << min(used + 1, t)) - 2) & ~forbidden[v]
+        while not choices:
+            # v has no color left: put it back and undo its parent's color
+            level[saturation[v]] |= bit[v]
+            left += 1
+            if not stack:
+                return None
+            v, choices, used, fresh, targets = stack.pop()
+            c = color[v]
+            cb = 1 << c
+            for e in incident[v]:
+                uncolored_in[e] += 1
+                rest[e] += v
+            for e in fresh:
+                present[e] ^= cb
+            for u in targets:
+                counts = forbid_count[u]
+                counts[c] -= 1
+                if not counts[c]:
+                    s = saturation[u]
+                    level[s] ^= bit[u]
+                    level[s - 1] |= bit[u]
+                    saturation[u] = s - 1
+                    forbidden[u] ^= cb
+            color[v] = 0
+        # give v its least remaining color
+        cb = choices & -choices
+        choices ^= cb
+        c = cb.bit_length() - 1
+        color[v] = c
+        fresh = []
+        targets = []
+        for e in incident[v]:
+            k = uncolored_in[e] - 1
+            uncolored_in[e] = k
+            r = rest[e] - v
+            rest[e] = r
+            p = present[e]
+            if not p & cb:
+                p |= cb
+                present[e] = p
+                fresh.append(e)
+            if k == 1 and p == cb:
+                counts = forbid_count[r]
+                counts[c] += 1
+                if counts[c] == 1:
+                    s = saturation[r]
+                    level[s] ^= bit[r]
+                    level[s + 1] |= bit[r]
+                    saturation[r] = s + 1
+                    forbidden[r] |= cb
+                targets.append(r)
+        stack.append((v, choices, used, fresh, targets))
+        used = max(used, c)
+    return {v: color[i] for i, v in enumerate(vertices)}

@@ -1,0 +1,65 @@
+"""Metamorphic properties of the exact chromatic number, on random hypergraphs."""
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from badcycle.hypergraph import (  # noqa: E402
+    DirectedHypergraph,
+    chromatic_number_exact,
+    is_proper_coloring,
+)
+
+SETTINGS = hypothesis.settings(
+    max_examples=80, deadline=None, database=None, derandomize=True
+)
+
+
+@st.composite
+def hypergraphs(draw, k=None):
+    k = draw(st.sampled_from([2, 3])) if k is None else k
+    n = draw(st.integers(min_value=k, max_value=8))
+    vertices = [f"v{i}" for i in range(n)]
+    edge = st.permutations(vertices).map(lambda p: tuple(p[:k]))
+    edges = draw(st.lists(edge, max_size=18, unique=True))
+    return DirectedHypergraph(k, vertices, edges)
+
+
+@SETTINGS
+@hypothesis.given(hypergraphs(), st.randoms(use_true_random=False))
+def test_renaming_vertices_and_permuting_edges_preserves_chi(graph, rng):
+    names = [f"w{i}" for i in range(len(graph.vertices))]
+    rng.shuffle(names)
+    rename = dict(zip(graph.vertices, names))
+    vertices = list(names)
+    rng.shuffle(vertices)
+    edges = [tuple(rename[v] for v in edge) for edge in graph.edges]
+    rng.shuffle(edges)
+    renamed = DirectedHypergraph(graph.k, vertices, edges)
+    assert (
+        chromatic_number_exact(renamed).number
+        == chromatic_number_exact(graph).number
+    )
+
+
+@SETTINGS
+@hypothesis.given(
+    st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(hypergraphs(k), hypergraphs(k)))
+)
+def test_chi_of_a_disjoint_union_is_the_max(pair):
+    left, right = pair
+    vertices = [f"a{v}" for v in left.vertices] + [f"b{v}" for v in right.vertices]
+    edges = [tuple(f"a{v}" for v in e) for e in left.edges]
+    edges += [tuple(f"b{v}" for v in e) for e in right.edges]
+    union = DirectedHypergraph(left.k, vertices, edges)
+    assert chromatic_number_exact(union).number == max(
+        chromatic_number_exact(left).number, chromatic_number_exact(right).number
+    )
+
+
+@SETTINGS
+@hypothesis.given(hypergraphs())
+def test_every_coloring_is_proper_with_at_most_chi_colors(graph):
+    result = chromatic_number_exact(graph)
+    assert is_proper_coloring(graph, result.coloring)
+    assert set(result.coloring.values()) <= set(range(1, result.number + 1))

@@ -1,8 +1,12 @@
+import copy
+import random
+
 import pytest
 
 from badcycle.errors import InputError
 from badcycle.fileio import (
     hypergraph_from_obj,
+    hypergraph_to_obj,
     load_hypergraph,
     load_machine,
     load_order,
@@ -13,7 +17,9 @@ from badcycle.fileio import (
     order_from_obj,
     order_system_from_obj,
     order_system_to_obj,
+    order_to_obj,
     relation_from_obj,
+    relation_to_obj,
     save_hypergraph,
     save_machine,
     save_order,
@@ -23,6 +29,7 @@ from badcycle.fileio import (
     witness_to_obj,
 )
 from badcycle.generators import (
+    counter_machine_order,
     gen_counter_machine,
     gen_example3_machine,
     gen_explicit_hasse_digraph,
@@ -221,3 +228,77 @@ def test_witness_rejects_malformed_objects():
     # step replay is delegated to the cycle type
     with pytest.raises(InputError, match="out of range"):
         witness_from_obj({**base, "steps": [[9, "2"]]}, graph)
+
+
+JUNK = (
+    None, True, 0, -1, 1, 2, 3, 10**9, 1.5, "", "x", "a", "s0",
+    [], {}, [1, 2], ["a", "b"], [[]], {"k": 2},
+)
+
+
+def _mutate(rng, obj):
+    """One random edit somewhere inside a JSON object tree."""
+    if not isinstance(obj, (dict, list)) or rng.random() < 0.15:
+        return copy.deepcopy(rng.choice(JUNK))
+    if isinstance(obj, dict):
+        obj = dict(obj)
+        keys = sorted(obj)
+        roll = rng.random()
+        if keys and roll < 0.15:
+            del obj[rng.choice(keys)]
+        elif roll < 0.25:
+            key = rng.choice(["note", "k", "n", "edges", "to"])
+            obj[key] = copy.deepcopy(rng.choice(JUNK))
+        elif keys:
+            key = rng.choice(keys)
+            obj[key] = _mutate(rng, obj[key])
+        return obj
+    obj = list(obj)
+    roll = rng.random()
+    if obj and roll < 0.15:
+        del obj[rng.randrange(len(obj))]
+    elif obj and roll < 0.25:
+        obj.append(copy.deepcopy(rng.choice(obj)))
+    elif roll < 0.35:
+        obj.insert(rng.randint(0, len(obj)), copy.deepcopy(rng.choice(JUNK)))
+    elif obj:
+        n = rng.randrange(len(obj))
+        obj[n] = _mutate(rng, obj[n])
+    return obj
+
+
+def test_readers_raise_only_input_errors_on_mutated_objects():
+    # a seeded fuzz run: whatever a malformed file holds, a reader either
+    # returns or raises InputError
+    cases = [
+        (machine_from_obj, machine_to_obj(gen_example3_machine())),
+        (machine_from_obj, machine_to_obj(gen_unbalanced_machine(2))),
+        (hypergraph_from_obj, hypergraph_to_obj(gen_explicit_hasse_digraph(2))),
+        (
+            hypergraph_from_obj,
+            hypergraph_to_obj(
+                DirectedHypergraph(
+                    3, ["a", "b", "c", "d"], [("a", "b", "c"), ("d", "c", "a")]
+                )
+            ),
+        ),
+        (order_from_obj, order_to_obj(counter_machine_order(2))),
+        (order_system_from_obj, order_system_to_obj(unbalanced_machine_order_system(2))),
+        (relation_from_obj, relation_to_obj(gen_alternating_relation())),
+    ]
+    rng = random.Random(2718)
+    rejected = 0
+    for reader, valid in cases:
+        for _ in range(400):
+            obj = valid
+            for _ in range(rng.randint(1, 3)):
+                obj = _mutate(rng, obj)
+            try:
+                reader(obj)
+            except InputError:
+                rejected += 1
+            except Exception as err:
+                pytest.fail(
+                    f"{reader.__name__} raised {type(err).__name__}: {err} on {obj!r}"
+                )
+    assert rejected >= 2400

@@ -1,10 +1,17 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from badcycle.corpus import random_digraph, random_hypergraph
 from badcycle.errors import BudgetError, InputError
+from badcycle.generators import (
+    counter_machine_order,
+    gen_counter_machine,
+    gen_cycling_construction,
+    gen_shift_digraph,
+)
 from badcycle.hypergraph import (
     ChromaticResult,
     DirectedHypergraph,
@@ -246,3 +253,283 @@ def test_proper_coloring_checks_totality():
     assert not is_proper_coloring(g, {"1": 1, "2": 2})
     assert not is_proper_coloring(g, {"1": 1, "2": 1, "3": 1})
     assert is_proper_coloring(g, {"1": 1, "2": 2, "3": 3})
+
+
+def test_chromatic_search_runs_deeper_than_the_recursion_limit(monkeypatch):
+    # the t = 2 search on an odd cycle goes once around it before failing,
+    # far deeper than the default recursion limit of 1000 frames
+    n = 3001
+    verts = [str(i) for i in range(n)]
+    cycle = DirectedHypergraph(
+        2, verts, [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+    )
+
+    def refuse(limit):
+        raise AssertionError("the search must not change the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    result = chromatic_number_exact(cycle)
+    assert result.number == 3
+    assert is_proper_coloring(cycle, result.coloring)
+
+
+class _ReferenceBudgetHit(Exception):
+    pass
+
+
+def reference_chromatic(graph, budget=None):
+    """Recursive DSATUR search with one induced-subgraph scan per component.
+
+    The search that the integer kernel replaced, written out with its
+    name-keyed state: components are rebuilt by scanning every vertex and
+    edge, the core comes from a peel log of removed edges, and the pick is
+    a max over the uncolored vertices by (saturation, degree, -rank).
+    Returns (number, coloring, nodes expanded) or raises BudgetError with
+    the same bounds as chromatic_number_exact.
+    """
+    nodes = 0
+
+    def spend():
+        nonlocal nodes
+        if budget is not None and nodes >= budget:
+            raise _ReferenceBudgetHit
+        nodes += 1
+
+    def induced(keep):
+        vertices = [v for v in graph.vertices if v in keep]
+        edges = [e for e in graph.edges if all(v in keep for v in e)]
+        return DirectedHypergraph(graph.k, vertices, edges)
+
+    def greedy(part):
+        coloring = {}
+        for v in part.vertices:
+            forbidden = set()
+            for edge_index in part.incident_edges(v):
+                others = {coloring.get(u) for u in part.edges[edge_index] if u != v}
+                if len(others) == 1 and None not in others:
+                    forbidden.add(next(iter(others)))
+            color = 1
+            while color in forbidden:
+                color += 1
+            coloring[v] = color
+        return coloring
+
+    def clique_lower_bound(part):
+        if not part.edges:
+            return 1 if part.vertices else 0
+        if part.k != 2:
+            return 2
+        neighbors = {v: set() for v in part.vertices}
+        for a, b in part.edges:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+        by_degree = sorted(part.vertices, key=lambda v: -len(neighbors[v]))
+        best = 2
+        for seed in by_degree[:8]:
+            clique = {seed}
+            for u in by_degree:
+                if u not in clique and all(u in neighbors[w] for w in clique):
+                    clique.add(u)
+            best = max(best, len(clique))
+        return best
+
+    def peel(part, t):
+        alive_vertices = set(part.vertices)
+        alive_edges = set(range(len(part.edges)))
+        degree = {v: len(part.incident_edges(v)) for v in part.vertices}
+        queue = [v for v in part.vertices if degree[v] < t]
+        log = []
+        while queue:
+            v = queue.pop()
+            if v not in alive_vertices:
+                continue
+            alive_vertices.remove(v)
+            removed = []
+            for edge_index in part.incident_edges(v):
+                if edge_index not in alive_edges:
+                    continue
+                alive_edges.remove(edge_index)
+                removed.append(part.edges[edge_index])
+                for u in part.edges[edge_index]:
+                    if u == v or u not in alive_vertices:
+                        continue
+                    degree[u] -= 1
+                    if degree[u] < t:
+                        queue.append(u)
+            log.append((v, tuple(removed)))
+        core = DirectedHypergraph(
+            part.k,
+            [v for v in part.vertices if v in alive_vertices],
+            [part.edges[n] for n in sorted(alive_edges)],
+        )
+        return core, log
+
+    def search_core(core, t):
+        vertices = core.vertices
+        if not vertices:
+            return {}
+        color = {v: 0 for v in vertices}
+        forbid_count = {v: [0] * (t + 1) for v in vertices}
+        saturation = {v: 0 for v in vertices}
+        uncolored_in = [len(e) for e in core.edges]
+        present = [set() for _ in core.edges]
+        degree = {v: len(core.incident_edges(v)) for v in vertices}
+        uncolored = set(vertices)
+        rank = {v: n for n, v in enumerate(vertices)}
+
+        def assign(v, c):
+            journal = []
+            color[v] = c
+            uncolored.remove(v)
+            ok = True
+            for edge_index in core.incident_edges(v):
+                uncolored_in[edge_index] -= 1
+                fresh = c not in present[edge_index]
+                if fresh:
+                    present[edge_index].add(c)
+                journal.append(("edge", edge_index, fresh))
+                if uncolored_in[edge_index] == 0:
+                    if len(present[edge_index]) == 1:
+                        ok = False
+                elif uncolored_in[edge_index] == 1 and len(present[edge_index]) == 1:
+                    last = next(u for u in core.edges[edge_index] if color[u] == 0)
+                    forbid_count[last][c] += 1
+                    if forbid_count[last][c] == 1:
+                        saturation[last] += 1
+                    journal.append(("forbid", last, c))
+            return ok, journal
+
+        def undo(v, journal):
+            for tag, first, second in reversed(journal):
+                if tag == "edge":
+                    uncolored_in[first] += 1
+                    if second:
+                        present[first].discard(color[v])
+                else:
+                    forbid_count[first][second] -= 1
+                    if forbid_count[first][second] == 0:
+                        saturation[first] -= 1
+            color[v] = 0
+            uncolored.add(v)
+
+        def extend(used):
+            if not uncolored:
+                return True
+            spend()
+            v = max(uncolored, key=lambda u: (saturation[u], degree[u], -rank[u]))
+            for c in range(1, min(used + 1, t) + 1):
+                if forbid_count[v][c]:
+                    continue
+                ok, journal = assign(v, c)
+                if ok and extend(max(used, c)):
+                    return True
+                undo(v, journal)
+            return False
+
+        if extend(0):
+            return {v: color[v] for v in vertices}
+        return None
+
+    def color_with(part, t):
+        if t <= 0:
+            return {} if not part.vertices else None
+        core, log = peel(part, t)
+        coloring = search_core(core, t)
+        if coloring is None:
+            return None
+        for v, removed in reversed(log):
+            forbidden = set()
+            for edge in removed:
+                others = {coloring[u] for u in edge if u != v}
+                if len(others) == 1:
+                    forbidden.add(next(iter(others)))
+            coloring[v] = next(c for c in range(1, t + 1) if c not in forbidden)
+        return coloring
+
+    parts = [induced(set(c)) for c in weak_components(graph)]
+    greedies = [greedy(p) for p in parts]
+    uppers = [max(g.values(), default=0) for g in greedies]
+    best = 0
+    coloring = {}
+    for n, part in enumerate(parts):
+        number, found = uppers[n], greedies[n]
+        lower = clique_lower_bound(part)
+        for t in range(lower, uppers[n]):
+            try:
+                attempt = color_with(part, t)
+            except _ReferenceBudgetHit:
+                raise BudgetError(
+                    "chromatic search budget exhausted",
+                    lower=max(best, t),
+                    upper=max(best, *uppers[n:]),
+                ) from None
+            if attempt is not None:
+                number, found = t, attempt
+                break
+        best = max(best, number)
+        coloring.update(found)
+    return best, coloring, nodes
+
+
+def shuffled_union(rng, parts):
+    """Disjoint union of parts, vertices and edges listed in random order."""
+    vertices = []
+    edges = []
+    for n, part in enumerate(parts):
+        name = {v: f"{v}.{n}" for v in part.vertices}
+        vertices.extend(name.values())
+        edges.extend(tuple(name[u] for u in edge) for edge in part.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return DirectedHypergraph(parts[0].k, vertices, edges)
+
+
+def chromatic_reference_corpus():
+    rng = random.Random(505)
+    for _ in range(100):
+        yield random_hypergraph(rng, k=2, max_vertices=12, max_edges=30)
+    for _ in range(150):
+        yield random_hypergraph(rng, k=3, max_vertices=12, max_edges=40)
+    for _ in range(60):
+        yield random_digraph(rng, max_vertices=30, edge_prob=0.15)
+    for _ in range(60):
+        parts = [random_digraph(rng, max_vertices=14, edge_prob=0.25) for _ in range(3)]
+        yield shuffled_union(rng, parts)
+    for _ in range(60):
+        parts = [
+            random_hypergraph(rng, k=3, max_vertices=10, max_edges=30)
+            for _ in range(rng.randint(2, 4))
+        ]
+        yield shuffled_union(rng, parts)
+    for m in range(2, 13):
+        yield gen_shift_digraph(m)
+    for n, m in ((1, 6), (1, 8), (2, 6), (2, 8), (3, 9)):
+        yield gen_cycling_construction(
+            gen_counter_machine(n), counter_machine_order(n), m
+        )
+
+
+def test_chromatic_search_matches_the_recursive_reference():
+    # same chi and coloring, and the budget runs out at the same node with
+    # the same bounds
+    searched = split = 0
+    for graph in chromatic_reference_corpus():
+        number, coloring, nodes = reference_chromatic(graph)
+        result = chromatic_number_exact(graph)
+        assert result.number == number
+        assert list(result.coloring.items()) == list(coloring.items())
+        assert chromatic_number_exact(graph, budget=nodes) == result
+        if nodes == 0:
+            continue
+        searched += 1
+        split += len(weak_components(graph)) > 1
+        with pytest.raises(BudgetError) as expected:
+            reference_chromatic(graph, budget=nodes - 1)
+        with pytest.raises(BudgetError) as got:
+            chromatic_number_exact(graph, budget=nodes - 1)
+        assert (got.value.lower, got.value.upper) == (
+            expected.value.lower,
+            expected.value.upper,
+        )
+    assert searched >= 200
+    assert split >= 80
