@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .digraph import WeightedDigraph, find_positive_cycle, longest_walk_potentials
 from .errors import InputError, UnbalancedError
-from .generators import gen_counter_machine
-from .goodness import is_good
 from .hypergraph import weak_components
 
 
@@ -68,22 +66,24 @@ def is_alpha_balanced(graph, alpha):
     Each edge doubles into a forward arc of weight p and a backward arc
     of weight -q (alpha = p/q), so the graph is balanced exactly when
     every directed cycle of the doubled digraph has positive weight.  The
-    search perturbs every arc by a fraction too small to flip any simple
-    cycle past an integer, turning weight <= 0 detection into a positive
-    cycle search.
+    search perturbs every arc by eps = 1/(|V|+1), too little to flip any
+    simple cycle past an integer, turning weight <= 0 detection into a
+    positive cycle search; scaled by |V|+1, the weights are the integers
+    1 - p(|V|+1) and 1 + q(|V|+1).
     """
     alpha = _as_alpha(alpha)
     _require_digraph(graph)
-    p, q = alpha.numerator, alpha.denominator
-    eps = Fraction(1, len(graph.vertices) + 1)
+    scale = len(graph.vertices) + 1
+    forward = 1 - alpha.numerator * scale
+    backward = 1 + alpha.denominator * scale
     arcs = []
     origin = {}
     for edge in graph.edges:
         a, b = edge
-        arcs.append((a, b, eps - p))
-        origin[(a, b, eps - p)] = (edge, "forward")
-        arcs.append((b, a, eps + q))
-        origin[(b, a, eps + q)] = (edge, "backward")
+        arcs.append((a, b, forward))
+        origin[(a, b, forward)] = (edge, "forward")
+        arcs.append((b, a, backward))
+        origin[(b, a, backward)] = (edge, "backward")
     cycle = find_positive_cycle(WeightedDigraph(graph.vertices, arcs))
     if cycle is None:
         return BalanceVerdict(True, alpha)
@@ -131,23 +131,3 @@ def balanced_coloring(graph, alpha):
     colors = {v: int(potentials[v]) % (ceiling + 1) for v in graph.vertices}
     return BalancedColoring(alpha, ceiling, potentials, colors)
 
-
-def check_two_balanced_equivalence(graph, n_max=None):
-    """Compare 2-balance with goodness for every counter machine up to n_max.
-
-    Returns True when the two judgements agree on this graph.  The default
-    budget n_max = 2|E|+2 is heuristic; the counter machines only ever
-    refute goodness for some finite n, so a disagreement at any n_max is
-    always worth reporting.
-    """
-    _require_digraph(graph)
-    if n_max is None:
-        n_max = 2 * len(graph.edges) + 2
-    n_max = int(n_max)
-    balanced = is_alpha_balanced(graph, 2).balanced
-    good_all = True
-    for n in range(1, n_max + 1):
-        if not is_good(graph, gen_counter_machine(n)).good:
-            good_all = False
-            break
-    return balanced == good_all

@@ -16,8 +16,8 @@ import sys
 import traceback
 from pathlib import Path
 
-from .balance import balanced_coloring, check_two_balanced_equivalence, is_alpha_balanced
-from .corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
+from .balance import balanced_coloring, is_alpha_balanced
+from .corpus import goodness_corpus
 from .errors import BudgetError, InputError, PreconditionError, UnbalancedError
 from .fileio import (
     _write_json,
@@ -49,8 +49,9 @@ from .generators import (
     gen_unbalanced_machine,
     unbalanced_machine_order_system,
 )
-from .goodness import brute_force_is_good, check_paths_good, is_good, validate_witness
+from .goodness import check_paths_good, is_good
 from .hypergraph import chromatic_number_exact, chromatic_upper_greedy
+from .oracles import brute_force_is_good, check_two_balanced_equivalence, cross_check_goodness
 from .orders import (
     decide_cycling_2machine,
     find_compatible_order,
@@ -115,6 +116,13 @@ def _witness_lines(witness):
     return lines
 
 
+def _bad_cycle(args, head, payload, witness):
+    obj = witness_to_obj(witness)
+    if args.output:
+        _write_json(obj, args.output)
+    return 1, {**payload, "witness": obj}, [head] + _witness_lines(witness)
+
+
 def _system_lines(system):
     lines = []
     for idx, block in enumerate(system.classes):
@@ -138,10 +146,7 @@ def _cmd_check_good(args):
     verdict = is_good(graph, machine)
     if verdict.good:
         return 0, {"good": True}, ["good"]
-    obj = witness_to_obj(verdict.witness)
-    if args.output:
-        _write_json(obj, args.output)
-    return 1, {"good": False, "witness": obj}, ["bad"] + _witness_lines(verdict.witness)
+    return _bad_cycle(args, "bad", {"good": False}, verdict.witness)
 
 
 def _cmd_find_order(args):
@@ -175,26 +180,22 @@ def _cmd_find_order_system(args):
     return 0, {"system": order_system_to_obj(system)}, ["system 0:"] + _system_lines(system)
 
 
-def _cmd_verify_order(args):
-    machine = load_machine(args.machine)
-    order = load_order(args.order)
-    result = verify_compatible_order(machine, order)
+def _verification(result, claim):
     payload = {"ok": result.ok, "violations": list(result.violations)}
     if result.ok:
-        return 0, payload, ["order is compatible"]
-    return 1, payload, ["order is not compatible:"] + [f"  {v}" for v in result.violations]
+        return 0, payload, [f"{claim} is compatible"]
+    return 1, payload, [f"{claim} is not compatible:"] + [f"  {v}" for v in result.violations]
+
+
+def _cmd_verify_order(args):
+    machine = load_machine(args.machine)
+    return _verification(verify_compatible_order(machine, load_order(args.order)), "order")
 
 
 def _cmd_verify_order_system(args):
     machine = load_machine(args.machine)
     system = load_order_system(args.system)
-    result = verify_order_system(machine, system)
-    payload = {"ok": result.ok, "violations": list(result.violations)}
-    if result.ok:
-        return 0, payload, ["order system is compatible"]
-    return 1, payload, ["order system is not compatible:"] + [
-        f"  {v}" for v in result.violations
-    ]
+    return _verification(verify_order_system(machine, system), "order system")
 
 
 def _cmd_decide2(args):
@@ -213,12 +214,7 @@ def _cmd_paths_good(args):
             f"paths P_1..P_{args.n_max} are all good"
         ]
     n, witness = hit
-    obj = witness_to_obj(witness)
-    if args.output:
-        _write_json(obj, args.output)
-    return 1, {"bad_path": n, "witness": obj}, [f"path P_{n} is bad"] + _witness_lines(
-        witness
-    )
+    return _bad_cycle(args, f"path P_{n} is bad", {"bad_path": n}, witness)
 
 
 def _cmd_chromatic(args):
@@ -237,19 +233,20 @@ def _exact_number(value):
     return int(value) if value == int(value) else str(value)
 
 
+def _traversal(verdict):
+    """Report lines and JSON steps of an unbalanced verdict's traversal."""
+    lines = [f"  {a}->{b} {direction}" for (a, b), direction in verdict.witness]
+    return lines, [[list(edge), direction] for edge, direction in verdict.witness]
+
+
 def _cmd_color_balanced(args):
     graph = load_hypergraph(args.graph)
     try:
         result = balanced_coloring(graph, args.alpha)
     except UnbalancedError as err:
-        verdict = err.verdict
-        lines = [f"not {verdict.alpha}-balanced:"]
-        lines += [f"  {a}->{b} {direction}" for (a, b), direction in verdict.witness]
-        payload = {
-            "balanced": False,
-            "witness": [[list(edge), direction] for edge, direction in verdict.witness],
-        }
-        return 1, payload, lines
+        lines, steps = _traversal(err.verdict)
+        head = f"not {err.verdict.alpha}-balanced:"
+        return 1, {"balanced": False, "witness": steps}, [head] + lines
     levels = {v: _exact_number(result.potentials[v]) for v in graph.vertices}
     lines = [f"ceiling: {result.alpha_ceiling}"]
     for v in sorted(graph.vertices):
@@ -270,14 +267,9 @@ def _cmd_balance_check(args):
     verdict = is_alpha_balanced(graph, args.alpha)
     if verdict.balanced:
         return 0, {"balanced": True, "alpha": str(verdict.alpha)}, ["balanced"]
-    lines = ["unbalanced:"]
-    lines += [f"  {a}->{b} {direction}" for (a, b), direction in verdict.witness]
-    payload = {
-        "balanced": False,
-        "alpha": str(verdict.alpha),
-        "witness": [[list(edge), direction] for edge, direction in verdict.witness],
-    }
-    return 1, payload, lines
+    lines, steps = _traversal(verdict)
+    payload = {"balanced": False, "alpha": str(verdict.alpha), "witness": steps}
+    return 1, payload, ["unbalanced:"] + lines
 
 
 def _require_param(args, name, target):
@@ -287,45 +279,31 @@ def _require_param(args, name, target):
     return value
 
 
+def _cycling_construction(n, m):
+    return gen_cycling_construction(gen_counter_machine(n), counter_machine_order(n), m)
+
+
+# name -> (required parameters, builder, writer)
+_GENERATORS = {
+    "hasse-machine": ((), gen_hasse_machine, save_machine),
+    "example3-machine": ((), gen_example3_machine, save_machine),
+    "counter-machine": (("n",), gen_counter_machine, save_machine),
+    "counter-order": (("n",), counter_machine_order, save_order),
+    "unbalanced-machine": (("k",), gen_unbalanced_machine, save_machine),
+    "unbalanced-system": (("k",), unbalanced_machine_order_system, save_order_system),
+    "explicit-hasse": (("n",), gen_explicit_hasse_digraph, save_hypergraph),
+    "incomparable-pairs": (("m",), gen_incomparable_pairs_digraph, save_hypergraph),
+    "shift": (("m",), gen_shift_digraph, save_hypergraph),
+    "alternating-relation": ((), gen_alternating_relation, save_relation),
+    "alternating-machine": ((), lambda: gen_alternating_machine().machine, save_machine),
+    "cycling-construction": (("n", "m"), _cycling_construction, save_hypergraph),
+}
+
+
 def _cmd_gen(args):
     name = args.name
-    if name == "hasse-machine":
-        save_machine(gen_hasse_machine(), args.output)
-    elif name == "example3-machine":
-        save_machine(gen_example3_machine(), args.output)
-    elif name == "counter-machine":
-        save_machine(gen_counter_machine(_require_param(args, "n", name)), args.output)
-    elif name == "counter-order":
-        save_order(counter_machine_order(_require_param(args, "n", name)), args.output)
-    elif name == "unbalanced-machine":
-        save_machine(gen_unbalanced_machine(_require_param(args, "k", name)), args.output)
-    elif name == "unbalanced-system":
-        save_order_system(
-            unbalanced_machine_order_system(_require_param(args, "k", name)), args.output
-        )
-    elif name == "explicit-hasse":
-        save_hypergraph(
-            gen_explicit_hasse_digraph(_require_param(args, "n", name)), args.output
-        )
-    elif name == "incomparable-pairs":
-        save_hypergraph(
-            gen_incomparable_pairs_digraph(_require_param(args, "m", name)), args.output
-        )
-    elif name == "shift":
-        save_hypergraph(gen_shift_digraph(_require_param(args, "m", name)), args.output)
-    elif name == "alternating-relation":
-        save_relation(gen_alternating_relation(), args.output)
-    elif name == "alternating-machine":
-        save_machine(gen_alternating_machine().machine, args.output)
-    elif name == "cycling-construction":
-        n = _require_param(args, "n", name)
-        m = _require_param(args, "m", name)
-        graph = gen_cycling_construction(
-            gen_counter_machine(n), counter_machine_order(n), m
-        )
-        save_hypergraph(graph, args.output)
-    else:  # pragma: no cover - argparse choices guard this
-        raise InputError(f"unknown generator {name}")
+    params, build, save = _GENERATORS[name]
+    save(build(*(_require_param(args, p, name) for p in params)), args.output)
     return 0, {"wrote": str(args.output)}, [f"wrote {name} to {args.output}"]
 
 
@@ -362,14 +340,10 @@ def _relation_line(relation):
 
 def _cmd_rel(args):
     op = args.rel_op
-    if op == "compose":
-        a, b = (load_relation(p) for p in args.files)
-        result = compose(a, b)
-        if args.output:
-            save_relation(result, args.output)
-        return 0, {"relation": relation_to_obj(result)}, [_relation_line(result)]
-    if op == "reverse":
-        result = reverse(load_relation(args.files[0]))
+    if op in ("compose", "reverse"):
+        result = (compose if op == "compose" else reverse)(
+            *(load_relation(p) for p in args.files)
+        )
         if args.output:
             save_relation(result, args.output)
         return 0, {"relation": relation_to_obj(result)}, [_relation_line(result)]
@@ -414,21 +388,6 @@ def _cmd_rel(args):
     raise InputError(f"unknown rel operation {op}")  # pragma: no cover
 
 
-def _feasible_cap(graph, want):
-    # deepest cycle sweep whose walk tree stays small enough to enumerate
-    if not graph.vertices:
-        return want
-    branch = max(
-        (sum(graph.k for e in graph.edges if v in e) for v in graph.vertices),
-        default=1,
-    )
-    branch = max(branch, 1)
-    cap = 0
-    while cap < want and len(graph.vertices) * branch ** (cap + 1) <= 200000:
-        cap += 1
-    return cap
-
-
 def _cmd_oracle(args):
     mode = args.oracle_mode
     if mode == "good":
@@ -437,12 +396,7 @@ def _cmd_oracle(args):
         verdict = brute_force_is_good(graph, machine, args.max_len)
         if verdict.good:
             return 0, {"good": True}, [f"good (cycles up to length {args.max_len})"]
-        obj = witness_to_obj(verdict.witness)
-        if args.output:
-            _write_json(obj, args.output)
-        return 1, {"good": False, "witness": obj}, ["bad"] + _witness_lines(
-            verdict.witness
-        )
+        return _bad_cycle(args, "bad", {"good": False}, verdict.witness)
     if mode == "balance2":
         graph = load_hypergraph(args.graph)
         agree = check_two_balanced_equivalence(graph, n_max=args.n_max)
@@ -452,33 +406,12 @@ def _cmd_oracle(args):
             return 0, payload, [f"routes agree (2-balanced: {balanced})"]
         return 1, payload, ["routes disagree"]
     if mode == "corpus":
-        rng = default_rng(args.seed)
-        disagreements = 0
-        conclusive = 0
-        for trial in range(args.trials):
-            k = 2 if trial % 3 else 3
-            graph = random_hypergraph(rng, k=k, max_vertices=4, max_edges=4)
-            if trial % 2:
-                machine = random_cycling_machine(rng, k=k, max_states=3)
-            else:
-                machine = random_machine(rng, k=k, max_states=3)
-            verdict = is_good(graph, machine)
-            if not verdict.good:
-                if not validate_witness(graph, machine, verdict.witness).ok:
-                    disagreements += 1
-                    continue
-                length = len(verdict.witness.states) - 1
-                if _feasible_cap(graph, length) >= length:
-                    conclusive += 1
-                    if brute_force_is_good(graph, machine, length).good:
-                        disagreements += 1
-            else:
-                limit = len(graph.vertices) * len(machine.states)
-                cap = _feasible_cap(graph, limit)
-                if cap >= limit:
-                    conclusive += 1
-                    if not brute_force_is_good(graph, machine, limit).good:
-                        disagreements += 1
+        checks = [
+            cross_check_goodness(graph, machine)
+            for graph, machine in goodness_corpus(args.seed, args.trials)
+        ]
+        conclusive = sum(check.conclusive for check in checks)
+        disagreements = sum(bool(check.problems) for check in checks)
         payload = {
             "trials": args.trials,
             "conclusive": conclusive,
@@ -572,23 +505,7 @@ def _build_parser():
     sub.set_defaults(handler=_cmd_balance_check)
 
     sub = subs.add_parser("gen", help="write a named construction to a file")
-    sub.add_argument(
-        "name",
-        choices=(
-            "hasse-machine",
-            "example3-machine",
-            "counter-machine",
-            "counter-order",
-            "unbalanced-machine",
-            "unbalanced-system",
-            "explicit-hasse",
-            "incomparable-pairs",
-            "shift",
-            "alternating-relation",
-            "alternating-machine",
-            "cycling-construction",
-        ),
-    )
+    sub.add_argument("name", choices=tuple(_GENERATORS))
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--m", type=int, default=None)

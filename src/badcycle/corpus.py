@@ -90,3 +90,21 @@ def random_cnf(rng, max_vars=6, max_clauses=8, min_vars=3):
 
 def default_rng(seed):
     return random.Random(seed)
+
+
+def goodness_corpus(seed, trials):
+    """The goodness cross-check instances of ``badcycle oracle corpus``.
+
+    Trial n draws a hypergraph on at most 4 vertices, 3-uniform when n is
+    a multiple of 3 and 2-uniform otherwise, then a cycling machine when
+    n is odd and a general one when it is even.
+    """
+    rng = default_rng(seed)
+    for trial in range(trials):
+        k = 2 if trial % 3 else 3
+        graph = random_hypergraph(rng, k=k, max_vertices=4, max_edges=4)
+        if trial % 2:
+            machine = random_cycling_machine(rng, k=k, max_states=3)
+        else:
+            machine = random_machine(rng, k=k, max_states=3)
+        yield graph, machine

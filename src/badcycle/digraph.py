@@ -4,8 +4,9 @@ One iterative Tarjan pass on integer successor lists yields the strong
 components; ``strong_components`` runs it on a WeightedDigraph and adds
 the condensation and each component's internal arcs, which the exact
 cycle means (Karp), positive cycles and longest-walk potentials read.
-WeightedDigraph weights are Fractions; the goodness product calls
-``tarjan`` directly on node numbers and carries no weights.
+WeightedDigraph weights are exact: ints stay ints and any other weight
+becomes a Fraction, so integer-weighted digraphs run in int arithmetic.
+The goodness product calls ``tarjan`` directly on node numbers.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class WeightedDigraph:
                 raise InputError(f"arc source {u!r} is not a declared vertex")
             if v not in self._index:
                 raise InputError(f"arc target {v!r} is not a declared vertex")
-            cleaned.append((u, v, Fraction(w)))
+            cleaned.append((u, v, w if type(w) is int else Fraction(w)))
         self.arcs = tuple(cleaned)
         succ: dict = {v: [] for v in self.vertices}
         for u, v, _ in self.arcs:
@@ -200,7 +201,7 @@ def karp_min_mean(comp, arcs):
     rank = {v: i for i, v in enumerate(comp)}
     rows = [(rank[u], rank[v], w) for u, v, w in arcs]
     d = [[None] * n for _ in range(n + 1)]
-    d[0][0] = Fraction(0)
+    d[0][0] = 0
     for k in range(1, n + 1):
         prev, cur = d[k - 1], d[k]
         for u, v, w in rows:
@@ -212,7 +213,7 @@ def karp_min_mean(comp, arcs):
     # min over v of max over k of (d_n(v) - d_k(v)) / (n - k); a walk of
     # length n to v repeats a vertex, so some shorter one reaches v too
     return min(
-        max((d[n][v] - d[k][v]) / (n - k) for k in range(n) if d[k][v] is not None)
+        max(Fraction(d[n][v] - d[k][v], n - k) for k in range(n) if d[k][v] is not None)
         for v in range(n)
         if d[n][v] is not None
     )
@@ -228,18 +229,18 @@ def find_positive_cycle(graph):
 
     Returns the cycle as a tuple of (source, target, weight) arcs.  Uses
     the tight subgraph of max-mean-shifted potentials, so the result is
-    exact.
+    exact.  Shifting by the mean a/b as w*b - a scales every shifted
+    weight by b > 0, which keeps the same tight arcs and the same cycle.
     """
     for comp, internal in _cyclic_components(graph):
         mean = karp_max_mean(comp, internal)
         if mean <= 0:
             continue
-        shifted = [(u, v, w - mean) for u, v, w in internal]
+        a, b = mean.numerator, mean.denominator
+        shifted = [(u, v, w * b - a) for u, v, w in internal]
         pot, _ = _relax(comp, shifted, comp[0], max(len(comp) - 1, 1))
         tight = [
-            (u, v, w)
-            for u, v, w in internal
-            if pot[v] == pot[u] + w - mean
+            arc for arc, (u, v, w) in zip(internal, shifted) if pot[v] == pot[u] + w
         ]
         cycle = _any_cycle(comp, tight)
         if cycle:
@@ -254,7 +255,7 @@ def _relax(vertices, arcs, source, rounds):
     raise in sweep |V| means a positive cycle is reachable.
     """
     dist = dict.fromkeys(vertices)
-    dist[source] = Fraction(0)
+    dist[source] = 0
     for _ in range(rounds):
         changed = False
         for u, v, w in arcs:

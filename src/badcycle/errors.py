@@ -25,6 +25,25 @@ class BudgetError(BadCycleError):
         self.upper = upper
 
 
+class Budget:
+    """The node budget of one search, shared by every exact search.
+
+    ``spend`` charges one node; once ``budget`` nodes are charged, the
+    next charge raises BudgetError with ``message``.  None never runs out.
+    """
+
+    def __init__(self, budget, message):
+        self.left = None if budget is None else int(budget)
+        self.message = message
+
+    def spend(self):
+        if self.left is None:
+            return
+        if self.left <= 0:
+            raise BudgetError(self.message)
+        self.left -= 1
+
+
 class NotGoodError(BadCycleError):
     """An operation required a good hypergraph; carries the bad-cycle witness."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .digraph import WeightedDigraph, tarjan
-from .errors import BudgetError, InputError, NotGoodError
+from .errors import InputError, NotGoodError
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
 from .orders import CheckResult, OrderSystem
@@ -273,89 +273,6 @@ def _bad_walk(product):
                 parent, _ = _bfs(succ, source, lambda u: u == target)
                 return _walk_to(parent, source, target)
     return None
-
-
-def _accepting_run(machine, cycle):
-    """First state sequence accepting the cycle into a bad pair, or None."""
-    traces = cycle.traces()
-    bad = set(machine.bad_rows())
-    for s0 in machine.states:
-        layers = [{s0}]
-        for i, j in traces:
-            here = set()
-            for s in layers[-1]:
-                here |= machine.targets(s, i, j)
-            layers.append(here)
-        final = None
-        for t in machine.states:
-            if t in layers[-1] and (s0, t) in bad:
-                final = t
-                break
-        if final is None:
-            continue
-        seq = [final]
-        at = final
-        for m in reversed(range(len(traces))):
-            i, j = traces[m]
-            for s in machine.states:
-                if s in layers[m] and at in machine.targets(s, i, j):
-                    seq.append(s)
-                    at = s
-                    break
-        seq.reverse()
-        return tuple(seq)
-    return None
-
-
-def _anchored_cycles(graph, base, length):
-    # every cycle of exactly this length based at this vertex, in
-    # (edge index, coordinate) step order; unlike enumerate_cycles this
-    # does not identify rotations, because a rotation of a bad cycle
-    # need not be bad (the state run is read from the base)
-    steps = []
-
-    def walk(at, remaining):
-        if remaining == 0:
-            if at == base:
-                yield HyperCycle(graph, base, list(steps))
-            return
-        for edge_index in graph.incident_edges(at):
-            edge = graph.edges[edge_index]
-            for nxt in edge:
-                steps.append((edge_index, nxt))
-                yield from walk(nxt, remaining - 1)
-                steps.pop()
-
-    yield from walk(base, int(length))
-
-
-def brute_force_is_good(graph, machine, max_len):
-    """Oracle: enumerate anchored cycles up to max_len and all state runs.
-
-    A shortest bad product walk never revisits a product vertex except at
-    its endpoints, so max_len >= |V| * |S| makes a clean sweep conclusive;
-    below that threshold a clean sweep raises BudgetError instead of
-    claiming goodness.
-    """
-    _require_same_k(graph, machine)
-    semantics = _semantics(machine)
-    require_valid(machine, semantics)
-    max_len = int(max_len)
-    for length in range(max_len + 1):
-        if semantics == "cycling" and length == 0:
-            continue
-        for base in graph.vertices:
-            for cycle in _anchored_cycles(graph, base, length):
-                run = _accepting_run(machine, cycle)
-                if run is not None:
-                    witness = BadCycleWitness(cycle, run, (run[0], run[-1]))
-                    return GoodnessVerdict(False, witness)
-    if max_len >= len(graph.vertices) * len(machine.states):
-        return GoodnessVerdict(True)
-    raise BudgetError(
-        f"cycle length budget {max_len} cannot certify goodness"
-        f" (needs {len(graph.vertices) * len(machine.states)})"
-    )
 
 
 def validate_witness(graph, machine, witness):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, InputError
+from .errors import Budget, BudgetError, InputError
 
 
 class DirectedHypergraph:
@@ -293,21 +293,24 @@ def chromatic_number_exact(graph, budget=None):
     ``budget`` caps the number of branch-and-bound decisions; on
     exhaustion a BudgetError carrying the best known bounds is raised.
     """
-    counter = _NodeCounter(budget)
+    counter = Budget(budget, "chromatic search budget exhausted")
     parts = _component_graphs(graph)
     greedies = [_greedy_coloring(p, p.vertices) for p in parts]
     uppers = [max(g.values(), default=0) for g in greedies]
     best = 0
     coloring = {}
     for n, part in enumerate(parts):
-        try:
-            number, found = _chromatic_component(part, greedies[n], uppers[n], counter)
-        except _ComponentBudget as stop:
-            raise BudgetError(
-                "chromatic search budget exhausted",
-                lower=max(best, stop.lower),
-                upper=max(best, *uppers[n:]),
-            ) from None
+        number, found = uppers[n], greedies[n]
+        for t in range(_clique_lower_bound(part), uppers[n]):
+            try:
+                colored = _color_with(part, t, counter)
+            except BudgetError as stop:
+                raise BudgetError(
+                    str(stop), lower=max(best, t), upper=max(best, *uppers[n:])
+                ) from None
+            if colored is not None:
+                number, found = t, colored
+                break
         best = max(best, number)
         coloring.update(found)
     return ChromaticResult(best, coloring)
@@ -324,27 +327,6 @@ def _component_graphs(graph):
     for edge in graph.edges:
         edges[part_of[edge[0]]].append(edge)
     return [DirectedHypergraph(graph.k, g, e) for g, e in zip(groups, edges)]
-
-
-class _NodeCounter:
-    def __init__(self, budget):
-        self.left = budget
-
-    def spend(self):
-        if self.left is None:
-            return
-        if self.left <= 0:
-            raise _BudgetHit
-        self.left -= 1
-
-
-class _BudgetHit(Exception):
-    pass
-
-
-class _ComponentBudget(Exception):
-    def __init__(self, lower):
-        self.lower = lower
 
 
 def _clique_lower_bound(graph):
@@ -366,20 +348,6 @@ def _clique_lower_bound(graph):
                 clique.add(u)
         best = max(best, len(clique))
     return best
-
-
-def _chromatic_component(graph, greedy, upper, counter):
-    lower = _clique_lower_bound(graph)
-    if upper <= lower:
-        return upper, greedy
-    for t in range(lower, upper):
-        try:
-            found = _color_with(graph, t, counter)
-        except _BudgetHit:
-            raise _ComponentBudget(t) from None
-        if found is not None:
-            return t, found
-    return upper, greedy
 
 
 def _peel(graph, t):

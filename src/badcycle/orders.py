@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .digraph import WeightedDigraph, karp_max_mean, karp_min_mean, strong_components
-from .errors import BudgetError, InputError
+from .errors import Budget, InputError
 from .machine import require_valid
 
 
@@ -19,19 +19,6 @@ class CheckResult:
 
     def __bool__(self):
         return self.ok
-
-
-class _Spend:
-    def __init__(self, budget, message):
-        self.left = None if budget is None else int(budget)
-        self.message = message
-
-    def spend(self):
-        if self.left is None:
-            return
-        if self.left <= 0:
-            raise BudgetError(self.message)
-        self.left -= 1
 
 
 def _close_pairs(pairs, n):
@@ -245,7 +232,7 @@ def find_compatible_order(machine, budget=None):
     positions = machine.positions
     index = {s: n for n, s in enumerate(states)}
     atoms = [(index[s], i, j, index[t]) for s, i, j, t in machine.transition_atoms()]
-    counter = _Spend(budget, "compatible order search budget exhausted")
+    counter = Budget(budget, "compatible order search budget exhausted")
     # bitsets over the atoms leaving each state and each position;
     # landing[t][j] holds the atoms landing on (t,j) as a bitset and as
     # indices
@@ -479,7 +466,7 @@ def find_order_system(machine, budget=None, enumerate_all=False):
     stage-one candidates plus stage-two merge layouts.
     """
     require_valid(machine, "general")
-    counter = _Spend(budget, "order system search budget exhausted")
+    counter = Budget(budget, "order system search budget exhausted")
     diag = [(s, t) for s, i, j, t in machine.transition_atoms() if i == j]
     cross = [(s, i, j, t) for s, i, j, t in machine.transition_atoms() if i != j]
     bad = machine.bad_rows()

@@ -13,13 +13,11 @@ from fractions import Fraction
 import pytest
 
 from badcycle import (
-    BudgetError,
     CnfInstance,
     Machine,
     OrderSystem,
     Relation,
     balanced_coloring,
-    brute_force_is_good,
     check_two_balanced_equivalence,
     chromatic_number_exact,
     compose,
@@ -52,12 +50,10 @@ from badcycle import (
     reverse,
     sat_to_machine,
     unbalanced_machine_order_system,
-    validate_witness,
     verify_compatible_order,
     verify_order_system,
 )
-
-from test_goodness import feasible_sweep
+from badcycle.oracles import cross_check_goodness
 
 
 def _report(number, detail):
@@ -222,24 +218,10 @@ def test_criterion_08_goodness_oracle_equivalence():
             machine = random_cycling_machine(rng, k=k, max_states=3)
         else:
             machine = random_machine(rng, k=k, max_states=3)
-        verdict = is_good(graph, machine)
-        if verdict.good:
-            limit = len(graph.vertices) * len(machine.states)
-            cap = feasible_sweep(graph, limit)
-            if cap >= limit:
-                conclusive += 1
-                assert brute_force_is_good(graph, machine, limit).good
-            elif cap:
-                with pytest.raises(BudgetError):
-                    brute_force_is_good(graph, machine, cap)
-        else:
-            bad_seen += 1
-            check = validate_witness(graph, machine, verdict.witness)
-            assert check.ok, check.violations
-            length = len(verdict.witness.states) - 1
-            if feasible_sweep(graph, length) >= length:
-                conclusive += 1
-                assert not brute_force_is_good(graph, machine, length).good
+        check = cross_check_goodness(graph, machine)
+        assert not check.problems, check.problems
+        bad_seen += not check.verdict.good
+        conclusive += check.conclusive
     assert bad_seen >= 100
     assert conclusive >= 200
     _report(8, f"300 pairs, {bad_seen} bad, {conclusive} brute-force conclusive")

@@ -1,15 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from badcycle.balance import (
-    balanced_coloring,
-    check_two_balanced_equivalence,
-    is_alpha_balanced,
-)
+from badcycle.balance import balanced_coloring, is_alpha_balanced
 from badcycle.corpus import default_rng, random_digraph
+from badcycle.digraph import WeightedDigraph, find_positive_cycle, longest_walk_potentials
 from badcycle.errors import InputError, UnbalancedError
-from badcycle.generators import gen_counter_machine
+from badcycle.generators import gen_counter_machine, gen_explicit_hasse_digraph
 from badcycle.goodness import is_good
 from badcycle.hypergraph import (
     DirectedHypergraph,
@@ -17,6 +15,7 @@ from badcycle.hypergraph import (
     path_digraph,
     weak_components,
 )
+from badcycle.oracles import check_two_balanced_equivalence
 
 ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
 
@@ -239,3 +238,63 @@ def test_equivalence_rejects_wrong_arity():
         check_two_balanced_equivalence(
             DirectedHypergraph(3, ["1", "2", "3"], [("1", "2", "3")]), 4
         )
+
+
+def reference_balance(graph, alpha):
+    # the eps-perturbed Fraction construction is_alpha_balanced used before
+    # it scaled the weights by |V|+1 to integers, and balanced_coloring's
+    # potentials on Fraction weights; returns (witness or None, potentials)
+    p, q = alpha.numerator, alpha.denominator
+    eps = Fraction(1, len(graph.vertices) + 1)
+    arcs = []
+    origin = {}
+    for edge in graph.edges:
+        a, b = edge
+        arcs.append((a, b, eps - p))
+        origin[(a, b, eps - p)] = (edge, "forward")
+        arcs.append((b, a, eps + q))
+        origin[(b, a, eps + q)] = (edge, "backward")
+    cycle = find_positive_cycle(WeightedDigraph(graph.vertices, arcs))
+    if cycle is not None:
+        return tuple(origin[arc] for arc in cycle), None
+    ceiling = Fraction(math.ceil(alpha))
+    potentials = {}
+    for component in weak_components(graph):
+        members = set(component)
+        arcs = []
+        for a, b in graph.edges:
+            if a in members:
+                arcs.append((a, b, Fraction(1)))
+                arcs.append((b, a, -ceiling))
+        walks = longest_walk_potentials(WeightedDigraph(component, arcs), component[0])
+        potentials.update(walks.potentials)
+    return None, potentials
+
+
+def reference_balance_corpus():
+    rng = default_rng(90604)
+    yield from (random_digraph(rng, max_vertices=6, edge_prob=0.3) for _ in range(120))
+    yield gen_explicit_hasse_digraph(2)
+    yield gen_explicit_hasse_digraph(3)
+    yield from (path_digraph(n) for n in range(1, 7))
+    for seed, count, size in ((611, 100, 5), (612, 80, 5), (613, 60, 5), (615, 60, 6)):
+        rng = default_rng(seed)
+        yield from (random_digraph(rng, max_vertices=size) for _ in range(count))
+
+
+def test_balance_matches_the_fraction_weight_reference():
+    # same verdict, witness traversal and potentials as the Fraction weights
+    balanced = unbalanced = 0
+    for graph in reference_balance_corpus():
+        for alpha in ALPHAS:
+            witness, potentials = reference_balance(graph, alpha)
+            verdict = is_alpha_balanced(graph, alpha)
+            assert verdict.balanced == (witness is None)
+            assert verdict.witness == witness
+            if verdict.balanced:
+                assert balanced_coloring(graph, alpha).potentials == potentials
+                balanced += 1
+            else:
+                unbalanced += 1
+    assert balanced >= 1000
+    assert unbalanced >= 500

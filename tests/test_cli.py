@@ -368,6 +368,19 @@ def test_oracle_modes(tmp_path, capsys):
     assert "0 disagreements" in out
 
 
+@pytest.mark.parametrize("seed, conclusive", [(1, 44), (7, 47), (43, 48)])
+def test_oracle_corpus_payloads_are_frozen(capsys, seed, conclusive):
+    code, out = run(capsys, "oracle", "corpus", "--seed", str(seed), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "oracle",
+        "conclusive": conclusive,
+        "disagreements": 0,
+        "exit": 0,
+        "trials": 50,
+    }
+
+
 def test_negative_counts_are_input_errors(tmp_path, capsys, monkeypatch):
     alt = tmp_path / "alt.machine"
     graph = tmp_path / "s6.graph"

@@ -3,12 +3,11 @@ import itertools
 
 import pytest
 
-from badcycle.corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
+from badcycle.corpus import default_rng, goodness_corpus, random_cycling_machine, random_hypergraph, random_machine
 from badcycle.errors import BudgetError, InputError, NotGoodError
 from badcycle.generators import gen_shift_digraph
 from badcycle.goodness import (
     BadCycleWitness,
-    brute_force_is_good,
     build_auxiliary,
     induced_order_system_coloring,
     is_good,
@@ -16,6 +15,7 @@ from badcycle.goodness import (
 )
 from badcycle.hypergraph import DirectedHypergraph, HyperCycle, chromatic_number_exact, is_proper_coloring, path_digraph
 from badcycle.machine import Machine
+from badcycle.oracles import brute_force_is_good, cross_check_goodness
 from badcycle.orders import OrderSystem, count_order_systems, find_compatible_order, find_order_system
 from badcycle.relations import gen_alternating_machine
 
@@ -244,53 +244,17 @@ def test_witness_validation_checks_state_count():
     assert not report.ok
 
 
-def feasible_sweep(graph, want):
-    # deepest cycle sweep whose walk tree stays small enough to enumerate
-    if not graph.vertices:
-        return want
-    branch = max(
-        sum(graph.k for e in graph.edges if v in e) for v in graph.vertices
-    )
-    branch = max(branch, 1)
-    cap = 0
-    while cap < want and len(graph.vertices) * branch ** (cap + 1) <= 200000:
-        cap += 1
-    return cap
-
-
 def test_is_good_matches_oracles_on_corpus():
-    rng = default_rng(4207)
     agreements = 0
     bad_seen = 0
     brute_conclusive = 0
-    for trial in range(140):
-        k = 2 if trial % 3 else 3
-        graph = random_hypergraph(rng, k=k, max_vertices=4, max_edges=4)
-        if trial % 2:
-            machine = random_cycling_machine(rng, k=k, max_states=3)
-        else:
-            machine = random_machine(rng, k=k, max_states=3)
-        verdict = is_good(graph, machine)
-        assert verdict.good == closure_oracle_is_good(graph, machine)
+    for graph, machine in goodness_corpus(4207, 140):
+        check = cross_check_goodness(graph, machine)
+        assert check.verdict.good == closure_oracle_is_good(graph, machine)
+        assert not check.problems, check.problems
         agreements += 1
-        limit = len(graph.vertices) * len(machine.states)
-        if not verdict.good:
-            bad_seen += 1
-            assert validate_witness(graph, machine, verdict.witness).ok
-            length = len(verdict.witness.states) - 1
-            if feasible_sweep(graph, length) >= length:
-                brute = brute_force_is_good(graph, machine, length)
-                assert not brute.good
-                assert validate_witness(graph, machine, brute.witness).ok
-                brute_conclusive += 1
-        else:
-            cap = feasible_sweep(graph, limit)
-            if cap >= limit:
-                assert brute_force_is_good(graph, machine, limit).good
-                brute_conclusive += 1
-            else:
-                with pytest.raises(BudgetError):
-                    brute_force_is_good(graph, machine, cap)
+        bad_seen += not check.verdict.good
+        brute_conclusive += check.conclusive
     assert agreements == 140
     assert bad_seen >= 25
     assert brute_conclusive >= 60

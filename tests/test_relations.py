@@ -3,7 +3,8 @@ import pytest
 from badcycle.corpus import default_rng, random_digraph
 from badcycle.errors import BudgetError, InputError, PreconditionError
 from badcycle.generators import gen_shift_digraph
-from badcycle.goodness import brute_force_is_good, is_good
+from badcycle.goodness import is_good
+from badcycle.oracles import brute_force_is_good
 from badcycle.hypergraph import DirectedHypergraph
 from badcycle.relations import (
     Relation,
