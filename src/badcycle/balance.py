@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .digraph import WeightedDigraph, find_positive_cycle, longest_walk_potentials
 from .errors import InputError, UnbalancedError
-from .hypergraph import weak_components
+from .hypergraph import _component_graphs
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,13 @@ def balanced_coloring(graph, alpha):
         raise UnbalancedError("the digraph is not alpha-balanced", verdict)
     ceiling = -(-alpha.numerator // alpha.denominator)
     potentials = {}
-    for component in weak_components(graph):
-        members = set(component)
+    for part in _component_graphs(graph):
         arcs = []
-        for a, b in graph.edges:
-            if a in members:
-                arcs.append((a, b, 1))
-                arcs.append((b, a, -ceiling))
+        for a, b in part.edges:
+            arcs.append((a, b, 1))
+            arcs.append((b, a, -ceiling))
         walks = longest_walk_potentials(
-            WeightedDigraph(component, arcs), component[0]
+            WeightedDigraph(part.vertices, arcs), part.vertices[0]
         )
         if not walks.bounded:
             # unreachable on balanced input: a positive cycle here means

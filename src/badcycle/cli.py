@@ -26,7 +26,6 @@ from .fileio import (
     load_order,
     load_order_system,
     load_relation,
-    machine_to_obj,
     order_system_to_obj,
     order_to_obj,
     relation_to_obj,

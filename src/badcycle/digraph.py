@@ -1,17 +1,18 @@
-"""Weighted digraph kernels shared by the deciders.
+"""Weighted digraph kernels shared by the deciders, all on int rows.
 
-One iterative Tarjan pass on integer successor lists yields the strong
-components; ``strong_components`` runs it on a WeightedDigraph and adds
-the condensation and each component's internal arcs, which the exact
-cycle means (Karp), positive cycles and longest-walk potentials read.
-WeightedDigraph weights are exact: ints stay ints and any other weight
-becomes a Fraction, so integer-weighted digraphs run in int arithmetic.
-The goodness product calls ``tarjan`` directly on node numbers.
+A WeightedDigraph keeps each arc as a row (u, v, w*L) on node numbers,
+with L the least common denominator of the weights.  One iterative Tarjan
+pass splits the strong components; Karp's cycle means (over a common
+denominator), the longest-walk relaxation and the tight-cycle search run
+on each component's local numbering.  Names and Fractions appear only at
+the edges: means and potentials are divided by L on return, and a cycle
+is returned as ``arcs`` by position.  ``is_good`` calls ``tarjan`` directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
@@ -20,36 +21,36 @@ class WeightedDigraph:
     """Digraph with exact rational arc weights.
 
     Parallel arcs and self-loops are allowed; arcs are (source, target,
-    weight) triples kept in input order.
+    weight) triples kept in input order, ints as ints and any other
+    weight as a Fraction.
     """
 
     def __init__(self, vertices, arcs=()):
         self.vertices = tuple(vertices)
-        self._index = {v: n for n, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
+        self._index = index = {v: n for n, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise InputError("duplicate vertex names")
         cleaned = []
         for u, v, w in arcs:
-            if u not in self._index:
+            if u not in index:
                 raise InputError(f"arc source {u!r} is not a declared vertex")
-            if v not in self._index:
+            if v not in index:
                 raise InputError(f"arc target {v!r} is not a declared vertex")
             cleaned.append((u, v, w if type(w) is int else Fraction(w)))
         self.arcs = tuple(cleaned)
-        succ: dict = {v: [] for v in self.vertices}
-        for u, v, _ in self.arcs:
+        self._scale = scale = lcm(*{w.denominator for _, _, w in cleaned})
+        self._rows = [
+            (index[u], index[v], w.numerator * (scale // w.denominator))
+            for u, v, w in cleaned
+        ]
+        self._succ = succ = [[] for _ in self.vertices]
+        for u, v, _ in self._rows:
             succ[u].append(v)
-        self._succ = {v: tuple(dict.fromkeys(ts)) for v, ts in succ.items()}
 
     def index_of(self, v):
         if v not in self._index:
             raise InputError(f"unknown vertex {v!r}")
         return self._index[v]
-
-    def successors(self, v):
-        if v not in self._succ:
-            raise InputError(f"unknown vertex {v!r}")
-        return self._succ[v]
 
     def __eq__(self, other):
         if not isinstance(other, WeightedDigraph):
@@ -137,91 +138,110 @@ def tarjan(succ):
 def strong_components(graph):
     """Strong components of a WeightedDigraph, topologically sorted (see tarjan)."""
     names = graph.vertices
-    index = graph._index
-    succ = [[index[w] for w in graph._succ[v]] for v in names]
-    raw, owner = tarjan(succ)
-    components = tuple(tuple(names[v] for v in comp) for comp in raw)
-    component_of = {names[v]: c for v, c in enumerate(owner)}
-    internal = [[] for _ in components]
+    raw, owner = tarjan(graph._succ)
+    internal = [[] for _ in raw]
     conden = set()
-    for arc in graph.arcs:
-        a, b = component_of[arc[0]], component_of[arc[1]]
-        if a == b:
-            internal[a].append(arc)
+    for arc, (u, v, _) in zip(graph.arcs, graph._rows):
+        if owner[u] == owner[v]:
+            internal[owner[u]].append(arc)
         else:
-            conden.add((a, b))
+            conden.add((owner[u], owner[v]))
     return SCCResult(
-        components,
-        component_of,
+        tuple(tuple(names[v] for v in comp) for comp in raw),
+        dict(zip(names, owner)),
         tuple(sorted(conden)),
         tuple(tuple(arcs) for arcs in internal),
     )
 
 
-def _reached(graph, source):
-    """Every vertex a directed walk (possibly empty) from source reaches."""
-    seen = {source}
+def _reached(succ, source):
+    """Which nodes a directed walk (possibly empty) from source reaches."""
+    seen = [False] * len(succ)
+    seen[source] = True
     frontier = [source]
     while frontier:
-        for y in graph.successors(frontier.pop()):
-            if y not in seen:
-                seen.add(y)
+        for y in succ[frontier.pop()]:
+            if not seen[y]:
+                seen[y] = True
                 frontier.append(y)
     return seen
 
 
 def reachable(graph, u, v):
     """True iff a directed walk (possibly empty) leads from u to v."""
-    graph.index_of(u)
-    graph.index_of(v)
-    return v in _reached(graph, u)
+    source, target = graph.index_of(u), graph.index_of(v)
+    return _reached(graph._succ, source)[target]
 
 
 def _cyclic_components(graph):
-    """(component, internal arcs) for each component that carries a cycle."""
-    result = strong_components(graph)
-    return [pair for pair in zip(result.components, result.internal_arcs) if pair[1]]
+    """(size, rows, positions) of each strong component with a cycle: its rows
+    renumbered by place in the component, and their places in ``graph.arcs``."""
+    raw, owner = tarjan(graph._succ)
+    local = [0] * len(owner)
+    for comp in raw:
+        for place, v in enumerate(comp):
+            local[v] = place
+    rows = [[] for _ in raw]
+    positions = [[] for _ in raw]
+    for p, (u, v, w) in enumerate(graph._rows):
+        if owner[u] == owner[v]:
+            rows[owner[u]].append((local[u], local[v], w))
+            positions[owner[u]].append(p)
+    return [(len(c), r, p) for c, r, p in zip(raw, rows, positions) if r]
 
 
-def min_cycle_mean(graph):
-    """Minimum mean weight over directed cycles; None when acyclic."""
-    means = [karp_min_mean(c, arcs) for c, arcs in _cyclic_components(graph)]
-    return min(means, default=None)
-
-
-def max_cycle_mean(graph):
-    """Maximum mean weight over directed cycles; None when acyclic."""
-    means = [karp_max_mean(c, arcs) for c, arcs in _cyclic_components(graph)]
-    return max(means, default=None)
-
-
-def karp_min_mean(comp, arcs):
-    """Karp's formula on one strong component with a cycle, given its arcs."""
-    n = len(comp)
-    rank = {v: i for i, v in enumerate(comp)}
-    rows = [(rank[u], rank[v], w) for u, v, w in arcs]
+def _karp(n, rows, scale):
+    """Least cycle mean of a strong component on nodes 0..n-1, times scale,
+    a common multiple of 1..n: Karp (1978) with d_k(v) the least weight of a
+    k-arc walk from 0 to v, min over v of max over k of (d_n - d_k)/(n - k)."""
     d = [[None] * n for _ in range(n + 1)]
     d[0][0] = 0
     for k in range(1, n + 1):
         prev, cur = d[k - 1], d[k]
         for u, v, w in rows:
-            if prev[u] is None:
-                continue
-            cand = prev[u] + w
-            if cur[v] is None or cand < cur[v]:
-                cur[v] = cand
-    # min over v of max over k of (d_n(v) - d_k(v)) / (n - k); a walk of
-    # length n to v repeats a vertex, so some shorter one reaches v too
+            if prev[u] is not None and (cur[v] is None or prev[u] + w < cur[v]):
+                cur[v] = prev[u] + w
+    # a walk of length n to v repeats a vertex, so a shorter one reaches v
     return min(
-        max(Fraction(d[n][v] - d[k][v], n - k) for k in range(n) if d[k][v] is not None)
-        for v in range(n)
-        if d[n][v] is not None
+        max((x - d[k][v]) * (scale // (n - k)) for k in range(n) if d[k][v] is not None)
+        for v, x in enumerate(d[n])
+        if x is not None
     )
 
 
-def karp_max_mean(comp, arcs):
-    """Maximum cycle mean of one strong component: Karp on negated weights."""
-    return -karp_min_mean(comp, [(u, v, -w) for u, v, w in arcs])
+def _negated(rows):
+    return [(u, v, -w) for u, v, w in rows]
+
+
+def _extreme_mean(graph, sign):
+    """sign * the least mean of sign * weights: min (1) or max (-1) cycle mean."""
+    parts = _cyclic_components(graph)
+    if not parts:
+        return None
+    scale = lcm(*range(1, max(n for n, _, _ in parts) + 1))
+    least = min(
+        _karp(n, rows if sign > 0 else _negated(rows), scale) for n, rows, _ in parts
+    )
+    return sign * Fraction(least, scale * graph._scale)
+
+
+def min_cycle_mean(graph):
+    """Minimum mean weight over directed cycles; None when acyclic."""
+    return _extreme_mean(graph, 1)
+
+
+def max_cycle_mean(graph):
+    """Maximum mean weight over directed cycles; None when acyclic."""
+    return _extreme_mean(graph, -1)
+
+
+def has_zero_mean_span(graph):
+    """Whether some strong component has cycles of mean <= 0 and >= 0 (signs only)."""
+    for n, rows, _ in _cyclic_components(graph):
+        scale = lcm(*range(1, n + 1))
+        if _karp(n, rows, scale) <= 0 and _karp(n, _negated(rows), scale) <= 0:
+            return True
+    return False
 
 
 def find_positive_cycle(graph):
@@ -229,81 +249,68 @@ def find_positive_cycle(graph):
 
     Returns the cycle as a tuple of (source, target, weight) arcs.  Uses
     the tight subgraph of max-mean-shifted potentials, so the result is
-    exact.  Shifting by the mean a/b as w*b - a scales every shifted
-    weight by b > 0, which keeps the same tight arcs and the same cycle.
-    """
-    for comp, internal in _cyclic_components(graph):
-        mean = karp_max_mean(comp, internal)
-        if mean <= 0:
+    exact.  With max mean -a/D, the rows w*D + a are the shifted weights
+    scaled by D*L > 0, which keeps the tight arcs."""
+    for n, rows, positions in _cyclic_components(graph):
+        scale = lcm(*range(1, n + 1))
+        least = _karp(n, _negated(rows), scale)
+        if least >= 0:
             continue
-        a, b = mean.numerator, mean.denominator
-        shifted = [(u, v, w * b - a) for u, v, w in internal]
-        pot, _ = _relax(comp, shifted, comp[0], max(len(comp) - 1, 1))
-        tight = [
-            arc for arc, (u, v, w) in zip(internal, shifted) if pot[v] == pot[u] + w
-        ]
-        cycle = _any_cycle(comp, tight)
+        shifted = [(u, v, w * scale + least) for u, v, w in rows]
+        pot, _ = _relax(n, shifted, 0, max(n - 1, 1))
+        tight = [p for p, (u, v, w) in enumerate(shifted) if pot[v] == pot[u] + w]
+        cycle = _any_cycle(n, [shifted[p] for p in tight])
         if cycle:
-            return tuple(cycle)
+            return tuple(graph.arcs[positions[tight[i]]] for i in cycle)
     return None
 
 
-def _relax(vertices, arcs, source, rounds):
-    """Longest-walk relaxation from source for at most ``rounds`` sweeps.
-
-    Returns the values and whether the last sweep still raised one; a
-    raise in sweep |V| means a positive cycle is reachable.
-    """
-    dist = dict.fromkeys(vertices)
+def _relax(n, rows, source, rounds):
+    """Longest-walk relaxation on nodes 0..n-1 for at most ``rounds`` sweeps,
+    and whether the last sweep still raised a value; a raise in sweep n
+    means a positive cycle is reachable."""
+    dist = [None] * n
     dist[source] = 0
     for _ in range(rounds):
         changed = False
-        for u, v, w in arcs:
-            if dist[u] is None:
-                continue
-            cand = dist[u] + w
-            if dist[v] is None or cand > dist[v]:
-                dist[v] = cand
+        for u, v, w in rows:
+            if dist[u] is not None and (dist[v] is None or dist[u] + w > dist[v]):
+                dist[v] = dist[u] + w
                 changed = True
         if not changed:
             break
     return dist, changed
 
 
-def _any_cycle(vertices, arcs):
-    """A simple directed cycle in (vertices, arcs), as a list of arcs."""
-    out = {v: [] for v in vertices}
-    for arc in arcs:
-        out[arc[0]].append(arc)
-    color = {v: 0 for v in vertices}
-    for root in vertices:
+def _any_cycle(n, rows):
+    """A simple directed cycle among rows on nodes 0..n-1, as row indices."""
+    out = [[] for _ in range(n)]
+    for i, (u, _, _) in enumerate(rows):
+        out[u].append(i)
+    color = [0] * n
+    for root in range(n):
         if color[root]:
             continue
         color[root] = 1
-        stack = [(root, 0)]
-        path_arcs = []
+        stack, path = [(root, iter(out[root]))], []
         while stack:
-            v, pos = stack[-1]
-            if pos < len(out[v]):
-                stack[-1] = (v, pos + 1)
-                arc = out[v][pos]
-                w = arc[1]
+            v, pending = stack[-1]
+            for i in pending:
+                w = rows[i][1]
                 if color[w] == 1:
-                    idx = len(path_arcs)
-                    for n, a in enumerate(path_arcs):
-                        if a[0] == w:
-                            idx = n
-                            break
-                    return path_arcs[idx:] + [arc]
+                    # the nodes on the stack are the path's sources and v
+                    start = ([rows[j][0] for j in path] + [v]).index(w)
+                    return path[start:] + [i]
                 if color[w] == 0:
                     color[w] = 1
-                    path_arcs.append(arc)
-                    stack.append((w, 0))
+                    path.append(i)
+                    stack.append((w, iter(out[w])))
+                    break
             else:
                 stack.pop()
                 color[v] = 2
-                if path_arcs:
-                    path_arcs.pop()
+                if path:
+                    path.pop()
     return None
 
 
@@ -324,14 +331,17 @@ def longest_walk_potentials(graph, source):
 
     Every vertex must be reachable from source.  When some reachable
     cycle has positive total weight the supremum is infinite and the
-    witness cycle is returned instead.
+    witness cycle is returned instead.  Potentials are ints when every
+    weight is an int, and Fractions otherwise.
     """
-    graph.index_of(source)
-    seen = _reached(graph, source)
-    missing = [v for v in graph.vertices if v not in seen]
+    start = graph.index_of(source)
+    seen = _reached(graph._succ, start)
+    missing = [v for v, hit in zip(graph.vertices, seen) if not hit]
     if missing:
         raise InputError(f"vertex {missing[0]!r} is not reachable from {source!r}")
-    dist, changed = _relax(graph.vertices, graph.arcs, source, len(graph.vertices))
+    dist, changed = _relax(len(seen), graph._rows, start, len(seen))
     if changed:
         return LongestWalks(None, find_positive_cycle(graph))
-    return LongestWalks(dist, None)
+    if graph._scale != 1:
+        dist = [Fraction(d, graph._scale) for d in dist]
+    return LongestWalks(dict(zip(graph.vertices, dist)), None)

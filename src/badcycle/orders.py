@@ -5,7 +5,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
-from .digraph import WeightedDigraph, karp_max_mean, karp_min_mean, strong_components
+from .digraph import WeightedDigraph, has_zero_mean_span
 from .errors import Budget, InputError
 from .machine import require_valid
 
@@ -511,12 +511,4 @@ def decide_cycling_2machine(machine):
     if machine.k != 2:
         raise InputError("the fast decision procedure needs k = 2")
     arcs = [(s, t, j - i) for s, i, j, t in machine.transition_atoms()]
-    graph = WeightedDigraph(machine.states, arcs)
-    result = strong_components(graph)
-    for comp, internal in zip(result.components, result.internal_arcs):
-        if not internal:
-            continue
-        if karp_min_mean(comp, internal) <= 0 <= karp_max_mean(comp, internal):
-            return False
-    return True
-
+    return not has_zero_mean_span(WeightedDigraph(machine.states, arcs))

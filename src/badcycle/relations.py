@@ -426,11 +426,12 @@ def loop_lemma_exponent(r, k_max):
         raise PreconditionError(
             "smooth", "some element has no successor or no predecessor"
         )
-    if not _weakly_connected(r):
+    connected, imbalance = _label_potentials(r)
+    if not connected:
         raise PreconditionError(
             "weakly-connected", "the relation's digraph is not weakly connected"
         )
-    if _imbalance_gcd(r) != 1:
+    if imbalance != 1:
         raise PreconditionError(
             "algebraic-length",
             "closed-walk imbalances do not generate all of the integers",
@@ -461,26 +462,13 @@ def loop_lemma_exponent(r, k_max):
     return LoopLemmaResult(None, k_max, tail + 1, period)
 
 
-def _weakly_connected(r):
-    if not r.pairs:
-        return r.n == 1
-    adj = {i: set() for i in range(1, r.n + 1)}
-    for a, b in r.pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == r.n
+def _label_potentials(r):
+    """Weak connectivity and the gcd of closed-walk imbalances, in one DFS.
 
-
-def _imbalance_gcd(r):
-    """Gcd of closed-walk imbalances via a spanning potential labeling."""
+    A potential labeling spreads from element 1 along the pairs in both
+    directions, so it reaches all n elements exactly when r is weakly
+    connected; every non-tree step adds its imbalance to the gcd.
+    """
     adj = {i: [] for i in range(1, r.n + 1)}
     for a, b in r.pairs:
         adj[a].append((b, 1))
@@ -496,4 +484,4 @@ def _imbalance_gcd(r):
                 stack.append(v)
             else:
                 g = gcd(g, abs(pot[u] + d - pot[v]))
-    return g
+    return len(pot) == r.n, g

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,17 @@ from badcycle.corpus import default_rng, random_cycling_machine, random_hypergra
 from badcycle.errors import InputError
 from badcycle.generators import gen_shift_digraph
 from badcycle.goodness import build_auxiliary
+from badcycle.hypergraph import weak_components
 from badcycle.relations import gen_alternating_machine
+from test_balance import ALPHAS, reference_balance_corpus
 
 
-def random_weighted(rng, max_vertices=6, arc_factor=1.5):
+MIXED_WEIGHTS = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def random_weighted(rng, max_vertices=6, arc_factor=1.5, weights=MIXED_WEIGHTS):
     n = rng.randint(1, max_vertices)
     vertices = [str(i) for i in range(n)]
-    weights = [-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)]
     arcs = []
     for _ in range(int(n * arc_factor) + rng.randint(0, 2)):
         u = rng.choice(vertices)
@@ -305,3 +310,198 @@ def test_longest_walk_matches_oracle_and_tightness():
             if v != source:
                 assert incoming_tight[v]
     assert checked >= 10
+
+
+# Reference kernel: the name-keyed implementation badcycle.digraph ran
+# before its kernels moved to int rows on node numbers, transcribed
+# unchanged except that it reads the graph only through the public
+# ``vertices``, ``arcs`` and ``strong_components``.  Karp builds one
+# Fraction per (vertex, walk length) pair and the relaxation runs on the
+# exact weights.
+
+
+def ref_cyclic_components(graph):
+    result = strong_components(graph)
+    return [pair for pair in zip(result.components, result.internal_arcs) if pair[1]]
+
+
+def ref_karp_min_mean(comp, arcs):
+    n = len(comp)
+    rank = {v: i for i, v in enumerate(comp)}
+    rows = [(rank[u], rank[v], w) for u, v, w in arcs]
+    d = [[None] * n for _ in range(n + 1)]
+    d[0][0] = 0
+    for k in range(1, n + 1):
+        prev, cur = d[k - 1], d[k]
+        for u, v, w in rows:
+            if prev[u] is None:
+                continue
+            cand = prev[u] + w
+            if cur[v] is None or cand < cur[v]:
+                cur[v] = cand
+    return min(
+        max(Fraction(d[n][v] - d[k][v], n - k) for k in range(n) if d[k][v] is not None)
+        for v in range(n)
+        if d[n][v] is not None
+    )
+
+
+def ref_karp_max_mean(comp, arcs):
+    return -ref_karp_min_mean(comp, [(u, v, -w) for u, v, w in arcs])
+
+
+def ref_relax(vertices, arcs, source, rounds):
+    dist = dict.fromkeys(vertices)
+    dist[source] = 0
+    for _ in range(rounds):
+        changed = False
+        for u, v, w in arcs:
+            if dist[u] is None:
+                continue
+            cand = dist[u] + w
+            if dist[v] is None or cand > dist[v]:
+                dist[v] = cand
+                changed = True
+        if not changed:
+            break
+    return dist, changed
+
+
+def ref_any_cycle(vertices, arcs):
+    out = {v: [] for v in vertices}
+    for arc in arcs:
+        out[arc[0]].append(arc)
+    color = {v: 0 for v in vertices}
+    for root in vertices:
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, 0)]
+        path_arcs = []
+        while stack:
+            v, pos = stack[-1]
+            if pos < len(out[v]):
+                stack[-1] = (v, pos + 1)
+                arc = out[v][pos]
+                w = arc[1]
+                if color[w] == 1:
+                    idx = len(path_arcs)
+                    for n, a in enumerate(path_arcs):
+                        if a[0] == w:
+                            idx = n
+                            break
+                    return path_arcs[idx:] + [arc]
+                if color[w] == 0:
+                    color[w] = 1
+                    path_arcs.append(arc)
+                    stack.append((w, 0))
+            else:
+                stack.pop()
+                color[v] = 2
+                if path_arcs:
+                    path_arcs.pop()
+    return None
+
+
+def ref_find_positive_cycle(graph):
+    for comp, internal in ref_cyclic_components(graph):
+        mean = ref_karp_max_mean(comp, internal)
+        if mean <= 0:
+            continue
+        a, b = mean.numerator, mean.denominator
+        shifted = [(u, v, w * b - a) for u, v, w in internal]
+        pot, _ = ref_relax(comp, shifted, comp[0], max(len(comp) - 1, 1))
+        tight = [
+            arc for arc, (u, v, w) in zip(internal, shifted) if pot[v] == pot[u] + w
+        ]
+        cycle = ref_any_cycle(comp, tight)
+        if cycle:
+            return tuple(cycle)
+    return None
+
+
+def ref_longest_walk_potentials(graph, source):
+    succ = {v: [] for v in graph.vertices}
+    for u, v, _ in graph.arcs:
+        succ[u].append(v)
+    seen = {source}
+    frontier = [source]
+    while frontier:
+        for y in succ[frontier.pop()]:
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    missing = [v for v in graph.vertices if v not in seen]
+    if missing:
+        raise InputError(f"vertex {missing[0]!r} is not reachable from {source!r}")
+    dist, changed = ref_relax(graph.vertices, graph.arcs, source, len(graph.vertices))
+    if changed:
+        return LongestWalks(None, ref_find_positive_cycle(graph))
+    return LongestWalks(dist, None)
+
+
+def assert_matches_reference(g, sources):
+    cyclic = ref_cyclic_components(g)
+    for got, expected in (
+        (min_cycle_mean(g), min((ref_karp_min_mean(*c) for c in cyclic), default=None)),
+        (max_cycle_mean(g), max((ref_karp_max_mean(*c) for c in cyclic), default=None)),
+    ):
+        assert got == expected
+        assert type(got) is (Fraction if cyclic else type(None))
+    assert find_positive_cycle(g) == ref_find_positive_cycle(g)
+    whole = all(w.denominator == 1 for _, _, w in g.arcs)
+    for source in sources:
+        try:
+            expected = ref_longest_walk_potentials(g, source)
+        except InputError as err:
+            with pytest.raises(InputError, match=re.escape(str(err))):
+                longest_walk_potentials(g, source)
+            continue
+        got = longest_walk_potentials(g, source)
+        assert got == expected
+        if got.bounded:
+            # potentials are ints exactly when every weight is integral
+            kinds = {type(x) for x in got.potentials.values()}
+            assert kinds == {int if whole else Fraction}
+
+
+def test_kernels_match_the_name_keyed_fraction_reference():
+    rng = random.Random(16)
+    for n in range(300):
+        g = random_weighted(rng, max_vertices=7, arc_factor=(0.8, 1.5, 2.5)[n % 3])
+        assert_matches_reference(g, g.vertices)
+        g = random_weighted(rng, max_vertices=7, weights=(-3, -1, 0, 1, 2))
+        assert_matches_reference(g, g.vertices)
+    # a Fraction weight with denominator 1 gives int potentials
+    assert_matches_reference(WeightedDigraph("ab", [("a", "b", Fraction(4))]), "ab")
+    assert_matches_reference(WeightedDigraph("a", [("a", "a", Fraction(4))]), "a")
+
+
+def test_balance_digraphs_match_the_name_keyed_fraction_reference():
+    # the doubled digraphs balance recognition builds, with the
+    # eps-perturbed Fraction weights and their |V|+1 integer scaling, and
+    # the one coloring builds on each weak component with weights 1 and
+    # -ceil(alpha)
+    positive = 0
+    for graph in reference_balance_corpus():
+        scale = len(graph.vertices) + 1
+        for alpha in ALPHAS:
+            p, q = alpha.numerator, alpha.denominator
+            ceiling = -(-p // q)
+            eps = Fraction(1, scale)
+            weightings = ((eps - p, eps + q), (1 - p * scale, 1 + q * scale))
+            for forward, backward in weightings:
+                arcs = [(a, b, forward) for a, b in graph.edges]
+                arcs += [(b, a, backward) for a, b in graph.edges]
+                g = WeightedDigraph(graph.vertices, arcs)
+                assert_matches_reference(g, graph.vertices[:1])
+                positive += find_positive_cycle(g) is not None
+            for component in weak_components(graph):
+                members = set(component)
+                arcs = []
+                for a, b in graph.edges:
+                    if a in members:
+                        arcs += [(a, b, 1), (b, a, -ceiling)]
+                part = WeightedDigraph(component, arcs)
+                assert_matches_reference(part, component[:1])
+    assert positive >= 1000

@@ -1,5 +1,4 @@
 import heapq
-import itertools
 
 import pytest
 

@@ -1,10 +1,13 @@
-"""Module boundaries: the deciders never load the reference oracles.
+"""Module boundaries: the deciders never load the reference oracles, and
+no module imports a name it never uses.
 
-Each check imports one module in a fresh interpreter under an empty
-``badcycle`` package object, so the package ``__init__`` (which imports
-everything) does not run and only the module's own imports are loaded.
+Each boundary check imports one module in a fresh interpreter under an
+empty ``badcycle`` package object, so the package ``__init__`` (which
+imports everything) does not run and only the module's own imports are
+loaded.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -43,3 +46,32 @@ def test_goodness_does_not_load_the_oracles():
     loaded = loaded_by("badcycle.goodness")
     assert "badcycle.goodness" in loaded
     assert "badcycle.oracles" not in loaded
+
+
+def unused_imports(path):
+    """Names a module imports and never reads; ``__all__`` entries count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    unused = sorted(set(imported) - used)
+    return [f"{path.name}:{imported[name]} {name}" for name in unused]
+
+
+def test_no_module_imports_an_unused_name():
+    src = Path(badcycle.__file__).parent
+    files = sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(files) > 20
+    assert [hit for path in files for hit in unused_imports(path)] == []
