@@ -1,4 +1,4 @@
-"""Compatible orders and order systems: verify, search, fast 2-machine decision."""
+"""Compatible orders and order systems: verify, pruned searches, fast 2-machine decision."""
 from __future__ import annotations
 
 import heapq
@@ -131,14 +131,30 @@ def _partitions(elements):
             return
 
 
-def _transitive_pair_sets(p):
-    # subsets of {(i, j): i < j} in ascending bitmask order over the pairs
-    # listed lexicographically, keeping only the transitively closed ones
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    for mask in range(1 << len(pairs)):
-        chosen = {pairs[n] for n in range(len(pairs)) if mask >> n & 1}
-        if _close_pairs(chosen, p) == chosen:
-            yield chosen
+def _closed_pair_sets(p, needed=frozenset(), banned=frozenset()):
+    # the transitively closed sets of pairs (a, b), a < b < p, holding every
+    # needed pair and no banned one, in ascending bitmask order over the
+    # pairs listed lexicographically.  Pairs are decided from the last one
+    # down, absent before present, which is that order.  Rows are decided
+    # from the last row up and targets from the top down, so (a, b) may be
+    # present exactly when row b already lies in row a, and leaving a pair
+    # out never breaks closure: only a needed pair can end a branch
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)][::-1]
+    rows = [0] * p
+
+    def rec(n):
+        if n == len(pairs):
+            yield {(a, b) for a, b in pairs if rows[a] >> b & 1}
+            return
+        a, b = pairs[n]
+        if (a, b) not in needed:
+            yield from rec(n + 1)
+        if (a, b) not in banned and not rows[b] & ~rows[a]:
+            rows[a] |= 1 << b
+            yield from rec(n + 1)
+            rows[a] ^= 1 << b
+
+    return rec(0)
 
 
 def iter_order_systems(carrier):
@@ -147,7 +163,8 @@ def iter_order_systems(carrier):
     Partitions come in restricted-growth order over the element listing,
     class orders in lexicographic order of the block permutation, and
     partial orders in ascending bitmask order (pairs (i, j), i < j, listed
-    lexicographically).  This is the canonical order the searches use.
+    lexicographically).  This is the canonical order find_order_system
+    keeps while it skips the systems its filters reject.
     """
     elements = tuple(carrier)
     if len(set(elements)) != len(elements):
@@ -156,7 +173,7 @@ def iter_order_systems(carrier):
         p = len(blocks)
         for perm in permutations(range(p)):
             ordered = tuple(blocks[c] for c in perm)
-            for pairs in _transitive_pair_sets(p):
+            for pairs in _closed_pair_sets(p):
                 yield OrderSystem(ordered, pairs)
 
 
@@ -372,115 +389,122 @@ def verify_order_system(machine, system):
     return CheckResult(not violations, tuple(violations))
 
 
-def _merges(p, k):
-    # every way to merge k copies of a p-chain into a sequence of blocks;
-    # each block is a tuple of (position, chain index) pairs, and block
-    # choices run through the eligible positions in ascending bitmask order
-    def rec(pos):
-        if all(c == p for c in pos):
-            yield ()
-            return
-        eligible = [i for i in range(k) if pos[i] < p]
-        for mask in range(1, 1 << len(eligible)):
-            chosen = [eligible[n] for n in range(len(eligible)) if mask >> n & 1]
-            part = tuple((i + 1, pos[i]) for i in chosen)
-            nxt = list(pos)
-            for i in chosen:
-                nxt[i] += 1
-            for rest in rec(tuple(nxt)):
-                yield (part,) + rest
-
-    if p == 0:
-        yield ()
-    else:
-        yield from rec((0,) * k)
-
-
-def _lift(theta, k, cross, counter, enumerate_all):
+def _lift(classes, partial, k, cross, counter, enumerate_all):
     # lift a system on the states to the full carrier: condition (2) says
-    # each position reads theta, so the global class sequence is a merge of
-    # k copies of theta's class chain, and the global partial restricted to
-    # any one position must reproduce theta's
-    p = len(theta.classes)
-    for layout in _merges(p, k):
-        counter.spend()
-        nblocks = len(layout)
-        copyclass = [dict(part) for part in layout]
-        block_of = {}
-        for bidx, part in enumerate(layout):
+    # each position reads it, so the global class sequence is a merge of k
+    # copies of its class chain, and the global partial restricted to any
+    # one position must reproduce it.  The merge grows one block at a time,
+    # depth first, each block advancing a nonempty set of the unfinished
+    # positions (ascending bitmask order) by one class.  A prefix is cut
+    # once a cross atom lands in it from a copy not yet placed, or once the
+    # closure of its required pairs (cross atoms, and two copies of one
+    # position ordered by the partial) meets a forbidden pair (two copies
+    # the partial leaves apart).  Required pairs point forward, so a
+    # block's predecessors are final once it is placed, and every complete
+    # layout reached is compatible.
+    p = len(classes)
+    cls = {s: c for c, block in enumerate(classes) for s in block}
+    into = {}
+    for s, i, j, t in cross:
+        into.setdefault((j, cls[t]), []).append((i, cls[s]))
+    where = [[] for _ in range(k + 1)]  # where[i][c]: the block holding (i, c)
+    placed = []  # per block: its copies, closed predecessors and forbidden ones
+
+    def place(part, b):
+        # the closed predecessor and forbidden bitsets of block b, or None
+        # when the prefix ending in it is cut; a copy not yet placed counts
+        # as a later block
+        req = ban = 0
+        for i, c in part:
+            for c2, a in enumerate(where[i][:c]):
+                if (c2, c) in partial:
+                    req |= 1 << a
+                else:
+                    ban |= 1 << a
+            for i2, c2 in into.get((i, c), ()):
+                a = where[i2][c2] if c2 < len(where[i2]) else b + 1
+                if a > b:
+                    return None
+                if a < b:
+                    req |= 1 << a
+        closed = rest = req
+        while rest:
+            low = rest & -rest
+            closed |= placed[low.bit_length() - 1][1]
+            rest ^= low
+        return None if closed & ban else (part, closed, ban)
+
+    def complete():
+        blocks, base, banned = [], set(), set()
+        for b, (part, closed, ban) in enumerate(placed):
+            blocks.append(frozenset((s, i) for i, c in part for s in classes[c]))
+            base.update((a, b) for a in range(b) if closed >> a & 1)
+            banned.update((a, b) for a in range(b) if ban >> a & 1)
+        choices = _closed_pair_sets(len(blocks), base, banned) if enumerate_all else [base]
+        for pairs in choices:
+            yield OrderSystem(blocks, pairs)
+
+    def extend():
+        unfinished = [i for i in range(1, k + 1) if len(where[i]) < p]
+        if not unfinished:
+            yield from complete()
+            return
+        for mask in range(1, 1 << len(unfinished)):
+            counter.spend()
+            part = [(i, len(where[i])) for n, i in enumerate(unfinished) if mask >> n & 1]
             for i, c in part:
-                for s in theta.classes[c]:
-                    block_of[(s, i)] = bidx
-        required = set()
-        forbidden = set()
-        for a in range(nblocks):
-            for b in range(a + 1, nblocks):
-                for i in copyclass[a].keys() & copyclass[b].keys():
-                    if (copyclass[a][i], copyclass[b][i]) in theta.partial:
-                        required.add((a, b))
-                    else:
-                        forbidden.add((a, b))
-        ok = True
-        for s, i, j, t in cross:
-            a = block_of[(s, i)]
-            b = block_of[(t, j)]
-            if a == b:
-                continue
-            if a > b:
-                ok = False
-                break
-            required.add((a, b))
-        if not ok:
-            continue
-        base = _close_pairs(required, nblocks)
-        if base & forbidden:
-            continue
-        blocks = [
-            frozenset((s, i) for i, c in part for s in theta.classes[c])
-            for part in layout
-        ]
-        if not enumerate_all:
-            yield OrderSystem(blocks, base)
-            continue
-        optional = [
-            (a, b)
-            for a in range(nblocks)
-            for b in range(a + 1, nblocks)
-            if (a, b) not in base and (a, b) not in forbidden
-        ]
-        for mask in range(1 << len(optional)):
-            extra = {optional[n] for n in range(len(optional)) if mask >> n & 1}
-            candidate = base | extra
-            if _close_pairs(candidate, nblocks) == candidate:
-                yield OrderSystem(blocks, candidate)
+                where[i].append(len(placed))
+            block = place(part, len(placed))
+            if block is not None:
+                placed.append(block)
+                yield from extend()
+                placed.pop()
+            for i, c in part:
+                where[i].pop()
+
+    return extend()
 
 
 def find_order_system(machine, budget=None, enumerate_all=False):
     """Search for a compatible order system under general semantics.
 
-    Stage one enumerates candidate induced systems on the states (pruned
-    by the bad pairs and by same-position transitions); stage two lifts
-    each candidate to S x [k] by merging the position chains.  Returns the
-    first compatible system in canonical enumeration order, None when
-    there is none, or the full list with enumerate_all.  The budget counts
-    stage-one candidates plus stage-two merge layouts.
+    Stage one walks the systems on the states in iter_order_systems order.
+    A bad pair inside one class rejects the whole partition, a
+    same-position transition ordered downward rejects the class order, and
+    the partial orders are drawn closed, with every same-position
+    transition across classes present and every bad pair absent.  Stage
+    two lifts each survivor to S x [k] by merging the position chains one
+    block at a time, cutting a prefix as soon as no completion of it is
+    compatible.  Returns the first compatible system in canonical
+    enumeration order, None when there is none, or the full list with
+    enumerate_all.  The budget counts stage-one systems that pass the
+    filters plus stage-two layout prefixes.
     """
     require_valid(machine, "general")
     counter = Budget(budget, "order system search budget exhausted")
-    diag = [(s, t) for s, i, j, t in machine.transition_atoms() if i == j]
-    cross = [(s, i, j, t) for s, i, j, t in machine.transition_atoms() if i != j]
+    atoms = tuple(machine.transition_atoms())
+    diag = [(s, t) for s, i, j, t in atoms if i == j]
+    cross = [atom for atom in atoms if atom[1] != atom[2]]
     bad = machine.bad_rows()
     found = []
-    for theta in iter_order_systems(machine.states):
-        counter.spend()
-        if any(theta.below_or_equal(s, t) for s, t in bad):
+    for blocks in _partitions(machine.states):
+        cls = {s: c for c, block in enumerate(blocks) for s in block}
+        if any(cls[s] == cls[t] for s, t in bad):
             continue
-        if any(not theta.below_or_equal(s, t) for s, t in diag):
-            continue
-        for system in _lift(theta, machine.k, cross, counter, enumerate_all):
-            if not enumerate_all:
-                return system
-            found.append(system)
+        for perm in permutations(range(len(blocks))):
+            at = {s: perm.index(c) for s, c in cls.items()}
+            if any(at[s] > at[t] for s, t in diag):
+                continue
+            needed = {(at[s], at[t]) for s, t in diag if at[s] < at[t]}
+            banned = {(at[s], at[t]) for s, t in bad}
+            ordered = tuple(blocks[c] for c in perm)
+            for partial in _closed_pair_sets(len(blocks), needed, banned):
+                counter.spend()
+                lifted = _lift(ordered, partial, machine.k, cross, counter, enumerate_all)
+                for system in lifted:
+                    if not enumerate_all:
+                        return system
+                    found.append(system)
     return found if enumerate_all else None
 
 

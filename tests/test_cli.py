@@ -162,6 +162,24 @@ def test_find_order_system_all(tmp_path, capsys):
     assert len(system.classes) == 3
 
 
+def test_unbalanced_machine_system_chain(tmp_path, capsys):
+    # the README construction end to end: generate, search, verify
+    machine = tmp_path / "unbalanced.machine"
+    system = tmp_path / "found.system"
+    code, _ = run(capsys, "gen", "unbalanced-machine", "--k", "1", "-o", str(machine))
+    assert code == 0
+    code, out = run(
+        capsys, "find-order-system", "-m", str(machine), "-o", str(system)
+    )
+    assert code == 0
+    assert out.startswith("system 0:")
+    code, out = run(
+        capsys, "verify-order-system", "-m", str(machine), "--system", str(system)
+    )
+    assert code == 0
+    assert out == "order system is compatible\n"
+
+
 def test_paths_good(tmp_path, capsys):
     counter = tmp_path / "c2.machine"
     save_machine(gen_counter_machine(2), counter)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from badcycle import orders as orders_module
 from badcycle.corpus import (
     default_rng,
     random_cnf,
@@ -10,8 +11,8 @@ from badcycle.corpus import (
     random_machine,
 )
 from badcycle.digraph import WeightedDigraph, max_cycle_mean, min_cycle_mean
-from badcycle.errors import BudgetError, InputError
-from badcycle.generators import gen_counter_machine
+from badcycle.errors import Budget, BudgetError, InputError
+from badcycle.generators import gen_counter_machine, gen_unbalanced_machine
 from badcycle.goodness import check_paths_good, validate_witness
 from badcycle.hypergraph import path_digraph
 from badcycle.machine import Machine
@@ -552,6 +553,26 @@ def test_find_order_system_on_the_hasse_machine():
     assert verify_order_system(machine, system).ok
 
 
+def test_find_order_system_on_the_unbalanced_machine():
+    # the first system the search returned before its prefix cuts, after
+    # 1.1M budget units (about 45 s); the cut search reaches it within 25k
+    frozen = OrderSystem(
+        [
+            {("a-1", 2)},
+            {("a-1", 1), ("a0", 2)},
+            {("a0", 1), ("a1", 2)},
+            {("a1", 1)},
+            {("b0", 1)},
+            {("b0", 2), ("b1", 1)},
+            {("b1", 2)},
+        ],
+        [(2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)],
+    )
+    machine = gen_unbalanced_machine(1)
+    assert find_order_system(machine, budget=25_000) == frozen
+    assert verify_order_system(machine, frozen).ok
+
+
 def test_compatible_order_to_order_system():
     order = counter_order(2)
     system = compatible_order_to_order_system(order)
@@ -568,3 +589,280 @@ def test_compatible_order_to_order_system():
     assert verify_order_system(relaxed, system).ok
     with pytest.raises(InputError):
         compatible_order_to_order_system([("a", 1), ("a", 1)])
+
+
+# -- the order-system search before its prefix cuts, transcribed ----------
+#
+# Stage one walked every order system on the states and filtered each one
+# after building it; stage two generated every merge layout of the
+# position chains and checked a layout only once it was complete.  The
+# budget counted every stage-one system and every complete layout.
+
+
+class ReferenceCap(Exception):
+    pass
+
+
+def reference_partitions(elements):
+    # restricted-growth strings in ascending lexicographic order
+    def rec(rgs):
+        if len(rgs) == len(elements):
+            blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
+            for x, c in zip(elements, rgs):
+                blocks[c].append(x)
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for c in range(max(rgs, default=-1) + 2):
+            yield from rec(rgs + [c])
+
+    return rec([])
+
+
+def reference_closure(pairs, n):
+    below = [set() for _ in range(n)]
+    for a, b in pairs:
+        below[a].add(b)
+    for mid in range(n):
+        for a in range(n):
+            if mid in below[a]:
+                below[a] |= below[mid]
+    return {(a, b) for a in range(n) for b in below[a]}
+
+
+def reference_iter_order_systems(carrier):
+    # every closed pair set tried in ascending bitmask order
+    for blocks in reference_partitions(tuple(carrier)):
+        p = len(blocks)
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        for perm in itertools.permutations(range(p)):
+            ordered = tuple(blocks[c] for c in perm)
+            for mask in range(1 << len(pairs)):
+                chosen = {pairs[n] for n in range(len(pairs)) if mask >> n & 1}
+                if reference_closure(chosen, p) == chosen:
+                    yield OrderSystem(ordered, chosen)
+
+
+def reference_merges(p, k):
+    # every merge of k copies of a p-chain into blocks, a block choosing
+    # its positions in ascending bitmask order over the unfinished ones
+    def rec(pos):
+        if all(c == p for c in pos):
+            yield ()
+            return
+        eligible = [i for i in range(k) if pos[i] < p]
+        for mask in range(1, 1 << len(eligible)):
+            chosen = [eligible[n] for n in range(len(eligible)) if mask >> n & 1]
+            nxt = list(pos)
+            for i in chosen:
+                nxt[i] += 1
+            for rest in rec(tuple(nxt)):
+                yield (tuple((i + 1, pos[i]) for i in chosen),) + rest
+
+    if p == 0:
+        yield ()
+    else:
+        yield from rec((0,) * k)
+
+
+def reference_lift(theta, k, cross, spend, enumerate_all):
+    for layout in reference_merges(len(theta.classes), k):
+        spend()
+        n = len(layout)
+        copyclass = [dict(part) for part in layout]
+        block_of = {
+            (s, i): b
+            for b, part in enumerate(layout)
+            for i, c in part
+            for s in theta.classes[c]
+        }
+        required, forbidden = set(), set()
+        for a in range(n):
+            for b in range(a + 1, n):
+                for i in copyclass[a].keys() & copyclass[b].keys():
+                    if (copyclass[a][i], copyclass[b][i]) in theta.partial:
+                        required.add((a, b))
+                    else:
+                        forbidden.add((a, b))
+        upward = True
+        for s, i, j, t in cross:
+            a, b = block_of[(s, i)], block_of[(t, j)]
+            if a > b:
+                upward = False
+            elif a < b:
+                required.add((a, b))
+        base = reference_closure(required, n)
+        if not upward or base & forbidden:
+            continue
+        blocks = [
+            frozenset((s, i) for i, c in part for s in theta.classes[c])
+            for part in layout
+        ]
+        if not enumerate_all:
+            yield OrderSystem(blocks, base)
+            continue
+        optional = [
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if (a, b) not in base and (a, b) not in forbidden
+        ]
+        for mask in range(1 << len(optional)):
+            spend(0)
+            extra = {optional[m] for m in range(len(optional)) if mask >> m & 1}
+            if reference_closure(base | extra, n) == base | extra:
+                yield OrderSystem(blocks, base | extra)
+
+
+def reference_find_order_system(machine, enumerate_all=False, cap=None):
+    # (answer, budget units); raises ReferenceCap after cap steps, a step
+    # being a budget unit or one lifted pair mask
+    units = steps = 0
+
+    def spend(unit=1):
+        nonlocal units, steps
+        units += unit
+        steps += 1
+        if cap is not None and steps > cap:
+            raise ReferenceCap
+
+    atoms = list(machine.transition_atoms())
+    diag = [(s, t) for s, i, j, t in atoms if i == j]
+    cross = [(s, i, j, t) for s, i, j, t in atoms if i != j]
+    found = []
+    for theta in reference_iter_order_systems(machine.states):
+        spend()
+        if any(theta.below_or_equal(s, t) for s, t in machine.bad_rows()):
+            continue
+        if any(not theta.below_or_equal(s, t) for s, t in diag):
+            continue
+        for system in reference_lift(theta, machine.k, cross, spend, enumerate_all):
+            if not enumerate_all:
+                return system, units
+            found.append(system)
+    return (found if enumerate_all else None), units
+
+
+def system_reference_corpus():
+    yield two_state_example()
+    yield hasse_machine()
+    yield Machine(
+        2, ["a", "b"], {("a", 1, 1): {"b"}, ("b", 1, 1): {"a"}}, bad=[("a", "b")]
+    )
+    rng = default_rng(92)
+    for _ in range(8):
+        yield random_machine(rng, k=2, max_states=2)
+    rng = default_rng(5)
+    for n in range(300):
+        k, most = ((2, 4), (3, 3))[n % 2]
+        yield random_machine(rng, k=k, max_states=most)
+
+
+# A reference step takes about 50 us (2-vCPU x86 host, Python 3.11).  The
+# corpus machines whose first answer takes the reference more than
+# FIRST_STEPS steps (a quarter second; the thirteen below take 0.7 to 20 s)
+# are keyed by corpus index, with the answer and budget units of one
+# uncapped reference run.  Enumerations are compared where the reference
+# lists them within ALL_STEPS steps.
+FIRST_STEPS = 5_000
+ALL_STEPS = 1_000
+FROZEN_HEAVY = {
+    56: (146420, None, None),
+    65: (132803, None, None),
+    80: (16954, None, None),
+    113: (
+        13316,
+        [
+            [("s1", 1)],
+            [("s3", 1)],
+            [("s1", 2)],
+            [("s3", 2)],
+            [("s2", 1)],
+            [("s2", 2)],
+            [("s4", 1)],
+            [("s4", 2)],
+        ],
+        [(1, 2), (1, 7), (3, 4), (3, 6), (5, 6)],
+    ),
+    133: (25074, None, None),
+    142: (49116, None, None),
+    144: (370736, None, None),
+    206: (
+        34025,
+        [
+            [("s1", 1)],
+            [("s1", 2)],
+            [("s2", 2)],
+            [("s2", 1), ("s3", 2)],
+            [("s3", 1)],
+            [("s1", 3)],
+            [("s2", 3)],
+            [("s3", 3)],
+        ],
+        [
+            (2, 3), (2, 4), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (6, 7),
+        ],
+    ),
+    208: (97768, None, None),
+    232: (
+        23898,
+        [
+            [("s1", 2)],
+            [("s1", 3)],
+            [("s2", 3)],
+            [("s1", 1)],
+            [("s2", 1), ("s2", 2)],
+            [("s3", 1)],
+            [("s3", 2)],
+            [("s3", 3)],
+        ],
+        [
+            (0, 6), (1, 3), (1, 5), (1, 7), (2, 3), (2, 4), (2, 5), (2, 6),
+            (2, 7), (3, 5), (4, 5), (4, 6),
+        ],
+    ),
+    245: (17273, None, None),
+    246: (321675, None, None),
+    292: (80460, None, None),
+}
+
+
+def test_find_order_system_matches_the_reference(monkeypatch):
+    # same first system and same enumeration as the search before the
+    # prefix cuts, while the budget units fall; the new units are counted
+    # by a Budget that records its charges
+    charges = []
+
+    class CountingBudget(Budget):
+        def spend(self):
+            charges.append(None)
+            super().spend()
+
+    monkeypatch.setattr(orders_module, "Budget", CountingBudget)
+    old_units = new_units = listed = found = 0
+    for n, machine in enumerate(system_reference_corpus()):
+        if n in FROZEN_HEAVY:
+            units, classes, partial = FROZEN_HEAVY[n]
+            system = None if classes is None else OrderSystem(classes, partial)
+        else:
+            system, units = reference_find_order_system(machine, cap=FIRST_STEPS)
+        charges.clear()
+        assert find_order_system(machine) == system, n
+        spent = len(charges)
+        old_units += units
+        new_units += spent
+        found += system is not None
+        assert find_order_system(machine, budget=spent) == system
+        if spent:
+            with pytest.raises(BudgetError):
+                find_order_system(machine, budget=spent - 1)
+        if units > ALL_STEPS:
+            continue  # the enumeration takes every step the first answer took
+        try:
+            everything, _ = reference_find_order_system(machine, True, cap=ALL_STEPS)
+        except ReferenceCap:
+            continue
+        assert find_order_system(machine, enumerate_all=True) == everything, n
+        listed += 1
+    assert found >= 100
+    assert listed >= 200
+    assert new_units * 10 < old_units
