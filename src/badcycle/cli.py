@@ -1,10 +1,10 @@
 """Command-line frontend for batch experiments and reproduction scripts.
 
 Exit codes: 0 affirmative/success, 1 negative answer, 2 input error,
-3 budget exhausted.  Every subcommand is a deterministic function of its
-input files and flags; ``--format json`` swaps the human report for a
-machine-readable object on stdout, and ``-o`` writes payload files in the
-formats documented in :mod:`badcycle.fileio`.
+3 budget exhausted, 4 internal error.  Every subcommand is a deterministic
+function of its input files and flags; ``--format json`` swaps the human
+report for a machine-readable object on stdout, and ``-o`` writes payload
+files in the formats documented in :mod:`badcycle.fileio`.
 """
 
 from __future__ import annotations

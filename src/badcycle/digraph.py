@@ -6,10 +6,12 @@ pass splits the strong components; Karp's cycle means (over a common
 denominator), the longest-walk relaxation and the tight-cycle search run
 on each component's local numbering.  Names and Fractions appear only at
 the edges: means and potentials are divided by L on return, and a cycle
-is returned as ``arcs`` by position.  ``is_good`` calls ``tarjan`` directly.
+is returned as ``arcs`` by position.  ``tarjan``, ``bfs`` and the least-key
+topological order ``least_first_order`` also serve ``goodness`` and ``orders``.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -154,23 +156,53 @@ def strong_components(graph):
     )
 
 
-def _reached(succ, source):
-    """Which nodes a directed walk (possibly empty) from source reaches."""
-    seen = [False] * len(succ)
-    seen[source] = True
-    frontier = [source]
-    while frontier:
-        for y in succ[frontier.pop()]:
-            if not seen[y]:
-                seen[y] = True
-                frontier.append(y)
-    return seen
+def bfs(succ, source, found):
+    """BFS parents from source, stopped at the first layer holding a node
+    that satisfies ``found``; returns the parents and those nodes in
+    queue order (empty when no reachable node does)."""
+    parent = {source: source}
+    layer = [source]
+    while layer:
+        hits = [u for u in layer if found(u)]
+        if hits:
+            return parent, hits
+        following = []
+        for u in layer:
+            for w in succ[u]:
+                if w not in parent:
+                    parent[w] = u
+                    following.append(w)
+        layer = following
+    return parent, []
+
+
+def least_first_order(succ, key=None):
+    """Topological order of the DAG on nodes 0..n-1 with successor lists:
+    Kahn (1962), taking the ready node of least (key[node], node) each
+    time; the key defaults to the node number itself."""
+    if key is None:
+        key = range(len(succ))
+    indeg = [0] * len(succ)
+    for targets in succ:
+        for w in targets:
+            indeg[w] += 1
+    ready = [(key[v], v) for v, d in enumerate(indeg) if not d]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                heapq.heappush(ready, (key[w], w))
+    return order
 
 
 def reachable(graph, u, v):
     """True iff a directed walk (possibly empty) leads from u to v."""
     source, target = graph.index_of(u), graph.index_of(v)
-    return _reached(graph._succ, source)[target]
+    return bool(bfs(graph._succ, source, lambda x: x == target)[1])
 
 
 def _cyclic_components(graph):
@@ -335,11 +367,12 @@ def longest_walk_potentials(graph, source):
     weight is an int, and Fractions otherwise.
     """
     start = graph.index_of(source)
-    seen = _reached(graph._succ, start)
-    missing = [v for v, hit in zip(graph.vertices, seen) if not hit]
+    parent, _ = bfs(graph._succ, start, lambda x: False)
+    missing = [v for n, v in enumerate(graph.vertices) if n not in parent]
     if missing:
         raise InputError(f"vertex {missing[0]!r} is not reachable from {source!r}")
-    dist, changed = _relax(len(seen), graph._rows, start, len(seen))
+    n = len(graph.vertices)
+    dist, changed = _relax(n, graph._rows, start, n)
     if changed:
         return LongestWalks(None, find_positive_cycle(graph))
     if graph._scale != 1:

@@ -5,15 +5,15 @@ state sequence ending in a bad pair.  The decision runs on the product
 digraph over vertex-state pairs: a step of a cycle together with a
 machine transition becomes one arc.  The decision numbers the pairs and
 keeps integer successor lists; which edge yields an arc is worked out
-only for the steps of a witness.
+only for the steps of a witness.  Components, witness walks and induced
+linear orders come from ``digraph.tarjan``, ``bfs`` and ``least_first_order``.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .digraph import WeightedDigraph, tarjan
+from .digraph import WeightedDigraph, bfs, least_first_order, tarjan
 from .errors import InputError, NotGoodError
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
@@ -112,26 +112,6 @@ def build_auxiliary(graph, machine):
         (nodes[u], nodes[w]): tuple(sorted(found)) for (u, w), found in tags.items()
     }
     return AuxiliaryDigraph(weighted, provenance)
-
-
-def _bfs(succ, source, found):
-    """BFS parents from source, stopped at the first layer holding a node
-    that satisfies ``found``; returns the parents and those nodes in
-    queue order (empty when no reachable node does)."""
-    parent = {source: source}
-    layer = [source]
-    while layer:
-        hits = [u for u in layer if found(u)]
-        if hits:
-            return parent, hits
-        following = []
-        for u in layer:
-            for w in succ[u]:
-                if w not in parent:
-                    parent[w] = u
-                    following.append(w)
-        layer = following
-    return parent, []
 
 
 def _walk_to(parent, source, target):
@@ -251,7 +231,7 @@ def _bad_walk(product):
             # every node the BFS reaches with an arc back to node lies in
             # its component; the nearest ones close shortest closed walks,
             # and ties go to the arc that comes first in the product
-            parent, nearest = _bfs(succ, node, lambda u: node in succ[u])
+            parent, nearest = bfs(succ, node, lambda u: node in succ[u])
             rank = {atom: n for n, atom in enumerate(machine.transition_atoms())}
             target = product.name(node)
 
@@ -270,7 +250,7 @@ def _bad_walk(product):
         for s, t in bad:
             source, target = v * width + s, v * width + t
             if reach[component_of[source]] >> component_of[target] & 1:
-                parent, _ = _bfs(succ, source, lambda u: u == target)
+                parent, _ = bfs(succ, source, lambda u: u == target)
                 return _walk_to(parent, source, target)
     return None
 
@@ -318,29 +298,15 @@ def induced_order_system_coloring(graph, machine):
     if not verdict.good:
         raise NotGoodError("hypergraph is not good for this machine", verdict.witness)
     following, reach = product.condensation
-    components, component_of = product.components, product.component_of
-    count = len(components)
     # components list their members in ascending node order
-    indeg = [0] * count
-    for targets in following:
-        for d in targets:
-            indeg[d] += 1
-    heap = [(components[c][0], c) for c in range(count) if indeg[c] == 0]
-    heapq.heapify(heap)
-    rank = {}
-    while heap:
-        _, c = heapq.heappop(heap)
-        rank[c] = len(rank)
-        for d in following[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(heap, (components[d][0], d))
+    order = least_first_order(following, [comp[0] for comp in product.components])
+    rank = {c: n for n, c in enumerate(order)}
     coloring = {}
     width = product.width
     for n, v in enumerate(graph.vertices):
         groups = {}
         for m, s in enumerate(machine.states):
-            c = component_of[n * width + m]
+            c = product.component_of[n * width + m]
             groups.setdefault(c, []).append(s)
         comps = sorted(groups, key=lambda c: rank[c])
         classes = [frozenset(groups[c]) for c in comps]

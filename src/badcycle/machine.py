@@ -9,18 +9,11 @@ disjoint from the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
 SEMANTICS = ("cycling", "general")
-
-
-class StatePosition(NamedTuple):
-    """A state paired with a 1-based coordinate position."""
-
-    state: str
-    position: int
 
 
 class Machine:

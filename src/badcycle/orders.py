@@ -1,11 +1,14 @@
-"""Compatible orders and order systems: verify, pruned searches, fast 2-machine decision."""
+"""Compatible orders and order systems: verify, pruned searches, fast 2-machine decision.
+
+Listing, counting and searching the order systems on a set all walk them
+through one generator, ``_systems_on``, in one canonical order.
+"""
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import permutations
 
-from .digraph import WeightedDigraph, has_zero_mean_span
+from .digraph import WeightedDigraph, has_zero_mean_span, least_first_order
 from .errors import Budget, InputError
 from .machine import require_valid
 
@@ -107,28 +110,23 @@ class OrderSystem:
 
 
 def _partitions(elements):
-    # restricted-growth strings in ascending lexicographic order
-    n = len(elements)
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-    while True:
-        count = max(rgs) + 1
-        blocks = [[] for _ in range(count)]
-        for x, c in zip(elements, rgs):
-            blocks[c].append(x)
-        yield tuple(tuple(b) for b in blocks)
-        i = n - 1
-        while i > 0:
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for j in range(i + 1, n):
-                    rgs[j] = 0
-                break
-            i -= 1
-        else:
+    # restricted-growth order: each element joins every open block in
+    # turn, then opens a new one
+    blocks = []
+
+    def rec(n):
+        if n == len(elements):
+            yield tuple(tuple(b) for b in blocks)
             return
+        for b in blocks:
+            b.append(elements[n])
+            yield from rec(n + 1)
+            b.pop()
+        blocks.append([elements[n]])
+        yield from rec(n + 1)
+        blocks.pop()
+
+    return rec(0)
 
 
 def _closed_pair_sets(p, needed=frozenset(), banned=frozenset()):
@@ -157,6 +155,26 @@ def _closed_pair_sets(p, needed=frozenset(), banned=frozenset()):
     return rec(0)
 
 
+def _systems_on(elements, bad=(), diag=()):
+    # (ordered classes, closed partial) in iter_order_systems order, less
+    # the partitions with a bad pair (s, t) inside a class, the class orders
+    # with a diag pair (s, t) ordered downward, and the partials that miss a
+    # diag pair across classes or hold a bad pair
+    for blocks in _partitions(elements):
+        cls = {s: c for c, block in enumerate(blocks) for s in block}
+        if any(cls[s] == cls[t] for s, t in bad):
+            continue
+        for perm in permutations(range(len(blocks))):
+            at = {s: perm.index(c) for s, c in cls.items()}
+            if any(at[s] > at[t] for s, t in diag):
+                continue
+            needed = {(at[s], at[t]) for s, t in diag if at[s] < at[t]}
+            banned = {(at[s], at[t]) for s, t in bad}
+            ordered = tuple(blocks[c] for c in perm)
+            for partial in _closed_pair_sets(len(blocks), needed, banned):
+                yield ordered, partial
+
+
 def iter_order_systems(carrier):
     """Every order system on the given elements, in a fixed enumeration order.
 
@@ -169,17 +187,13 @@ def iter_order_systems(carrier):
     elements = tuple(carrier)
     if len(set(elements)) != len(elements):
         raise InputError("carrier has repeated elements")
-    for blocks in _partitions(elements):
-        p = len(blocks)
-        for perm in permutations(range(p)):
-            ordered = tuple(blocks[c] for c in perm)
-            for pairs in _closed_pair_sets(p):
-                yield OrderSystem(ordered, pairs)
+    for ordered, partial in _systems_on(elements):
+        yield OrderSystem(ordered, partial)
 
 
 def count_order_systems(n):
     """Number of order systems on an n-element set."""
-    return sum(1 for _ in iter_order_systems(range(int(n))))
+    return sum(1 for _ in _systems_on(range(int(n))))
 
 
 def _as_pairs(order):
@@ -246,7 +260,6 @@ def find_compatible_order(machine, budget=None):
     """
     require_valid(machine, "cycling")
     states = machine.states
-    positions = machine.positions
     index = {s: n for n, s in enumerate(states)}
     atoms = [(index[s], i, j, index[t]) for s, i, j, t in machine.transition_atoms()]
     counter = Budget(budget, "compatible order search budget exhausted")
@@ -282,31 +295,16 @@ def find_compatible_order(machine, budget=None):
         return reach
 
     def interleave(prefix):
-        # Kahn's algorithm on the transition and chain arcs, taking the
-        # ready pair of lowest (position, prefix rank) each time
-        rank = [0] * len(states)
+        # the transition and chain arcs on node (i - 1) * p + prefix rank,
+        # so the least ready node has the least (position, prefix rank)
+        p = len(prefix)
+        rank = [0] * p
         for r, s in enumerate(prefix):
             rank[s] = r
-        succ = {}
-        indeg = {}
-        for i in positions:
-            for r in range(len(prefix)):
-                succ[(i, r)] = [(i, r + 1)] if r + 1 < len(prefix) else []
-                indeg[(i, r)] = 1 if r else 0
+        succ = [[x + 1] if (x + 1) % p else [] for x in range(machine.k * p)]
         for s, i, j, t in atoms:
-            succ[(i, rank[s])].append((j, rank[t]))
-            indeg[(j, rank[t])] += 1
-        ready = [x for x, d in indeg.items() if not d]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            x = heapq.heappop(ready)
-            order.append((states[prefix[x[1]]], x[0]))
-            for y in succ[x]:
-                indeg[y] -= 1
-                if not indeg[y]:
-                    heapq.heappush(ready, y)
-        return tuple(order)
+            succ[(i - 1) * p + rank[s]].append((j - 1) * p + rank[t])
+        return tuple((states[prefix[x % p]], x // p + 1) for x in least_first_order(succ))
 
     def extend(prefix, reach, unplaced):
         if len(prefix) == len(states):
@@ -468,43 +466,33 @@ def _lift(classes, partial, k, cross, counter, enumerate_all):
 def find_order_system(machine, budget=None, enumerate_all=False):
     """Search for a compatible order system under general semantics.
 
-    Stage one walks the systems on the states in iter_order_systems order.
-    A bad pair inside one class rejects the whole partition, a
-    same-position transition ordered downward rejects the class order, and
-    the partial orders are drawn closed, with every same-position
-    transition across classes present and every bad pair absent.  Stage
+    Stage one walks the systems on the states in iter_order_systems order
+    through ``_systems_on``.  A bad pair inside one class rejects the whole
+    partition, a same-position transition ordered downward rejects the
+    class order, and the partial orders are drawn closed, with every
+    same-position transition across classes present and every bad pair
+    absent.  Stage
     two lifts each survivor to S x [k] by merging the position chains one
     block at a time, cutting a prefix as soon as no completion of it is
     compatible.  Returns the first compatible system in canonical
     enumeration order, None when there is none, or the full list with
     enumerate_all.  The budget counts stage-one systems that pass the
-    filters plus stage-two layout prefixes.
+    filters plus stage-two layout prefixes, and with enumerate_all also
+    each listed system.
     """
     require_valid(machine, "general")
     counter = Budget(budget, "order system search budget exhausted")
     atoms = tuple(machine.transition_atoms())
     diag = [(s, t) for s, i, j, t in atoms if i == j]
     cross = [atom for atom in atoms if atom[1] != atom[2]]
-    bad = machine.bad_rows()
     found = []
-    for blocks in _partitions(machine.states):
-        cls = {s: c for c, block in enumerate(blocks) for s in block}
-        if any(cls[s] == cls[t] for s, t in bad):
-            continue
-        for perm in permutations(range(len(blocks))):
-            at = {s: perm.index(c) for s, c in cls.items()}
-            if any(at[s] > at[t] for s, t in diag):
-                continue
-            needed = {(at[s], at[t]) for s, t in diag if at[s] < at[t]}
-            banned = {(at[s], at[t]) for s, t in bad}
-            ordered = tuple(blocks[c] for c in perm)
-            for partial in _closed_pair_sets(len(blocks), needed, banned):
-                counter.spend()
-                lifted = _lift(ordered, partial, machine.k, cross, counter, enumerate_all)
-                for system in lifted:
-                    if not enumerate_all:
-                        return system
-                    found.append(system)
+    for ordered, partial in _systems_on(machine.states, machine.bad_rows(), diag):
+        counter.spend()
+        for system in _lift(ordered, partial, machine.k, cross, counter, enumerate_all):
+            if not enumerate_all:
+                return system
+            counter.spend()
+            found.append(system)
     return found if enumerate_all else None
 
 

@@ -126,6 +126,15 @@ def semigroup_closure(generators):
     return tuple(found)
 
 
+def _orbit(t, step):
+    """t, step(t), step(step(t)), ... up to, not including, the first repeat."""
+    seen = set()
+    while t not in seen:
+        seen.add(t)
+        yield t
+        t = step(t)
+
+
 def _require_same_ground_set(relations):
     sizes = {r.n for r in relations}
     if len(sizes) > 1:
@@ -181,16 +190,10 @@ def is_pq_compatible(relations):
     for a, p in enumerate(members):
         for b, q in enumerate(members):
             step = compose(q, p)
-            seen = set()
-            t = p
-            j = 0
-            while t not in seen:
+            for j, t in enumerate(_orbit(p, lambda t: compose(t, step))):
                 if diag <= t.pairs:
                     witnesses.append((p, q, j))
                     break
-                seen.add(t)
-                t = compose(t, step)
-                j += 1
             else:
                 violations.append(
                     f"no power of member {a} against member {b} covers the diagonal"
@@ -304,12 +307,7 @@ def non_alternating_family(generator):
             for b in monoid:
                 family.add(compose(left, b))
     for base in (compose(g, h), compose(h, g)):
-        t = diagonal_relation(g.n)
-        cycle = set()
-        while t not in cycle:
-            cycle.add(t)
-            family.add(t)
-            t = compose(t, base)
+        family.update(_orbit(diagonal_relation(g.n), lambda t: compose(t, base)))
     return frozenset(family)
 
 
@@ -436,13 +434,8 @@ def loop_lemma_exponent(r, k_max):
             "algebraic-length",
             "closed-walk imbalances do not generate all of the integers",
         )
-    powers = [r]
-    while True:
-        nxt = compose(powers[-1], r)
-        if nxt in powers:
-            tail = powers.index(nxt)
-            break
-        powers.append(nxt)
+    powers = list(_orbit(r, lambda t: compose(t, r)))
+    tail = powers.index(compose(powers[-1], r))
     period = len(powers) - tail
 
     def power(l):

@@ -8,6 +8,7 @@ from badcycle.digraph import (
     LongestWalks,
     WeightedDigraph,
     find_positive_cycle,
+    least_first_order,
     longest_walk_potentials,
     max_cycle_mean,
     min_cycle_mean,
@@ -156,6 +157,29 @@ def test_strong_components_match_networkx():
         networkx_cross_check(nx, build_auxiliary(graph, machine).graph)
     alternating = gen_alternating_machine().machine
     networkx_cross_check(nx, build_auxiliary(gen_shift_digraph(6), alternating).graph)
+
+
+def test_least_first_order_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        # arcs run forward in a hidden shuffled order of the labels
+        hidden = list(range(n))
+        rng.shuffle(hidden)
+        succ = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < 0.3:
+                    succ[hidden[a]].append(hidden[b])
+        key = [rng.randrange(3) for _ in range(n)]
+        dag = nx.DiGraph()
+        dag.add_nodes_from(range(n))
+        dag.add_edges_from((u, w) for u, targets in enumerate(succ) for w in targets)
+        assert least_first_order(succ) == list(nx.lexicographical_topological_sort(dag))
+        assert least_first_order(succ, key) == list(
+            nx.lexicographical_topological_sort(dag, key=lambda v: (key[v], v))
+        )
 
 
 def test_reachable_matches_closure_oracle():

@@ -1,5 +1,6 @@
-"""Module boundaries: the deciders never load the reference oracles, and
-no module imports a name it never uses.
+"""Module boundaries: the deciders never load the reference oracles, the
+alternating-cycle check never loads the deciders, and no module imports a
+name it never uses.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -46,6 +47,14 @@ def test_goodness_does_not_load_the_oracles():
     loaded = loaded_by("badcycle.goodness")
     assert "badcycle.goodness" in loaded
     assert "badcycle.oracles" not in loaded
+
+
+def test_relations_loads_neither_the_digraph_kernel_nor_goodness():
+    # detect_odd_alternating_cycle is the check the goodness verdicts are
+    # compared against, so it shares no traversal with them
+    loaded = loaded_by("badcycle.relations")
+    assert "badcycle.relations" in loaded
+    assert not loaded & {"badcycle.digraph", "badcycle.goodness"}
 
 
 def unused_imports(path):

@@ -1,7 +1,7 @@
 import pytest
 
 from badcycle.errors import InputError
-from badcycle.machine import Machine, StatePosition, step, validate_machine
+from badcycle.machine import Machine, step, validate_machine
 
 
 def hasse_machine():
@@ -170,9 +170,3 @@ def test_validate_unknown_semantics_raises():
     with pytest.raises(InputError):
         validate_machine(hasse_machine(), "strict")
 
-
-def test_state_position_tuple():
-    sp = StatePosition("s", 1)
-    assert sp.state == "s"
-    assert sp.position == 1
-    assert tuple(sp) == ("s", 1)

@@ -164,9 +164,12 @@ def test_count_matches_independent_formula():
     t1 = len(closed_pair_sets_oracle(1))
     t2 = len(closed_pair_sets_oracle(2))
     t3 = len(closed_pair_sets_oracle(3))
-    assert (t1, t2, t3) == (1, 2, 7)
+    t4 = len(closed_pair_sets_oracle(4))
+    assert (t1, t2, t3, t4) == (1, 2, 7, 40)
     # partitions of a 3-set by block count: 1, 3, 1
     assert count_order_systems(3) == 1 * 1 * t1 + 3 * 2 * t2 + 1 * 6 * t3
+    # partitions of a 4-set by block count: 1, 7, 6, 1
+    assert count_order_systems(4) == 1 * 1 * t1 + 7 * 2 * t2 + 6 * 6 * t3 + 1 * 24 * t4
 
 
 def test_iter_order_systems_enumeration_order_and_distinctness():
@@ -544,6 +547,28 @@ def test_find_order_system_budget_and_semantics():
         find_order_system(hasse_machine(), budget=2)
     with pytest.raises(InputError):
         find_order_system(counter_machine(2))
+
+
+def test_find_order_system_budget_bounds_the_enumeration(monkeypatch):
+    # each listed system costs one unit, so a budget of 2000 builds at most
+    # 2000 systems; this machine has about 194k compatible systems, and the
+    # enumeration once built 122,358 of them (9 s and 475 MB on a 2-vCPU
+    # x86 host) before the budget ran out on stage-one systems and layout
+    # prefixes alone
+    built = []
+
+    class CountingSystem(OrderSystem):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(orders_module, "OrderSystem", CountingSystem)
+    rng = default_rng(2718)
+    for _ in range(23):
+        machine = random_machine(rng, k=3)
+    with pytest.raises(BudgetError):
+        find_order_system(machine, budget=2000, enumerate_all=True)
+    assert 0 < len(built) <= 2000
 
 
 def test_find_order_system_on_the_hasse_machine():
