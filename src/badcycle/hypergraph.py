@@ -8,7 +8,12 @@ component's color count.  For each count t, vertices on fewer than t
 edges are peeled and reinserted greedily afterwards; the core left is
 searched by an iterative DSATUR branch and bound on vertex numbers,
 with int bitsets for the colors present on each edge and for the
-uncolored vertices at each saturation level.
+uncolored vertices at each saturation level.  The search backtracks by
+conflict-directed backjumping: a vertex with no color left jumps back to
+the deepest vertex whose color helped forbid it, skipping levels that
+have nothing to do with the dead end.  Only subtrees without a coloring
+are skipped, so the first coloring found, and chi, are those of plain
+chronological backtracking; only the node count falls.
 """
 from __future__ import annotations
 
@@ -305,8 +310,9 @@ def chromatic_number_exact(graph, budget=None):
             try:
                 colored = _color_with(part, t, counter)
             except BudgetError as stop:
+                bounds = map(_descent_upper, parts[n:], uppers[n:])
                 raise BudgetError(
-                    str(stop), lower=max(best, t), upper=max(best, *uppers[n:])
+                    str(stop), lower=max(best, t), upper=max(best, *bounds)
                 ) from None
             if colored is not None:
                 number, found = t, colored
@@ -314,6 +320,28 @@ def chromatic_number_exact(graph, budget=None):
         best = max(best, number)
         coloring.update(found)
     return ChromaticResult(best, coloring)
+
+
+def _descent_upper(graph, greedy):
+    """The lesser of ``greedy`` and the color count of one DSATUR descent.
+
+    The descent is the kernel's first leaf with no color cap, found only
+    when a search runs out of budget.  Capped at greedy - 1 colors, which
+    keeps the kernel's per-vertex color tables at the size the exact
+    search uses, the kernel makes the same choices until the descent
+    would need a greedy-th color, where it meets its first dead end.  A
+    descent with no dead end expands one node per vertex, so a budget of
+    that many nodes stops the search at the first backtrack.
+    """
+    try:
+        coloring = _search_core(
+            graph.vertices, graph.edges, greedy - 1, Budget(len(graph.vertices), "")
+        )
+    except BudgetError:
+        return greedy
+    if coloring is None:
+        return greedy
+    return max(coloring.values(), default=0)
 
 
 def _component_graphs(graph):
@@ -422,6 +450,31 @@ def _search_core(vertices, edges, t, counter):
     order up to one past the highest used so far.  The depth-first
     search runs on an explicit stack with one frame per colored vertex,
     and spends one budget unit per node expanded.
+
+    Backtracking is conflict-directed backjumping (Prosser 1993).  Each
+    colored vertex records its depth, the stack index of its frame, and
+    each frame gathers a conflict set: an int bitmask of depths.  When
+    the picked vertex has no color left, every edge on which it is the
+    one uncolored coordinate and whose colored coordinates share one
+    color adds the depths of all those coordinates.  The search jumps to
+    the deepest depth in the set, undoes every frame above it with its
+    conflict set, and merges the rest of the set into the target frame,
+    which tries its next color.  A target frame with no color left adds
+    the same scan for its own vertex to what it has gathered and jumps
+    again; an empty set means no t-coloring exists.
+
+    The assignments at the depths of a conflict set admit no proper
+    coloring, so every frame the jump undoes roots a subtree without
+    one: the first coloring found is the one chronological backtracking
+    finds, and only the node count, and with it the node at which a
+    budget runs out, changes.  The color cap stays sound.  A vertex can
+    run out of colors only once all t colors are in use, since an unused
+    color is forbidden nowhere, so each of its colors has a forbidding
+    edge.  A frame's colors above its cap are covered by the conflict
+    set gathered under the fresh color it tried last: apart from the
+    frame's own, those assignments are shallower and use only colors
+    below the fresh one, so swapping the fresh color for any higher one
+    leaves them as they are.
     """
     n = len(vertices)
     if not n:
@@ -445,6 +498,7 @@ def _search_core(vertices, edges, t, counter):
     saturation = [0] * n
     level = [0] * (t + 1)
     level[0] = (1 << n) - 1
+    depth_bit = [0] * n
     stack = []
     left = n
     used = 0
@@ -458,35 +512,52 @@ def _search_core(vertices, edges, t, counter):
         v = ranked[low.bit_length() - 1]
         left -= 1
         choices = ((2 << min(used + 1, t)) - 2) & ~forbidden[v]
+        conflict = 0
         while not choices:
-            # v has no color left: put it back and undo its parent's color
+            # v has no color left: add the depths of the vertices on its
+            # forbidding edges to what its colors gathered, and jump back
+            # to the deepest of them
+            for e in incident[v]:
+                p = present[e]
+                if uncolored_in[e] == 1 and not p & (p - 1):
+                    for u in members[e]:
+                        if u != v:
+                            conflict |= depth_bit[u]
             level[saturation[v]] |= bit[v]
             left += 1
-            if not stack:
+            if not conflict:
                 return None
-            v, choices, used, fresh, targets = stack.pop()
-            c = color[v]
-            cb = 1 << c
-            for e in incident[v]:
-                uncolored_in[e] += 1
-                rest[e] += v
-            for e in fresh:
-                present[e] ^= cb
-            for u in targets:
-                counts = forbid_count[u]
-                counts[c] -= 1
-                if not counts[c]:
-                    s = saturation[u]
-                    level[s] ^= bit[u]
-                    level[s - 1] |= bit[u]
-                    saturation[u] = s - 1
-                    forbidden[u] ^= cb
-            color[v] = 0
+            h = conflict.bit_length() - 1
+            while True:
+                v, choices, used, fresh, targets, gathered = stack.pop()
+                c = color[v]
+                cb = 1 << c
+                for e in incident[v]:
+                    uncolored_in[e] += 1
+                    rest[e] += v
+                for e in fresh:
+                    present[e] ^= cb
+                for u in targets:
+                    counts = forbid_count[u]
+                    counts[c] -= 1
+                    if not counts[c]:
+                        s = saturation[u]
+                        level[s] ^= bit[u]
+                        level[s - 1] |= bit[u]
+                        saturation[u] = s - 1
+                        forbidden[u] ^= cb
+                color[v] = 0
+                if len(stack) == h:
+                    break
+                level[saturation[v]] |= bit[v]
+                left += 1
+            conflict = gathered | (conflict ^ (1 << h))
         # give v its least remaining color
         cb = choices & -choices
         choices ^= cb
         c = cb.bit_length() - 1
         color[v] = c
+        depth_bit[v] = 1 << len(stack)
         fresh = []
         targets = []
         for e in incident[v]:
@@ -509,6 +580,6 @@ def _search_core(vertices, edges, t, counter):
                     saturation[r] = s + 1
                     forbidden[r] |= cb
                 targets.append(r)
-        stack.append((v, choices, used, fresh, targets))
+        stack.append((v, choices, used, fresh, targets, conflict))
         used = max(used, c)
     return {v: color[i] for i, v in enumerate(vertices)}

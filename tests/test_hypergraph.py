@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from badcycle.corpus import random_digraph, random_hypergraph
-from badcycle.errors import BudgetError, InputError
+from badcycle import hypergraph as hypergraph_module
+from badcycle.errors import Budget, BudgetError, InputError
 from badcycle.generators import (
     counter_machine_order,
     gen_counter_machine,
@@ -284,8 +285,10 @@ def reference_chromatic(graph, budget=None):
     name-keyed state: components are rebuilt by scanning every vertex and
     edge, the core comes from a peel log of removed edges, and the pick is
     a max over the uncolored vertices by (saturation, degree, -rank).
-    Returns (number, coloring, nodes expanded) or raises BudgetError with
-    the same bounds as chromatic_number_exact.
+    Backtracking is chronological.  Returns (number, coloring, nodes
+    expanded) or raises BudgetError with the same bounds as
+    chromatic_number_exact: the upper bound of each component left is the
+    lesser of its greedy count and that of one uncapped DSATUR descent.
     """
     nodes = 0
 
@@ -300,19 +303,45 @@ def reference_chromatic(graph, budget=None):
         edges = [e for e in graph.edges if all(v in keep for v in e)]
         return DirectedHypergraph(graph.k, vertices, edges)
 
+    def forbidden_colors(part, coloring, v):
+        forbidden = set()
+        for edge_index in part.incident_edges(v):
+            others = {coloring.get(u) for u in part.edges[edge_index] if u != v}
+            if len(others) == 1 and None not in others:
+                forbidden.add(next(iter(others)))
+        return forbidden
+
+    def least_free(forbidden):
+        color = 1
+        while color in forbidden:
+            color += 1
+        return color
+
     def greedy(part):
         coloring = {}
         for v in part.vertices:
-            forbidden = set()
-            for edge_index in part.incident_edges(v):
-                others = {coloring.get(u) for u in part.edges[edge_index] if u != v}
-                if len(others) == 1 and None not in others:
-                    forbidden.add(next(iter(others)))
-            color = 1
-            while color in forbidden:
-                color += 1
-            coloring[v] = color
+            coloring[v] = least_free(forbidden_colors(part, coloring, v))
         return coloring
+
+    def descent(part):
+        # one DSATUR descent with no color cap: the least free color for
+        # the uncolored vertex of greatest (saturation, degree, -rank)
+        coloring = {}
+        rank = {v: n for n, v in enumerate(part.vertices)}
+        while len(coloring) < len(part.vertices):
+            forbidden = {
+                v: forbidden_colors(part, coloring, v)
+                for v in part.vertices
+                if v not in coloring
+            }
+            v = max(
+                forbidden,
+                key=lambda u: (
+                    len(forbidden[u]), len(part.incident_edges(u)), -rank[u]
+                ),
+            )
+            coloring[v] = least_free(forbidden[v])
+        return max(coloring.values(), default=0)
 
     def clique_lower_bound(part):
         if not part.edges:
@@ -458,10 +487,11 @@ def reference_chromatic(graph, budget=None):
             try:
                 attempt = color_with(part, t)
             except _ReferenceBudgetHit:
+                bounds = (min(u, descent(p)) for p, u in zip(parts[n:], uppers[n:]))
                 raise BudgetError(
                     "chromatic search budget exhausted",
                     lower=max(best, t),
-                    upper=max(best, *uppers[n:]),
+                    upper=max(best, *bounds),
                 ) from None
             if attempt is not None:
                 number, found = t, attempt
@@ -533,3 +563,64 @@ def test_chromatic_search_matches_the_recursive_reference():
         )
     assert searched >= 200
     assert split >= 80
+
+
+@pytest.fixture
+def node_charges(monkeypatch):
+    """The budget units chromatic_number_exact charges, one entry each."""
+    charges = []
+
+    class CountingBudget(Budget):
+        def spend(self):
+            charges.append(None)
+            super().spend()
+
+    monkeypatch.setattr(hypergraph_module, "Budget", CountingBudget)
+    return charges
+
+
+def threshold_hypergraph(rng, n):
+    """Random 3-uniform hypergraph with about 2.1 n edges, near 2-colorability."""
+    vertices = [str(i) for i in range(n)]
+    edges = {}
+    while len(edges) < round(2.1 * n):
+        edges[tuple(rng.sample(vertices, 3))] = None
+    return DirectedHypergraph(3, vertices, edges)
+
+
+def backjumping_corpus():
+    rng = random.Random(1993)
+    for _ in range(80):
+        yield threshold_hypergraph(rng, rng.randint(40, 60))
+    for m in (12, 14):
+        for _ in range(5):
+            yield shuffled_union(rng, [gen_shift_digraph(m)])
+
+
+def test_backjumping_matches_the_recursive_reference(node_charges):
+    # graphs on which the search jumps back over levels: the same chi and
+    # coloring as chronological backtracking, never more nodes, and the
+    # budget runs out exactly one node short of the new count
+    fewer = 0
+    for graph in backjumping_corpus():
+        number, coloring, nodes = reference_chromatic(graph)
+        node_charges.clear()
+        result = chromatic_number_exact(graph)
+        spent = len(node_charges)
+        assert result.number == number
+        assert list(result.coloring.items()) == list(coloring.items())
+        assert spent <= nodes
+        fewer += spent < nodes
+        assert chromatic_number_exact(graph, budget=spent) == result
+        with pytest.raises(BudgetError):
+            chromatic_number_exact(graph, budget=spent - 1)
+    assert fewer >= 20
+
+
+def test_backjumping_node_counts_on_shift_digraphs(node_charges):
+    # chronological backtracking expanded 241, 52,851 and 299,154 nodes
+    for m, nodes in ((14, 212), (15, 2023), (16, 74712)):
+        node_charges.clear()
+        result = chromatic_number_exact(gen_shift_digraph(m), budget=100_000)
+        assert result.number == 4
+        assert len(node_charges) == nodes
