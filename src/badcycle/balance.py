@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .digraph import WeightedDigraph, find_positive_cycle, longest_walk_potentials
 from .errors import InputError, UnbalancedError
-from .hypergraph import _component_graphs
+from .hypergraph import _components
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,14 @@ def balanced_coloring(graph, alpha):
         raise UnbalancedError("the digraph is not alpha-balanced", verdict)
     ceiling = -(-alpha.numerator // alpha.denominator)
     potentials = {}
-    for part in _component_graphs(graph):
+    for vertices, edges in _components(graph):
         arcs = []
-        for a, b in part.edges:
+        for e in edges:
+            a, b = graph.edges[e]
             arcs.append((a, b, 1))
             arcs.append((b, a, -ceiling))
-        walks = longest_walk_potentials(
-            WeightedDigraph(part.vertices, arcs), part.vertices[0]
-        )
+        part = [graph.vertices[v] for v in vertices]
+        walks = longest_walk_potentials(WeightedDigraph(part, arcs), part[0])
         if not walks.bounded:
             # unreachable on balanced input: a positive cycle here means
             # some traversal has more than ceil(alpha) forward edges per

@@ -72,13 +72,10 @@ def _product_arcs(graph, machine):
     transition atom; this is the one definition of the product's arc order.
     """
     width = len(machine.states)
-    state = {s: n for n, s in enumerate(machine.states)}
-    start = {v: n * width for n, v in enumerate(graph.vertices)}
-    atoms = [
-        (state[s], i - 1, j - 1, state[t]) for s, i, j, t in machine.transition_atoms()
-    ]
-    for edge in graph.edges:
-        base = [start[v] for v in edge]
+    atoms = [(s, i - 1, j - 1, t) for s, i, j, t in machine.numbered_atoms]
+    # the flat members, k at a time
+    for edge in zip(*[iter(graph.members)] * graph.k):
+        base = [v * width for v in edge]
         yield [(base[i] + s, base[j] + t) for s, i, j, t in atoms]
 
 
@@ -100,10 +97,9 @@ def build_auxiliary(graph, machine):
     """
     _require_same_k(graph, machine)
     nodes = [(v, s) for v in graph.vertices for s in machine.states]
-    atoms = list(machine.transition_atoms())
     tags = {}
     for edge_index, arcs in enumerate(_product_arcs(graph, machine)):
-        for arc, (_, i, j, _) in zip(arcs, atoms):
+        for arc, (_, i, j, _) in zip(arcs, machine.transition_atoms()):
             tags.setdefault(arc, []).append((edge_index, i, j))
     weighted = WeightedDigraph(
         nodes, [(nodes[u], nodes[w], 0) for u, w in tags]
@@ -122,26 +118,25 @@ def _walk_to(parent, source, target):
     return path
 
 
-def _first_edge(graph, machine, u, w):
-    """(edge_index, i, j) for the least edge that yields the product arc u -> w."""
-    (a, s), (b, t) = u, w
-    for edge_index in graph.incident_edges(a):
-        edge = graph.edges[edge_index]
+def _first_arc(product, u, w):
+    """(edge number, atom number) of the least edge that yields the product
+    arc u -> w and of the atom that yields it there."""
+    (a, s), (b, t) = divmod(u, product.width), divmod(w, product.width)
+    graph, atoms = product.graph, product.machine.numbered_atoms
+    for e in graph.incidence[a]:
+        edge = graph.members_of(e)
         if b in edge:
-            i, j = edge.index(a) + 1, edge.index(b) + 1
-            if t in machine.targets(s, i, j):
-                return edge_index, i, j
+            atom = (s, edge.index(a) + 1, edge.index(b) + 1, t)
+            if atom in atoms:
+                return e, atoms.index(atom)
     raise AssertionError(f"no edge yields the product arc {u!r} -> {w!r}")
 
 
-def _witness_from_walk(graph, machine, walk):
-    base = walk[0][0]
-    steps = [
-        (_first_edge(graph, machine, prev, nxt)[0], nxt[0])
-        for prev, nxt in zip(walk, walk[1:])
-    ]
-    states = tuple(s for _, s in walk)
-    cycle = HyperCycle(graph, base, steps)
+def _witness(product, walk):
+    """The bad-cycle witness read off a product walk on node numbers."""
+    vertices, states = zip(*map(product.name, walk))
+    edges = [_first_arc(product, u, w)[0] for u, w in zip(walk, walk[1:])]
+    cycle = HyperCycle(product.graph, vertices[0], zip(edges, vertices[1:]))
     return BadCycleWitness(cycle, states, (states[0], states[-1]))
 
 
@@ -216,8 +211,7 @@ def _decide(graph, machine):
     walk = _bad_walk(product)
     if walk is None:
         return GoodnessVerdict(True), product
-    walk = [product.name(node) for node in walk]
-    return GoodnessVerdict(False, _witness_from_walk(graph, machine, walk)), product
+    return GoodnessVerdict(False, _witness(product, walk)), product
 
 
 def _bad_walk(product):
@@ -232,22 +226,13 @@ def _bad_walk(product):
             # its component; the nearest ones close shortest closed walks,
             # and ties go to the arc that comes first in the product
             parent, nearest = bfs(succ, node, lambda u: node in succ[u])
-            rank = {atom: n for n, atom in enumerate(machine.transition_atoms())}
-            target = product.name(node)
-
-            def order(u):
-                named = product.name(u)
-                edge_index, i, j = _first_edge(graph, machine, named, target)
-                return edge_index, rank[(named[1], i, j, target[1])]
-
-            return _walk_to(parent, node, min(nearest, key=order)) + [node]
+            last = min(nearest, key=lambda u: _first_arc(product, u, node))
+            return _walk_to(parent, node, last) + [node]
         return None
     _, reach = product.condensation
     width = product.width
-    state = {s: n for n, s in enumerate(machine.states)}
-    bad = [(state[s], state[t]) for s, t in machine.bad_rows()]
     for v in range(len(graph.vertices)):
-        for s, t in bad:
+        for s, t in machine.numbered_bad:
             source, target = v * width + s, v * width + t
             if reach[component_of[source]] >> component_of[target] & 1:
                 parent, _ = bfs(succ, source, lambda u: u == target)

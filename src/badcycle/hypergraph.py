@@ -2,22 +2,25 @@
 
 A k-uniform directed hypergraph is a vertex set plus a set of k-tuples
 of pairwise distinct vertices.  A coloring is proper when no edge has
-all of its coordinates colored alike.  The exact solver splits the graph
-into weak components in one pass and runs iterative deepening on each
-component's color count.  For each count t, vertices on fewer than t
-edges are peeled and reinserted greedily afterwards; the core left is
-searched by an iterative DSATUR branch and bound on vertex numbers,
-with int bitsets for the colors present on each edge and for the
-uncolored vertices at each saturation level.  The search backtracks by
-conflict-directed backjumping: a vertex with no color left jumps back to
-the deepest vertex whose color helped forbid it, skipping levels that
-have nothing to do with the dead end.  Only subtrees without a coloring
-are skipped, so the first coloring found, and chi, are those of plain
-chronological backtracking; only the node count falls.
+all of its coordinates colored alike.  A graph numbers its vertices once
+and keeps its edges' vertex numbers (``members``, read through
+``members_of``) and each vertex's edge numbers (``incidence``); the exact
+solver reads only these.  It splits them into weak components in one
+union-find pass and runs iterative deepening on each component's color
+count.  For each count t, vertices on fewer than t edges are peeled and
+reinserted greedily afterwards; the core left is searched by an iterative
+DSATUR branch and bound with int bitsets for the colors present on each
+edge and for the uncolored vertices at each saturation level.  The search
+backtracks by conflict-directed backjumping: a vertex with no color left
+jumps back to the deepest vertex whose color helped forbid it, skipping
+levels that have nothing to do with the dead end.  Only subtrees without
+a coloring are skipped, so the first coloring found, and chi, are those
+of plain chronological backtracking; only the node count falls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import Budget, BudgetError, InputError
 
@@ -30,8 +33,8 @@ class DirectedHypergraph:
         if self.k < 2:
             raise InputError(f"uniformity k must be at least 2, got {k}")
         self.vertices = tuple(vertices)
-        self._index = {v: n for n, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
+        self._index = index = {v: n for n, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise InputError("duplicate vertex names")
         seen = set()
         cleaned = []
@@ -40,7 +43,7 @@ class DirectedHypergraph:
             if len(edge) != self.k:
                 raise InputError(f"edge {edge!r} is not a {self.k}-tuple")
             for v in edge:
-                if v not in self._index:
+                if v not in index:
                     raise InputError(f"edge coordinate {v!r} is not a declared vertex")
             if len(set(edge)) != self.k:
                 raise InputError(f"edge {edge!r} repeats a coordinate")
@@ -49,11 +52,13 @@ class DirectedHypergraph:
             seen.add(edge)
             cleaned.append(edge)
         self.edges = tuple(cleaned)
-        incident: dict[str, list[int]] = {v: [] for v in self.vertices}
+        # one flat tuple: a tuple per edge would outweigh the named edges
+        self.members = tuple(map(index.__getitem__, chain.from_iterable(self.edges)))
+        incidence = [[] for _ in self.vertices]
         for n, edge in enumerate(self.edges):
             for v in edge:
-                incident[v].append(n)
-        self._incident = {v: tuple(ns) for v, ns in incident.items()}
+                incidence[index[v]].append(n)
+        self.incidence = tuple(map(tuple, incidence))
 
     def index_of(self, v):
         if v not in self._index:
@@ -62,9 +67,11 @@ class DirectedHypergraph:
 
     def incident_edges(self, v):
         """Indices of edges containing v, in edge order."""
-        if v not in self._incident:
-            raise InputError(f"unknown vertex {v!r}")
-        return self._incident[v]
+        return self.incidence[self.index_of(v)]
+
+    def members_of(self, e):
+        """Vertex numbers of edge e, in coordinate order."""
+        return self.members[self.k * e : self.k * (e + 1)]
 
     def __eq__(self, other):
         if not isinstance(other, DirectedHypergraph):
@@ -190,8 +197,7 @@ def enumerate_cycles(graph, max_len):
         raise InputError(f"max_len must be nonnegative, got {max_len}")
     for base in graph.vertices:
         yield HyperCycle(graph, base)
-    for base in graph.vertices:
-        base_rank = graph.index_of(base)
+    for base_rank, base in enumerate(graph.vertices):
         seen = set()
         steps = []
 
@@ -224,9 +230,10 @@ def path_digraph(n):
     return DirectedHypergraph(2, vertices, edges)
 
 
-def weak_components(graph):
-    """Weakly connected components as tuples of vertices, in canonical order."""
-    parent = {v: v for v in graph.vertices}
+def _components(graph):
+    """Weak components as ascending (vertex numbers, edge numbers) lists,
+    in the order of their union-find roots."""
+    parent = list(range(len(graph.vertices)))
 
     def find(v):
         while parent[v] != v:
@@ -234,14 +241,22 @@ def weak_components(graph):
             v = parent[v]
         return v
 
-    for edge in graph.edges:
+    edges = list(zip(*[iter(graph.members)] * graph.k))
+    for edge in edges:
         root = find(edge[0])
         for v in edge[1:]:
             parent[find(v)] = root
-    groups: dict[str, list[str]] = {}
-    for v in graph.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(groups[r]) for r in sorted(groups, key=graph.index_of))
+    groups = {}
+    for v in range(len(parent)):
+        groups.setdefault(find(v), ([], []))[0].append(v)
+    for e, edge in enumerate(edges):
+        groups[find(edge[0])][1].append(e)
+    return [groups[root] for root in sorted(groups)]
+
+
+def weak_components(graph):
+    """Weakly connected components as tuples of vertices, in canonical order."""
+    return tuple(tuple(graph.vertices[v] for v in part) for part, _ in _components(graph))
 
 
 # -- coloring ------------------------------------------------------------
@@ -264,32 +279,31 @@ def is_proper_coloring(graph, coloring):
 
 def chromatic_upper_greedy(graph, order=None):
     """Color count of the greedy coloring along the given vertex order."""
-    if order is None:
-        order = graph.vertices
-    order = tuple(order)
-    if sorted(order) != sorted(graph.vertices):
+    n = len(graph.vertices)
+    order = range(n) if order is None else [graph.index_of(v) for v in order]
+    if sorted(order) != list(range(n)):
         raise InputError("order must list every vertex exactly once")
-    coloring = _greedy_coloring(graph, order)
-    return max(coloring.values(), default=0)
+    return max(_greedy(graph, order), default=0)
 
 
-def _greedy_coloring(graph, order):
-    coloring = {}
+def _greedy(graph, order):
+    color = [0] * len(graph.vertices)
     for v in order:
-        coloring[v] = _least_free_color(graph, coloring, v)
-    return coloring
-
-
-def _least_free_color(graph, coloring, v):
-    forbidden = set()
-    for edge_index in graph.incident_edges(v):
-        others = {coloring.get(u) for u in graph.edges[edge_index] if u != v}
-        if len(others) == 1 and None not in others:
-            forbidden.add(next(iter(others)))
-    color = 1
-    while color in forbidden:
-        color += 1
+        color[v] = _least_free_color(graph, color, v)
     return color
+
+
+def _least_free_color(graph, color, v):
+    """Least color no edge at v has on all its other coordinates (0: uncolored)."""
+    forbidden = set()
+    for e in graph.incidence[v]:
+        others = {color[u] for u in graph.members_of(e) if u != v}
+        if len(others) == 1:
+            forbidden |= others
+    c = 1
+    while c in forbidden:
+        c += 1
+    return c
 
 
 def chromatic_number_exact(graph, budget=None):
@@ -299,30 +313,35 @@ def chromatic_number_exact(graph, budget=None):
     exhaustion a BudgetError carrying the best known bounds is raised.
     """
     counter = Budget(budget, "chromatic search budget exhausted")
-    parts = _component_graphs(graph)
-    greedies = [_greedy_coloring(p, p.vertices) for p in parts]
-    uppers = [max(g.values(), default=0) for g in greedies]
+    parts = _components(graph)
+    greedy = _greedy(graph, range(len(graph.vertices)))
+    uppers = [max(greedy[v] for v in part) for part, _ in parts]
     best = 0
-    coloring = {}
+    color = [0] * len(graph.vertices)
+    order = []
     for n, part in enumerate(parts):
-        number, found = uppers[n], greedies[n]
-        for t in range(_clique_lower_bound(part), uppers[n]):
+        number, found = uppers[n], None
+        for t in range(_clique_lower_bound(graph, part), uppers[n]):
             try:
-                colored = _color_with(part, t, counter)
+                found = _color_with(graph, part, t, color, counter)
             except BudgetError as stop:
-                bounds = map(_descent_upper, parts[n:], uppers[n:])
+                bounds = map(_descent_upper, repeat(graph), parts[n:], uppers[n:])
                 raise BudgetError(
                     str(stop), lower=max(best, t), upper=max(best, *bounds)
                 ) from None
-            if colored is not None:
-                number, found = t, colored
+            if found is not None:
+                number = t
                 break
+        if found is None:
+            found = part[0]
+            for v in found:
+                color[v] = greedy[v]
         best = max(best, number)
-        coloring.update(found)
-    return ChromaticResult(best, coloring)
+        order.extend(found)
+    return ChromaticResult(best, {graph.vertices[v]: color[v] for v in order})
 
 
-def _descent_upper(graph, greedy):
+def _descent_upper(graph, part, greedy):
     """The lesser of ``greedy`` and the color count of one DSATUR descent.
 
     The descent is the kernel's first leaf with no color cap, found only
@@ -333,52 +352,41 @@ def _descent_upper(graph, greedy):
     descent with no dead end expands one node per vertex, so a budget of
     that many nodes stops the search at the first backtrack.
     """
+    vertices, edges = part
+    members = [graph.members_of(e) for e in edges]
     try:
-        coloring = _search_core(
-            graph.vertices, graph.edges, greedy - 1, Budget(len(graph.vertices), "")
-        )
+        colors = _search_core(vertices, members, greedy - 1, Budget(len(vertices), ""))
     except BudgetError:
         return greedy
-    if coloring is None:
+    if colors is None:
         return greedy
-    return max(coloring.values(), default=0)
+    return max(colors)
 
 
-def _component_graphs(graph):
-    """The subgraph induced by each weak component, in ``weak_components`` order.
-
-    One pass over the edges: an edge lies in the component of its first vertex.
-    """
-    groups = weak_components(graph)
-    part_of = {v: n for n, group in enumerate(groups) for v in group}
-    edges = [[] for _ in groups]
-    for edge in graph.edges:
-        edges[part_of[edge[0]]].append(edge)
-    return [DirectedHypergraph(graph.k, g, e) for g, e in zip(groups, edges)]
-
-
-def _clique_lower_bound(graph):
+def _clique_lower_bound(graph, part):
     """Greedy clique size; valid for k=2 only, else 2 when any edge exists."""
-    if not graph.edges:
-        return 1 if graph.vertices else 0
+    vertices, edges = part
+    if not edges:
+        return 1
     if graph.k != 2:
         return 2
-    neighbors = {v: set() for v in graph.vertices}
-    for a, b in graph.edges:
+    neighbors = {v: set() for v in vertices}
+    for e in edges:
+        a, b = graph.members_of(e)
         neighbors[a].add(b)
         neighbors[b].add(a)
-    by_degree = sorted(graph.vertices, key=lambda v: -len(neighbors[v]))
+    by_degree = sorted(vertices, key=lambda v: -len(neighbors[v]))
     best = 2
     for seed in by_degree[:8]:
         clique = {seed}
         for u in by_degree:
-            if u not in clique and all(u in neighbors[w] for w in clique):
+            if clique <= neighbors[u]:  # u is not its own neighbor
                 clique.add(u)
         best = max(best, len(clique))
     return best
 
 
-def _peel(graph, t):
+def _peel(graph, part, t):
     """Remove vertices incident to fewer than t edges, cascading.
 
     Returns the peel order.  The core is what stays: the unpeeled
@@ -388,21 +396,22 @@ def _peel(graph, t):
     than t, are then colored everywhere else, and its other edges keep
     an uncolored vertex.
     """
-    alive_vertices = set(graph.vertices)
-    alive_edges = set(range(len(graph.edges)))
-    degree = {v: len(graph.incident_edges(v)) for v in graph.vertices}
-    queue = [v for v in graph.vertices if degree[v] < t]
+    vertices, edges = part
+    alive_vertices = set(vertices)
+    alive_edges = set(edges)
+    degree = {v: len(graph.incidence[v]) for v in vertices}
+    queue = [v for v in vertices if degree[v] < t]
     order = []
     while queue:
         v = queue.pop()
         if v not in alive_vertices:
             continue
         alive_vertices.remove(v)
-        for edge_index in graph.incident_edges(v):
-            if edge_index not in alive_edges:
+        for e in graph.incidence[v]:
+            if e not in alive_edges:
                 continue
-            alive_edges.remove(edge_index)
-            for u in graph.edges[edge_index]:
+            alive_edges.remove(e)
+            for u in graph.members_of(e):
                 if u == v or u not in alive_vertices:
                     continue
                 degree[u] -= 1
@@ -412,29 +421,31 @@ def _peel(graph, t):
     return order
 
 
-def _color_with(graph, t, counter):
-    """A proper t-coloring of graph, or None when none exists."""
-    if t <= 0:
-        return {} if not graph.vertices else None
-    order = _peel(graph, t)
+def _color_with(graph, part, t, color, counter):
+    """Write a proper t-coloring of part into color and return its vertex
+    numbers in coloring order, or return None when none exists."""
+    order = _peel(graph, part, t)
     peeled = set(order)
-    coloring = _search_core(
-        [v for v in graph.vertices if v not in peeled],
-        [e for e in graph.edges if peeled.isdisjoint(e)],
-        t,
-        counter,
-    )
-    if coloring is None:
+    core = [v for v in part[0] if v not in peeled]
+    edges = [graph.members_of(e) for e in part[1]]
+    colors = _search_core(core, [e for e in edges if peeled.isdisjoint(e)], t, counter)
+    if colors is None:
         return None
-    for v in reversed(order):
-        coloring[v] = _least_free_color(graph, coloring, v)
-    return coloring
+    for v, c in zip(core, colors):
+        color[v] = c
+    order.reverse()
+    for v in order:
+        color[v] = _least_free_color(graph, color, v)
+    return core + order
 
 
 def _search_core(vertices, edges, t, counter):
     """Branch-and-bound t-coloring (DSATUR) of a peeled core, on vertex numbers.
 
-    Vertex i is ``vertices[i]``.  Each edge keeps its number of
+    ``vertices`` lists the core's vertex numbers in ascending order and
+    ``edges`` its edges' member tuples; the colors come back as a list
+    aligned with ``vertices``, or None.  The search renumbers the core:
+    vertex i is ``vertices[i]``.  Each edge keeps its number of
     uncolored coordinates, the sum of their vertex numbers (which names
     the last one) and its present colors as a bitmask, bit c for color
     c.  An edge with one uncolored coordinate and one present color
@@ -478,9 +489,9 @@ def _search_core(vertices, edges, t, counter):
     """
     n = len(vertices)
     if not n:
-        return {}
-    index = {v: i for i, v in enumerate(vertices)}
-    members = [[index[u] for u in edge] for edge in edges]
+        return []
+    local = {v: i for i, v in enumerate(vertices)}
+    members = [[local[u] for u in edge] for edge in edges]
     incident = [[] for _ in range(n)]
     for e, edge in enumerate(members):
         for u in edge:
@@ -582,4 +593,4 @@ def _search_core(vertices, edges, t, counter):
                 targets.append(r)
         stack.append((v, choices, used, fresh, targets, conflict))
         used = max(used, c)
-    return {v: color[i] for i, v in enumerate(vertices)}
+    return color

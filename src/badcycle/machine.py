@@ -4,11 +4,14 @@ A k-machine has a finite state set S, a sparse transition table
 f : S x [k]^2 -> P(S) (absent keys denote the empty set) and a set B of
 bad state pairs.  Two validation semantics exist: "cycling" machines
 must have B equal to the diagonal of S, "general" machines must have B
-disjoint from the diagonal.
+disjoint from the diagonal.  A machine is immutable, so it numbers the
+states of its transition atoms and bad pairs once, on first use by the
+deciders, and keeps ``require_valid``'s report per semantics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -46,39 +49,44 @@ class Machine:
             table[key] = table.get(key, frozenset()) | tset
         self._table = table
         self.bad = frozenset((a, b) for a, b in bad)
+        self._reports = {}
 
     # -- canonical views -------------------------------------------------
 
     def _state_key(self, s):
-        return (self._index.get(s, len(self.states)), s)
+        # undeclared states go last, by name, so an invalid machine sorts too
+        return (self._index.get(s, len(self.states)), str(s))
 
     def transition_rows(self):
         """Transitions as sorted (state, i, j, sorted-target-tuple) rows."""
-        rows = []
-        for (s, i, j), targets in self._table.items():
-            rows.append((s, i, j, tuple(sorted(targets, key=self._state_key))))
-        rows.sort(key=lambda r: (self._state_key(r[0]), r[1], r[2]))
-        return tuple(rows)
+        key = self._state_key
+        rows = [(s, i, j, tuple(sorted(ts, key=key))) for (s, i, j), ts in self._table.items()]
+        return tuple(sorted(rows, key=lambda r: (key(r[0]), r[1], r[2])))
 
     def bad_rows(self):
-        return tuple(
-            sorted(self.bad, key=lambda p: (self._state_key(p[0]), self._state_key(p[1])))
-        )
+        key = self._state_key
+        return tuple(sorted(self.bad, key=lambda p: (key(p[0]), key(p[1]))))
 
     def transition_atoms(self):
         """Flattened (s, i, j, t) tuples, one per target, in canonical order."""
-        for s, i, j, targets in self.transition_rows():
-            for t in targets:
-                yield s, i, j, t
+        return tuple((s, i, j, t) for s, i, j, ts in self.transition_rows() for t in ts)
+
+    @cached_property
+    def numbered_atoms(self):
+        """``transition_atoms`` on state numbers; read only once validated."""
+        index = self._index
+        return tuple((index[s], i, j, index[t]) for s, i, j, t in self.transition_atoms())
+
+    @cached_property
+    def numbered_bad(self):
+        """``bad_rows`` on state numbers; read only once validated."""
+        return tuple((self._index[s], self._index[t]) for s, t in self.bad_rows())
 
     # -- derived tags ----------------------------------------------------
 
     @property
     def is_deterministic(self):
-        for (s, i, j), targets in self._table.items():
-            if len(targets) > 1 or i == j:
-                return False
-        return True
+        return all(len(ts) == 1 and i != j for (_, i, j), ts in self._table.items())
 
     @property
     def is_cycling(self):
@@ -148,7 +156,7 @@ def validate_machine(machine, semantics, expect_deterministic=False):
                 problems.append(
                     f"transition position {name}={pos} out of range for ({s!r},{i},{j})"
                 )
-        for t in sorted(targets):
+        for t in sorted(targets, key=str):
             if t not in known:
                 problems.append(f"transition target {t!r} is not a declared state")
         if expect_deterministic:
@@ -169,7 +177,7 @@ def validate_machine(machine, semantics, expect_deterministic=False):
     if semantics == "cycling" and machine.bad != diagonal:
         problems.append("cycling semantics requires the bad set to equal the diagonal")
     if semantics == "general":
-        for s in sorted(machine.states):
+        for s in sorted(machine.states, key=str):
             if (s, s) in machine.bad:
                 problems.append(f"diagonal bad pair ({s!r},{s!r}) under general semantics")
     return ValidationReport(
@@ -191,8 +199,10 @@ def step(machine, s, i, j):
 
 
 def require_valid(machine, semantics):
-    """Raise InputError when validation fails; convenience for operations."""
-    report = validate_machine(machine, semantics)
+    """Raise InputError when validation fails; the report is kept per semantics."""
+    report = machine._reports.get(semantics)
+    if report is None:
+        report = machine._reports[semantics] = validate_machine(machine, semantics)
     if not report.ok:
         raise InputError(
             f"invalid machine under {semantics} semantics: "

@@ -24,32 +24,24 @@ SWEEP_STEPS = 200000
 def _accepting_run(machine, cycle):
     """First state sequence accepting the cycle into a bad pair, or None."""
     traces = cycle.traces()
-    bad = set(machine.bad_rows())
-    for s0 in machine.states:
+    states = machine.states
+    for s0 in states:
         layers = [{s0}]
         for i, j in traces:
             here = set()
             for s in layers[-1]:
                 here |= machine.targets(s, i, j)
             layers.append(here)
-        final = None
-        for t in machine.states:
-            if t in layers[-1] and (s0, t) in bad:
-                final = t
-                break
-        if final is None:
+        final = [t for t in states if t in layers[-1] and (s0, t) in machine.bad]
+        if not final:
             continue
-        seq = [final]
-        at = final
+        # walk back, taking each layer's first state that steps to the next
+        seq = final[:1]
         for m in reversed(range(len(traces))):
             i, j = traces[m]
-            for s in machine.states:
-                if s in layers[m] and at in machine.targets(s, i, j):
-                    seq.append(s)
-                    at = s
-                    break
-        seq.reverse()
-        return tuple(seq)
+            back = (s for s in states if s in layers[m] and seq[-1] in machine.targets(s, i, j))
+            seq.append(next(back))
+        return tuple(reversed(seq))
     return None
 
 
@@ -113,8 +105,7 @@ def sweep_cap(graph, want):
     """
     if not graph.vertices:
         return want
-    branch = max(sum(graph.k for e in graph.edges if v in e) for v in graph.vertices)
-    branch = max(branch, 1)
+    branch = max(1, graph.k * max(map(len, graph.incidence)))
     cap = 0
     while cap < want and len(graph.vertices) * branch ** (cap + 1) <= SWEEP_STEPS:
         cap += 1

@@ -260,8 +260,7 @@ def find_compatible_order(machine, budget=None):
     """
     require_valid(machine, "cycling")
     states = machine.states
-    index = {s: n for n, s in enumerate(states)}
-    atoms = [(index[s], i, j, index[t]) for s, i, j, t in machine.transition_atoms()]
+    atoms = machine.numbered_atoms
     counter = Budget(budget, "compatible order search budget exhausted")
     # bitsets over the atoms leaving each state and each position;
     # landing[t][j] holds the atoms landing on (t,j) as a bitset and as
@@ -387,9 +386,9 @@ def verify_order_system(machine, system):
     return CheckResult(not violations, tuple(violations))
 
 
-def _lift(classes, partial, k, cross, counter, enumerate_all):
-    # lift a system on the states to the full carrier: condition (2) says
-    # each position reads it, so the global class sequence is a merge of k
+def _lift(machine, classes, partial, cross, counter, enumerate_all):
+    # lift a system on the state numbers to the full carrier: condition (2)
+    # says each position reads it, so the global class sequence is a merge of k
     # copies of its class chain, and the global partial restricted to any
     # one position must reproduce it.  The merge grows one block at a time,
     # depth first, each block advancing a nonempty set of the unfinished
@@ -400,7 +399,7 @@ def _lift(classes, partial, k, cross, counter, enumerate_all):
     # the partial leaves apart).  Required pairs point forward, so a
     # block's predecessors are final once it is placed, and every complete
     # layout reached is compatible.
-    p = len(classes)
+    k, names, p = machine.k, machine.states, len(classes)
     cls = {s: c for c, block in enumerate(classes) for s in block}
     into = {}
     for s, i, j, t in cross:
@@ -435,7 +434,7 @@ def _lift(classes, partial, k, cross, counter, enumerate_all):
     def complete():
         blocks, base, banned = [], set(), set()
         for b, (part, closed, ban) in enumerate(placed):
-            blocks.append(frozenset((s, i) for i, c in part for s in classes[c]))
+            blocks.append(frozenset((names[s], i) for i, c in part for s in classes[c]))
             base.update((a, b) for a in range(b) if closed >> a & 1)
             banned.update((a, b) for a in range(b) if ban >> a & 1)
         choices = _closed_pair_sets(len(blocks), base, banned) if enumerate_all else [base]
@@ -482,13 +481,14 @@ def find_order_system(machine, budget=None, enumerate_all=False):
     """
     require_valid(machine, "general")
     counter = Budget(budget, "order system search budget exhausted")
-    atoms = tuple(machine.transition_atoms())
+    atoms = machine.numbered_atoms
     diag = [(s, t) for s, i, j, t in atoms if i == j]
     cross = [atom for atom in atoms if atom[1] != atom[2]]
     found = []
-    for ordered, partial in _systems_on(machine.states, machine.bad_rows(), diag):
+    states = range(len(machine.states))
+    for ordered, partial in _systems_on(states, machine.numbered_bad, diag):
         counter.spend()
-        for system in _lift(ordered, partial, machine.k, cross, counter, enumerate_all):
+        for system in _lift(machine, ordered, partial, cross, counter, enumerate_all):
             if not enumerate_all:
                 return system
             counter.spend()
@@ -522,5 +522,5 @@ def decide_cycling_2machine(machine):
     require_valid(machine, "cycling")
     if machine.k != 2:
         raise InputError("the fast decision procedure needs k = 2")
-    arcs = [(s, t, j - i) for s, i, j, t in machine.transition_atoms()]
-    return not has_zero_mean_span(WeightedDigraph(machine.states, arcs))
+    arcs = [(s, t, j - i) for s, i, j, t in machine.numbered_atoms]
+    return not has_zero_mean_span(WeightedDigraph(range(len(machine.states)), arcs))

@@ -218,6 +218,18 @@ def test_is_good_rejects_invalid_machine():
         is_good(path_digraph(1), mixed)
 
 
+def test_names_that_do_not_compare():
+    # states and vertices of mixed types: validation sorts their names by
+    # str, and the decision reads numbers
+    machine = Machine(2, [1, "a"], [(1, 1, 2, ["a"]), ("a", 2, 1, ["a"])], bad=[(1, "a")])
+    graph = DirectedHypergraph(2, [1, "a"], [(1, "a")])
+    verdict = is_good(graph, machine)
+    assert not verdict.good
+    assert verdict.witness.cycle.vertex_seq == (1, "a", 1)
+    assert verdict.witness.states == (1, "a", "a")
+    assert validate_witness(graph, machine, verdict.witness).ok
+
+
 def test_witness_validation_flags_corruption():
     graph = triangle([("1", "2"), ("2", "3"), ("1", "3")])
     machine = hasse_machine()

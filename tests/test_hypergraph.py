@@ -6,6 +6,7 @@ import pytest
 
 from badcycle.corpus import random_digraph, random_hypergraph
 from badcycle import hypergraph as hypergraph_module
+from badcycle.balance import balanced_coloring
 from badcycle.errors import Budget, BudgetError, InputError
 from badcycle.generators import (
     counter_machine_order,
@@ -237,6 +238,38 @@ def test_greedy_upper_bounds_exact():
         assert exact <= chromatic_upper_greedy(g)
     with pytest.raises(InputError):
         chromatic_upper_greedy(triangle(), ["1", "2"])
+
+
+def test_names_that_do_not_compare():
+    graph = DirectedHypergraph(2, [1, "a"], [(1, "a")])
+    assert chromatic_number_exact(graph) == ChromaticResult(2, {1: 1, "a": 2})
+    assert chromatic_upper_greedy(graph) == 2
+    assert chromatic_upper_greedy(graph, ["a", 1]) == 2
+    with pytest.raises(InputError, match="unknown vertex"):
+        chromatic_upper_greedy(graph, [1, "b"])
+    with pytest.raises(InputError, match="exactly once"):
+        chromatic_upper_greedy(graph, [1, 1])
+
+
+def test_components_build_no_graph(monkeypatch):
+    # chi and the balanced coloring read the graph's own vertex and edge
+    # numbers, one weak component at a time
+    rng = random.Random(11)
+    graph = shuffled_union(rng, [gen_shift_digraph(8), gen_shift_digraph(6), path_digraph(2)])
+    paths = shuffled_union(rng, [path_digraph(2), path_digraph(4)])
+    assert len(weak_components(graph)) == 5
+    assert len(weak_components(paths)) == 2
+    built = []
+    init = DirectedHypergraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirectedHypergraph, "__init__", counting)
+    assert chromatic_number_exact(graph).number == 3
+    assert is_proper_coloring(paths, balanced_coloring(paths, 2).colors)
+    assert built == []
 
 
 def test_chromatic_budget_exhaustion():

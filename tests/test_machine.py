@@ -1,7 +1,10 @@
 import pytest
 
+from badcycle import machine as machine_module
 from badcycle.errors import InputError
-from badcycle.machine import Machine, step, validate_machine
+from badcycle.generators import gen_counter_machine, gen_hasse_machine
+from badcycle.machine import Machine, require_valid, step, validate_machine
+from badcycle.orders import decide_cycling_2machine, find_compatible_order
 
 
 def hasse_machine():
@@ -170,3 +173,53 @@ def test_validate_unknown_semantics_raises():
     with pytest.raises(InputError):
         validate_machine(hasse_machine(), "strict")
 
+
+def test_validate_sorts_names_that_do_not_compare():
+    m = Machine(2, [1, "a"], [(1, 1, 2, ["a"])], bad=[(1, "a")])
+    assert validate_machine(m, "general").ok
+    odd = Machine(2, [1, "a"], [(1, 1, 2, ["b", 2])], bad=[(1, 1), ("a", "a")])
+    assert validate_machine(odd, "general").violations == (
+        "transition target 2 is not a declared state",
+        "transition target 'b' is not a declared state",
+        "diagonal bad pair (1,1) under general semantics",
+        "diagonal bad pair ('a','a') under general semantics",
+    )
+
+
+def test_machine_is_validated_once(monkeypatch):
+    calls = []
+    validate = machine_module.validate_machine
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(machine_module, "validate_machine", counting)
+    machine = gen_counter_machine(2)
+    for _ in range(100):
+        assert decide_cycling_2machine(machine)
+        assert find_compatible_order(machine) is not None
+    assert len(calls) == 1
+
+
+def test_validation_cache_hides_nothing():
+    invalid = Machine(2, ["p", "q"], [("p", 1, 3, ["q"])], bad=[("p", "p"), ("q", "q")])
+    for _ in range(2):
+        with pytest.raises(InputError, match="out of range"):
+            find_compatible_order(invalid)
+    # a cached passing report leaves a deterministic claim to be checked
+    wide = Machine(2, ["a", "b"], [("a", 1, 2, ["a", "b"])], bad=[("a", "b")])
+    require_valid(wide, "general")
+    report = validate_machine(wide, "general", expect_deterministic=True)
+    assert any("nondeterministic value" in v for v in report.violations)
+    # each semantics keeps its own verdict, in either order
+    cycling = gen_counter_machine(1)
+    require_valid(cycling, "cycling")
+    for _ in range(2):
+        with pytest.raises(InputError, match="under general semantics"):
+            require_valid(cycling, "general")
+    general = gen_hasse_machine()
+    for _ in range(2):
+        with pytest.raises(InputError, match="under cycling semantics"):
+            require_valid(general, "cycling")
+    assert require_valid(general, "general").ok
