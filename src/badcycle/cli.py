@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import traceback
+from itertools import islice
 from pathlib import Path
 
 from .balance import balanced_coloring, is_alpha_balanced
@@ -54,7 +55,7 @@ from .oracles import brute_force_is_good, check_two_balanced_equivalence, cross_
 from .orders import (
     decide_cycling_2machine,
     find_compatible_order,
-    find_order_system,
+    iter_compatible_order_systems,
     verify_compatible_order,
     verify_order_system,
 )
@@ -160,23 +161,22 @@ def _cmd_find_order(args):
 
 def _cmd_find_order_system(args):
     machine = load_machine(args.machine)
-    budget = _budget(args)
+    systems = iter_compatible_order_systems(machine, budget=_budget(args))
+    systems = list(systems if args.all else islice(systems, 1))
+    lines = [f"{len(systems)} compatible order system(s)"] if args.all else []
+    for n, system in enumerate(systems):
+        lines.append(f"system {n}:")
+        lines.extend(_system_lines(system))
     if args.all:
-        systems = find_order_system(machine, budget=budget, enumerate_all=True)
-        lines = [f"{len(systems)} compatible order system(s)"]
-        for n, system in enumerate(systems):
-            lines.append(f"system {n}:")
-            lines.extend(_system_lines(system))
         payload = {"systems": [order_system_to_obj(s) for s in systems]}
         if args.output:
             _write_json(payload["systems"], args.output)
         return (0 if systems else 1), payload, lines
-    system = find_order_system(machine, budget=budget)
-    if system is None:
+    if not systems:
         return 1, {"system": None}, ["no compatible order system"]
     if args.output:
-        save_order_system(system, args.output)
-    return 0, {"system": order_system_to_obj(system)}, ["system 0:"] + _system_lines(system)
+        save_order_system(systems[0], args.output)
+    return 0, {"system": order_system_to_obj(systems[0])}, lines
 
 
 def _verification(result, claim):

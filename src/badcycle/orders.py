@@ -109,9 +109,11 @@ class OrderSystem:
         return f"OrderSystem({shown!r}, partial={sorted(self.partial)!r})"
 
 
-def _partitions(elements):
+def _partitions(elements, bad):
     # restricted-growth order: each element joins every open block in
-    # turn, then opens a new one
+    # turn, then opens a new one; it skips a block holding a bad partner
+    # (bad pairs join distinct elements), so no block gets a bad pair
+    bad = set(bad) | {(t, s) for s, t in bad}
     blocks = []
 
     def rec(n):
@@ -119,6 +121,8 @@ def _partitions(elements):
             yield tuple(tuple(b) for b in blocks)
             return
         for b in blocks:
+            if any((elements[n], x) in bad for x in b):
+                continue
             b.append(elements[n])
             yield from rec(n + 1)
             b.pop()
@@ -157,13 +161,11 @@ def _closed_pair_sets(p, needed=frozenset(), banned=frozenset()):
 
 def _systems_on(elements, bad=(), diag=()):
     # (ordered classes, closed partial) in iter_order_systems order, less
-    # the partitions with a bad pair (s, t) inside a class, the class orders
-    # with a diag pair (s, t) ordered downward, and the partials that miss a
-    # diag pair across classes or hold a bad pair
-    for blocks in _partitions(elements):
+    # the partitions with a bad pair (s, t) inside a class (cut while they
+    # grow), the class orders with a diag pair (s, t) ordered downward, and
+    # the partials that miss a diag pair across classes or hold a bad pair
+    for blocks in _partitions(elements, bad):
         cls = {s: c for c, block in enumerate(blocks) for s in block}
-        if any(cls[s] == cls[t] for s, t in bad):
-            continue
         for perm in permutations(range(len(blocks))):
             at = {s: perm.index(c) for s, c in cls.items()}
             if any(at[s] > at[t] for s, t in diag):
@@ -386,7 +388,7 @@ def verify_order_system(machine, system):
     return CheckResult(not violations, tuple(violations))
 
 
-def _lift(machine, classes, partial, cross, counter, enumerate_all):
+def _lift(machine, classes, partial, cross, counter):
     # lift a system on the state numbers to the full carrier: condition (2)
     # says each position reads it, so the global class sequence is a merge of k
     # copies of its class chain, and the global partial restricted to any
@@ -437,8 +439,7 @@ def _lift(machine, classes, partial, cross, counter, enumerate_all):
             blocks.append(frozenset((names[s], i) for i, c in part for s in classes[c]))
             base.update((a, b) for a in range(b) if closed >> a & 1)
             banned.update((a, b) for a in range(b) if ban >> a & 1)
-        choices = _closed_pair_sets(len(blocks), base, banned) if enumerate_all else [base]
-        for pairs in choices:
+        for pairs in _closed_pair_sets(len(blocks), base, banned):
             yield OrderSystem(blocks, pairs)
 
     def extend():
@@ -462,38 +463,35 @@ def _lift(machine, classes, partial, cross, counter, enumerate_all):
     return extend()
 
 
-def find_order_system(machine, budget=None, enumerate_all=False):
-    """Search for a compatible order system under general semantics.
+def iter_compatible_order_systems(machine, budget=None):
+    """Yield every compatible order system, general semantics, in canonical order.
 
     Stage one walks the systems on the states in iter_order_systems order
-    through ``_systems_on``.  A bad pair inside one class rejects the whole
-    partition, a same-position transition ordered downward rejects the
-    class order, and the partial orders are drawn closed, with every
-    same-position transition across classes present and every bad pair
-    absent.  Stage
-    two lifts each survivor to S x [k] by merging the position chains one
-    block at a time, cutting a prefix as soon as no completion of it is
-    compatible.  Returns the first compatible system in canonical
-    enumeration order, None when there is none, or the full list with
-    enumerate_all.  The budget counts stage-one systems that pass the
-    filters plus stage-two layout prefixes, and with enumerate_all also
-    each listed system.
+    through ``_systems_on``: a bad pair inside one class rejects the
+    partition, a same-position transition ordered downward the class order,
+    and the partials are drawn closed, holding every same-position
+    transition across classes and no bad pair.  Stage two lifts each
+    survivor to S x [k] by merging the position chains one block at a time,
+    cutting a prefix as soon as no completion of it is compatible, and yields
+    each closed partial the complete layout admits, least first.  The budget
+    counts stage-one survivors, stage-two layout prefixes and each yielded
+    system, charged when the next one is asked for.
     """
     require_valid(machine, "general")
     counter = Budget(budget, "order system search budget exhausted")
     atoms = machine.numbered_atoms
     diag = [(s, t) for s, i, j, t in atoms if i == j]
     cross = [atom for atom in atoms if atom[1] != atom[2]]
-    found = []
-    states = range(len(machine.states))
-    for ordered, partial in _systems_on(states, machine.numbered_bad, diag):
+    for ordered, partial in _systems_on(range(len(machine.states)), machine.numbered_bad, diag):
         counter.spend()
-        for system in _lift(machine, ordered, partial, cross, counter, enumerate_all):
-            if not enumerate_all:
-                return system
+        for system in _lift(machine, ordered, partial, cross, counter):
+            yield system
             counter.spend()
-            found.append(system)
-    return found if enumerate_all else None
+
+
+def find_order_system(machine, budget=None):
+    """The first system iter_compatible_order_systems yields, or None, at its cost."""
+    return next(iter_compatible_order_systems(machine, budget), None)
 
 
 def compatible_order_to_order_system(order):

@@ -27,7 +27,6 @@ from badcycle import (
     detect_odd_alternating_cycle,
     evaluate_cnf,
     find_compatible_order,
-    find_order_system,
     gen_alternating_machine,
     gen_alternating_relation,
     gen_counter_machine,
@@ -40,6 +39,7 @@ from badcycle import (
     is_good,
     is_pq_compatible,
     is_proper_coloring,
+    iter_compatible_order_systems,
     non_alternating_family,
     path_digraph,
     random_cnf,
@@ -82,7 +82,7 @@ def test_criterion_02_unique_order_system():
         [(0, 2)],
     )
     started = time.monotonic()
-    systems = find_order_system(machine, enumerate_all=True)
+    systems = list(iter_compatible_order_systems(machine))
     elapsed = time.monotonic() - started
     assert systems == [expected]
     assert elapsed < 10

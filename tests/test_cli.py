@@ -162,6 +162,33 @@ def test_find_order_system_all(tmp_path, capsys):
     assert len(system.classes) == 3
 
 
+def test_find_order_system_all_under_a_budget(tmp_path, capsys):
+    # --all pays one unit per listed system beyond the search itself, and
+    # a budget exit writes no payload file
+    machine = tmp_path / "unbalanced.machine"
+    listing = tmp_path / "all.json"
+    code, _ = run(capsys, "gen", "unbalanced-machine", "--k", "1", "-o", str(machine))
+    assert code == 0
+    argv = ["find-order-system", "-m", str(machine), "--all", "-o", str(listing)]
+    code, out = run(capsys, *argv, "--budget", "50")
+    assert code == 3
+    assert "budget exhausted" in out
+    assert not listing.exists()
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "45 compatible order system(s)"
+    assert len(json.loads(listing.read_text())) == 45
+
+    forced = tmp_path / "forced.machine"
+    save_machine(
+        Machine(2, ["a", "b"], {("a", 1, 1): {"b"}, ("b", 1, 1): {"a"}}, bad=[("a", "b")]),
+        forced,
+    )
+    code, out = run(capsys, "find-order-system", "-m", str(forced), "--all", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["systems"] == []
+
+
 def test_unbalanced_machine_system_chain(tmp_path, capsys):
     # the README construction end to end: generate, search, verify
     machine = tmp_path / "unbalanced.machine"

@@ -27,6 +27,7 @@ from badcycle.orders import (
     decide_cycling_2machine,
     find_order_system,
     induced_on_position,
+    iter_compatible_order_systems,
     verify_compatible_order,
     verify_order_system,
 )
@@ -109,7 +110,7 @@ def test_example3_machine_table_and_unique_system():
         [{("0", 1)}, {("1", 1), ("0", 2)}, {("1", 2)}], [(0, 2)]
     )
     assert find_order_system(machine) == expected
-    assert find_order_system(machine, enumerate_all=True) == [expected]
+    assert list(iter_compatible_order_systems(machine)) == [expected]
 
 
 def test_unbalanced_machine_k1_table():

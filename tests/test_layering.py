@@ -84,3 +84,9 @@ def test_no_module_imports_an_unused_name():
     files = sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     assert len(files) > 20
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def test_every_exported_name_resolves_once():
+    # __all__ is not sorted, so only membership and uniqueness are checked
+    assert len(badcycle.__all__) == len(set(badcycle.__all__))
+    assert [name for name in badcycle.__all__ if not hasattr(badcycle, name)] == []

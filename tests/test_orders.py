@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,12 @@ from badcycle.orders import (
     find_compatible_order,
     find_order_system,
     induced_on_position,
+    iter_compatible_order_systems,
     iter_order_systems,
     verify_compatible_order,
     verify_order_system,
 )
+from badcycle.relations import gen_alternating_machine
 from badcycle.sat import CnfInstance, sat_to_machine
 
 
@@ -512,7 +515,7 @@ def test_find_order_system_unique_on_the_two_state_example():
     machine = two_state_example()
     expected = two_state_example_system()
     assert find_order_system(machine) == expected
-    assert find_order_system(machine, enumerate_all=True) == [expected]
+    assert list(iter_compatible_order_systems(machine)) == [expected]
 
 
 def test_find_order_system_agrees_with_definitional_filter():
@@ -520,7 +523,7 @@ def test_find_order_system_agrees_with_definitional_filter():
     nonempty = 0
     for _ in range(8):
         machine = random_machine(rng, k=2, max_states=2)
-        found = find_order_system(machine, enumerate_all=True)
+        found = list(iter_compatible_order_systems(machine))
         assert len(found) == len(set(found))
         assert set(found) == filter_order_systems(machine)
         first = find_order_system(machine)
@@ -538,7 +541,7 @@ def test_find_order_system_none_when_diagonals_force_a_bad_pair():
         bad=[("a", "b")],
     )
     assert find_order_system(machine) is None
-    assert find_order_system(machine, enumerate_all=True) == []
+    assert list(iter_compatible_order_systems(machine)) == []
     assert filter_order_systems(machine) == set()
 
 
@@ -567,7 +570,7 @@ def test_find_order_system_budget_bounds_the_enumeration(monkeypatch):
     for _ in range(23):
         machine = random_machine(rng, k=3)
     with pytest.raises(BudgetError):
-        find_order_system(machine, budget=2000, enumerate_all=True)
+        list(iter_compatible_order_systems(machine, budget=2000))
     assert 0 < len(built) <= 2000
 
 
@@ -596,6 +599,50 @@ def test_find_order_system_on_the_unbalanced_machine():
     machine = gen_unbalanced_machine(1)
     assert find_order_system(machine, budget=25_000) == frozen
     assert verify_order_system(machine, frozen).ok
+
+
+def test_partitions_cut_a_block_with_a_bad_pair_while_it_grows():
+    # the cut listing is the full restricted-growth listing less the
+    # partitions with a bad pair inside a block, in the same order
+    rng = default_rng(31)
+    for n in range(7):
+        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+        for _ in range(6):
+            bad = rng.sample(pairs, rng.randint(0, min(len(pairs), 4)))
+            kept = [
+                blocks
+                for blocks in reference_partitions(range(n))
+                if not any(s in b and t in b for s, t in bad for b in blocks)
+            ]
+            assert list(orders_module._partitions(range(n), bad)) == kept
+
+
+def test_find_order_system_budget_bounds_stage_one():
+    # 31 states and 4 bad pairs: almost every partition puts a bad pair in
+    # one block, and a rejected partition charges no unit, so the budget
+    # bounds stage one only if such partitions are cut while they grow
+    with pytest.raises(BudgetError):
+        find_order_system(gen_alternating_machine().machine, budget=3000)
+
+
+def test_iter_compatible_order_systems_is_lazy():
+    # the machine of test_find_order_system_budget_bounds_the_enumeration,
+    # with about 194k compatible systems; a listing held in one list once
+    # reached 475 MB at 122k systems
+    rng = default_rng(2718)
+    for _ in range(23):
+        machine = random_machine(rng, k=3)
+    systems = iter_compatible_order_systems(machine)
+    tracemalloc.start()
+    try:
+        first = next(systems)
+        seen = 1 + sum(1 for _ in itertools.islice(systems, 4999))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == 5000
+    assert peak < 5_000_000
+    assert first == find_order_system(machine)
 
 
 def test_compatible_order_to_order_system():
@@ -886,7 +933,7 @@ def test_find_order_system_matches_the_reference(monkeypatch):
             everything, _ = reference_find_order_system(machine, True, cap=ALL_STEPS)
         except ReferenceCap:
             continue
-        assert find_order_system(machine, enumerate_all=True) == everything, n
+        assert list(iter_compatible_order_systems(machine)) == everything, n
         listed += 1
     assert found >= 100
     assert listed >= 200
