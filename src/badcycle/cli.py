@@ -1,10 +1,10 @@
 """Command-line frontend for batch experiments and reproduction scripts.
 
 Exit codes: 0 affirmative/success, 1 negative answer, 2 input error,
-3 budget exhausted, 4 internal error.  Every subcommand is a deterministic
-function of its input files and flags; ``--format json`` swaps the human
-report for a machine-readable object on stdout, and ``-o`` writes payload
-files in the formats documented in :mod:`badcycle.fileio`.
+3 budget exhausted, 4 internal error or a closed stdout.  Every subcommand
+is a deterministic function of its input files and flags; ``--format json``
+swaps the human report for a machine-readable object on stdout, and ``-o``
+writes payload files in the formats documented in :mod:`badcycle.fileio`.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import os
 import sys
 import traceback
 from itertools import islice
-from pathlib import Path
 
 from .balance import balanced_coloring, is_alpha_balanced
 from .corpus import goodness_corpus
 from .errors import BudgetError, InputError, PreconditionError, UnbalancedError
 from .fileio import (
+    _read_text,
     _write_json,
     load_hypergraph,
     load_machine,
@@ -71,13 +71,6 @@ from .relations import (
 from .sat import cnf_from_dimacs, order_to_assignment, sat_to_machine
 
 DEFAULT_SEED = 20251
-
-
-def _read_text(path):
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from None
 
 
 def _budget(args):
@@ -355,11 +348,7 @@ def _cmd_rel(args):
             _write_json(payload["relations"], args.output)
         return 0, payload, lines
     if op == "pq-check":
-        members = []
-        for p in args.files:
-            r = load_relation(p)
-            if r not in members:
-                members.append(r)
+        members = list(dict.fromkeys(load_relation(p) for p in args.files))
         report = is_pq_compatible(members)
         index = {r: n for n, r in enumerate(members)}
         if report.compatible:
@@ -565,7 +554,7 @@ def _emit(args, code, payload, lines):
     else:
         for line in lines:
             print(line)
-    return code
+    sys.stdout.flush()
 
 
 def main(argv=None):
@@ -575,28 +564,32 @@ def main(argv=None):
         _check_counts(args)
         code, payload, lines = args.handler(args)
     except PreconditionError as err:
-        return _emit(
-            args,
-            2,
-            {"error": str(err), "property": err.property},
-            [f"error: {err} [{err.property}]"],
-        )
+        code = 2
+        payload = {"error": str(err), "property": err.property}
+        lines = [f"error: {err} [{err.property}]"]
     except BudgetError as err:
-        payload = {"error": str(err)}
-        lines = [f"budget exhausted: {err}"]
+        code, payload, lines = 3, {"error": str(err)}, [f"budget exhausted: {err}"]
         if err.lower is not None or err.upper is not None:
             payload["lower"] = err.lower
             payload["upper"] = err.upper
             lines.append(f"bounds: lower={err.lower} upper={err.upper}")
-        return _emit(args, 3, payload, lines)
     except InputError as err:
-        return _emit(args, 2, {"error": str(err)}, [f"error: {err}"])
+        code, payload, lines = 2, {"error": str(err)}, [f"error: {err}"]
     except Exception as err:
         # a crash must not read as exit 1, "negative answer"
         traceback.print_exc()
         message = f"internal error: {type(err).__name__}: {err}"
-        return _emit(args, 4, {"error": message}, [message])
-    return _emit(args, code, payload, lines)
+        code, payload, lines = 4, {"error": message}, [message]
+    try:
+        _emit(args, code, payload, lines)
+    except BrokenPipeError:
+        # the reader is gone: send the unflushed rest to the null device so
+        # the flush at exit stays quiet, and report the run as not delivered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,13 +35,16 @@ from .orders import OrderSystem
 from .relations import Relation
 
 
-def _read_json(path):
+def _read_text(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
+
+
+def _read_json(path):
     try:
-        return json.loads(text)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from None
 

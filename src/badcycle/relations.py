@@ -109,30 +109,34 @@ def semigroup_closure(generators):
     if not gens:
         raise InputError("closure needs at least one generator")
     _require_same_ground_set(gens)
+
+    def successors(t, found):
+        yield reverse(t)
+        for u in found:
+            yield compose(t, u)
+            if u != t:
+                yield compose(u, t)
+
+    return tuple(_discover(gens, successors))
+
+
+def _discover(start, successors):
+    """Yield what ``start`` reaches, once each, in breadth-first discovery order.
+
+    ``successors(t, found)`` runs only after ``t`` is yielded, so a caller that
+    stops early skips it; ``found`` lists the items yielded so far, ``t`` last.
+    """
     found = []
-    seen = set()
-    queue = deque(gens)
+    queue = deque(dict.fromkeys(start))
+    seen = set(queue)
     while queue:
         t = queue.popleft()
-        if t in seen:
-            continue
-        seen.add(t)
         found.append(t)
-        queue.append(reverse(t))
-        for u in found:
-            queue.append(compose(t, u))
-            if u != t:
-                queue.append(compose(u, t))
-    return tuple(found)
-
-
-def _orbit(t, step):
-    """t, step(t), step(step(t)), ... up to, not including, the first repeat."""
-    seen = set()
-    while t not in seen:
-        seen.add(t)
         yield t
-        t = step(t)
+        for u in successors(t, found):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
 
 
 def _require_same_ground_set(relations):
@@ -166,10 +170,7 @@ def is_pq_compatible(relations):
     semigroup, so revisiting a value without covering the diagonal rules out
     every larger j.
     """
-    members = []
-    for r in relations:
-        if r not in members:
-            members.append(r)
+    members = list(dict.fromkeys(relations))
     if not members:
         raise InputError("compatibility check needs at least one relation")
     _require_same_ground_set(members)
@@ -190,7 +191,7 @@ def is_pq_compatible(relations):
     for a, p in enumerate(members):
         for b, q in enumerate(members):
             step = compose(q, p)
-            for j, t in enumerate(_orbit(p, lambda t: compose(t, step))):
+            for j, t in enumerate(_discover([p], lambda t, _: [compose(t, step)])):
                 if diag <= t.pairs:
                     witnesses.append((p, q, j))
                     break
@@ -259,15 +260,7 @@ def build_relation_machine(allowed, projections):
             "the diagonal relation must be allowed; otherwise the empty run "
             "at the start state would already be flagged"
         )
-    reached = []
-    queue = deque([diag])
-    while queue:
-        t = queue.popleft()
-        if t in reached:
-            continue
-        reached.append(t)
-        for rel in table.values():
-            queue.append(compose(t, rel))
+    reached = list(_discover([diag], lambda t, _: [compose(t, rel) for rel in table.values()]))
     names = {t: _relation_name(t) for t in reached}
     rows = [
         (names[t], i, j, (names[compose(t, rel)],))
@@ -291,23 +284,20 @@ def non_alternating_family(generator):
 
     Words over ``{generator, reverse(generator)}`` are flagged by the
     alternating-cycle machine only when they strictly alternate letters and
-    have odd length.  Every other word either contains a doubled letter,
-    hence factors as ``a o (g o g) o b`` or ``a o (g~ o g~) o b`` over the
-    generated monoid, or is an even alternating word ``(g o g~)^j`` or
-    ``(g~ o g)^j`` (the empty word contributes the diagonal).  The family is
-    computed word-level that way and then mapped to relation values.
+    have odd length.  Every other word either contains a doubled letter
+    ``g o g`` or ``g~ o g~``, so its value lies in the two-sided ideal those
+    two squares generate (discovered by composing a letter on either side),
+    or is an even alternating word ``(g o g~)^j`` or ``(g~ o g)^j`` (the
+    empty word contributes the diagonal).
     """
-    g = generator
-    h = reverse(g)
-    monoid = [diagonal_relation(g.n)] + list(semigroup_closure([g, h]))
-    family = set()
-    for doubled in (compose(g, g), compose(h, h)):
-        for a in monoid:
-            left = compose(a, doubled)
-            for b in monoid:
-                family.add(compose(left, b))
+    g, h = generator, reverse(generator)
+
+    def sides(t, _):
+        return [compose(a, b) for x in (g, h) for a, b in ((x, t), (t, x))]
+
+    family = set(_discover([compose(g, g), compose(h, h)], sides))
     for base in (compose(g, h), compose(h, g)):
-        family.update(_orbit(diagonal_relation(g.n), lambda t: compose(t, base)))
+        family.update(_discover([diagonal_relation(g.n)], lambda t, _: [compose(t, base)]))
     return frozenset(family)
 
 
@@ -434,18 +424,13 @@ def loop_lemma_exponent(r, k_max):
             "algebraic-length",
             "closed-walk imbalances do not generate all of the integers",
         )
-    powers = list(_orbit(r, lambda t: compose(t, r)))
+    powers = list(_discover([r], lambda t, _: [compose(t, r)]))
     tail = powers.index(compose(powers[-1], r))
     period = len(powers) - tail
-
-    def power(l):
-        if l <= len(powers):
-            return powers[l - 1]
-        return powers[tail + (l - 1 - tail) % period]
-
     full = full_relation(r.n)
     for k in range(1, k_max + 1):
-        window = {power(l) for l in range(k, max(len(powers), k + period - 1) + 1)}
+        # powers[tail:] is the cycle, so it holds every r^l with l > len(powers)
+        window = set(powers[min(k - 1, tail):])
         if all(
             relation_power(compose(a, reverse(b)), k) == full
             for a in window

@@ -4,10 +4,16 @@ Each test drives badcycle.cli.main in process and checks the exit code,
 the report text, and any payload files against the library routines.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import badcycle
 from badcycle import cli
 from badcycle.cli import main
 from badcycle.fileio import (
@@ -29,6 +35,7 @@ from badcycle.generators import (
     gen_explicit_hasse_digraph,
     gen_hasse_machine,
     gen_shift_digraph,
+    gen_unbalanced_machine,
 )
 from badcycle.goodness import validate_witness
 from badcycle.hypergraph import DirectedHypergraph
@@ -481,3 +488,50 @@ def test_missing_file_is_an_input_error(capsys):
     code, out = run(capsys, "check-good", "-m", "no.machine", "-g", "no.graph")
     assert code == 2
     assert out.startswith("error:")
+    code, out = run(capsys, "reduce-3sat", "-i", "no.cnf")
+    assert code == 2
+    assert out.startswith("error: cannot read no.cnf: ")
+
+
+def test_gen_alternating_machine_file_is_frozen(tmp_path, capsys):
+    target = tmp_path / "alt.machine"
+    code, _ = run(capsys, "gen", "alternating-machine", "-o", str(target))
+    assert code == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "9373418b938abba29f74712f5dba640376a2bd32b01730ae9b38b4e5e726b70a"
+
+
+@pytest.mark.parametrize(
+    "argv,unbuffered",
+    [
+        # about 8 KB of report: print meets the closed pipe once a block fills
+        (("find-order-system", "-m", "{machine}", "--all"), False),
+        # one line, block-buffered: only the flush meets it
+        (("decide2", "-m", "{machine}"), False),
+        # one line, unbuffered: print meets it
+        (("decide2", "-m", "{machine}"), True),
+    ],
+    ids=["long-report", "short-report", "short-report-unbuffered"],
+)
+def test_closed_stdout_pipe_exits_4_without_a_traceback(tmp_path, argv, unbuffered):
+    machine = tmp_path / "u1.machine"
+    save_machine(gen_unbalanced_machine(1), machine)
+    argv = [a.format(machine=machine) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(badcycle.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "badcycle.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 4
+    assert done.stderr == ""

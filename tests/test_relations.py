@@ -1,5 +1,6 @@
 import pytest
 
+from badcycle import relations
 from badcycle.corpus import default_rng, random_digraph
 from badcycle.errors import BudgetError, InputError, PreconditionError
 from badcycle.generators import gen_shift_digraph
@@ -32,6 +33,80 @@ SEED_CUBED = (
 SEED_CONJUGATE = (
     (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
 )
+
+# discovery orders: the closure lists generators, then reverses and
+# composites as the breadth-first walk first meets them; the machine's
+# states are the relations reachable from the diagonal in the same order
+SEED_PAIR_CLOSURE = (
+    "1-2,1-3,2-3,3-1",
+    "1-3,2-1,3-1,3-2",
+    "1-1,1-3,2-1,3-2,3-3",
+    "1-1,2-2,2-3,3-2,3-3",
+    "1-1,1-2,2-1,2-2,3-3",
+    "1-1,1-2,2-3,3-1,3-3",
+    "1-1,1-2,1-3,2-2,2-3,3-1,3-3",
+    "1-1,1-2,1-3,2-3,3-1,3-2",
+    "1-2,1-3,2-1,2-3,3-1,3-3",
+    "1-1,1-2,1-3,2-1,2-3,3-1,3-2,3-3",
+    "1-2,1-3,2-2,2-3,3-1",
+    "1-3,2-1,2-2,3-1,3-2",
+    "1-2,1-3,2-1,3-1,3-2,3-3",
+    "1-1,1-3,2-1,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,3-2,3-3",
+    "1-1,1-3,2-1,2-3,3-1,3-2",
+    "1-1,1-3,2-1,2-3,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-2,3-3",
+    "1-1,1-2,2-1,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-3,2-1,2-2,3-1,3-2,3-3",
+    "1-1,1-3,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,3-1,3-3",
+    "1-1,1-2,1-3,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,2-1,2-3,3-1,3-3",
+    "1-1,1-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-1,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-1,3-2",
+    "1-2,1-3,2-1,2-2,2-3,3-1,3-2,3-3",
+)
+
+ALTERNATING_MACHINE_STATES = (
+    "1-1,2-2,3-3",
+    "1-2,1-3,2-3,3-1",
+    "1-3,2-1,3-1,3-2",
+    "1-1,1-3,2-1,3-2,3-3",
+    "1-1,1-2,2-1,2-2,3-3",
+    "1-1,2-2,2-3,3-2,3-3",
+    "1-1,1-2,2-3,3-1,3-3",
+    "1-1,1-2,1-3,2-2,2-3,3-1,3-3",
+    "1-1,1-2,1-3,2-3,3-1,3-2",
+    "1-2,1-3,2-2,2-3,3-1",
+    "1-1,1-3,2-1,2-3,3-1,3-2",
+    "1-2,1-3,2-1,2-3,3-1,3-3",
+    "1-3,2-1,2-2,3-1,3-2",
+    "1-2,1-3,2-1,3-1,3-2,3-3",
+    "1-1,1-3,2-1,2-2,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,3-1,3-3",
+    "1-1,1-3,2-1,2-3,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-1,3-3",
+    "1-1,1-3,2-1,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,2-1,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,2-1,2-3,3-1,3-3",
+    "1-1,1-3,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-1,3-2,3-3",
+    "1-1,1-2,1-3,2-1,2-2,2-3,3-1,3-2",
+    "1-2,1-3,2-1,2-2,2-3,3-1,3-2,3-3",
+)
+
+
+def named(relation):
+    return ",".join(f"{a}-{b}" for a, b in relation.pair_list())
 
 
 def random_relation(rng, n):
@@ -139,6 +214,7 @@ def test_closure_of_seed_pair():
     clo = semigroup_closure([SEED, reverse(SEED)])
     assert len(clo) == 30
     assert clo[0] == SEED and clo[1] == reverse(SEED)
+    assert tuple(named(t) for t in clo) == SEED_PAIR_CLOSURE
     assert all(t.is_subdirect for t in clo)
     assert Relation(3, SEED_CUBED) in clo
     assert diagonal_relation(3) not in clo
@@ -225,6 +301,7 @@ def test_alternating_machine_shape():
     assert len(rm.machine.states) == 31
     assert rm.diagonal == "1-1,2-2,3-3"
     assert rm.machine.states[0] == rm.diagonal
+    assert rm.machine.states == ALTERNATING_MACHINE_STATES
     assert len(rm.machine.bad) == 4
     assert all(a == rm.diagonal for a, _ in rm.machine.bad)
     assert rm.relations[rm.diagonal] == diagonal_relation(3)
@@ -382,3 +459,107 @@ def test_loop_exponent_preconditions():
     assert err.value.property == "weakly-connected"
     with pytest.raises(InputError, match="at least 1"):
         loop_lemma_exponent(SEED, 0)
+
+
+# -- references: the earlier constructions, transcribed ---------------------
+
+
+def reference_orbit(t, step):
+    seen = []
+    while t not in seen:
+        seen.append(t)
+        t = step(t)
+    return seen
+
+
+def reference_non_alternating_family(generator):
+    # every a o (x o x) o b with a, b over the generated monoid, then the
+    # even alternating words (g o g~)^j and (g~ o g)^j
+    g = generator
+    h = reverse(g)
+    monoid = [diagonal_relation(g.n)] + list(semigroup_closure([g, h]))
+    family = set()
+    for doubled in (compose(g, g), compose(h, h)):
+        for a in monoid:
+            left = compose(a, doubled)
+            for b in monoid:
+                family.add(compose(left, b))
+    for base in (compose(g, h), compose(h, g)):
+        family.update(reference_orbit(diagonal_relation(g.n), lambda t: compose(t, base)))
+    return frozenset(family)
+
+
+def reference_loop_lemma_exponent(r, k_max):
+    # the window {r^l : l >= k} read through a modular power() index
+    if k_max < 1:
+        raise InputError("the exponent window must be at least 1")
+    if not r.is_subdirect:
+        raise PreconditionError("smooth", "some element has no successor or no predecessor")
+    connected, imbalance = relations._label_potentials(r)
+    if not connected:
+        raise PreconditionError("weakly-connected", "not weakly connected")
+    if imbalance != 1:
+        raise PreconditionError("algebraic-length", "imbalances miss 1")
+    powers = reference_orbit(r, lambda t: compose(t, r))
+    tail = powers.index(compose(powers[-1], r))
+    period = len(powers) - tail
+
+    def power(l):
+        if l <= len(powers):
+            return powers[l - 1]
+        return powers[tail + (l - 1 - tail) % period]
+
+    full = full_relation(r.n)
+    for k in range(1, k_max + 1):
+        window = {power(l) for l in range(k, max(len(powers), k + period - 1) + 1)}
+        if all(
+            relation_power(compose(a, reverse(b)), k) == full
+            for a in window
+            for b in window
+        ):
+            return relations.LoopLemmaResult(k, k_max, tail + 1, period)
+    return relations.LoopLemmaResult(None, k_max, tail + 1, period)
+
+
+def loop_outcome(compute, r, k_max):
+    try:
+        return compute(r, k_max)
+    except PreconditionError as err:
+        return err.property
+    except InputError:
+        return "input"
+
+
+# idempotent (r o r = r), so the power orbit has length 1, yet the least
+# exponent is 2: the window must reach past the orbit's end
+IDEMPOTENT_LATE = (
+    Relation(3, [(1, 1), (2, 1), (2, 2), (2, 3), (3, 3)]),
+    Relation(3, [(1, 1), (2, 2), (3, 1), (3, 2), (3, 3)]),
+)
+
+
+def test_non_alternating_family_matches_the_monoid_reference():
+    rng = default_rng(816)
+    draws = [SEED, reverse(SEED)] + [
+        random_relation(rng, rng.randint(1, 4)) for _ in range(60)
+    ]
+    for r in draws:
+        assert non_alternating_family(r) == reference_non_alternating_family(r)
+
+
+def test_loop_exponent_matches_the_modular_window_reference():
+    for r in IDEMPOTENT_LATE:
+        assert compose(r, r) == r
+        assert loop_lemma_exponent(r, 3) == relations.LoopLemmaResult(2, 3, 1, 1)
+    rng = default_rng(817)
+    draws = [SEED, reverse(SEED), *IDEMPOTENT_LATE] + [
+        random_subdirect(rng, rng.randint(1, 4)) for _ in range(300)
+    ] + [random_relation(rng, rng.randint(1, 4)) for _ in range(60)]
+    exponents = set()
+    for r in draws:
+        for k_max in (0, 1, 2, 3, 6):
+            got = loop_outcome(loop_lemma_exponent, r, k_max)
+            assert got == loop_outcome(reference_loop_lemma_exponent, r, k_max)
+            exponents.add(getattr(got, "exponent", got))
+    outcomes = {None, 1, 2, 3, "smooth", "weakly-connected", "algebraic-length", "input"}
+    assert outcomes <= exponents
