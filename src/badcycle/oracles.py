@@ -2,8 +2,9 @@
 
 Goodness reduces to reachability in the product digraph, and 2-balance
 to goodness for the counter machines.  The routines here answer the
-definitions without those reductions, so the test suite and ``badcycle
-oracle`` compare the fast deciders against them in one way.
+definitions without those reductions: the brute-force sweep walks every
+anchored cycle, carrying the state runs along it, so the test suite and
+``badcycle oracle`` compare the fast deciders against them in one way.
 """
 from __future__ import annotations
 
@@ -45,49 +46,51 @@ def _accepting_run(machine, cycle):
     return None
 
 
-def _anchored_cycles(graph, base, length):
-    # every cycle of exactly this length based at this vertex, in
-    # (edge index, coordinate) step order; unlike enumerate_cycles this
-    # does not identify rotations, because a rotation of a bad cycle
-    # need not be bad (the state run is read from the base)
+def _bad_cycle(graph, machine, base, length):
+    # first cycle of this length at base with a bad run, depth first in
+    # (edge index, coordinate) order; rotations are not identified, as the
+    # run is read from the base.  A prefix carries the (start, current)
+    # state pairs of its runs; a step that leaves none is not taken.
     steps = []
 
-    def walk(at, remaining):
+    def walk(at, runs, remaining):
         if remaining == 0:
-            if at == base:
-                yield HyperCycle(graph, base, list(steps))
-            return
+            return at == base and not machine.bad.isdisjoint(runs)
         for edge_index in graph.incident_edges(at):
             edge = graph.edges[edge_index]
-            for nxt in edge:
+            i = edge.index(at) + 1
+            for j, nxt in enumerate(edge, 1):
+                after = {(s0, t) for s0, s in runs for t in machine.targets(s, i, j)}
                 steps.append((edge_index, nxt))
-                yield from walk(nxt, remaining - 1)
+                if after and walk(nxt, after, remaining - 1):
+                    return True
                 steps.pop()
+        return False
 
-    yield from walk(base, int(length))
+    if walk(base, {(s, s) for s in machine.states}, length):
+        return HyperCycle(graph, base, steps)
+    return None
 
 
 def brute_force_is_good(graph, machine, max_len):
-    """Oracle: enumerate anchored cycles up to max_len and all state runs.
+    """Oracle: search the anchored cycles up to max_len for a bad state run.
 
-    A shortest bad product walk never revisits a product vertex except at
+    Cycles go by length (from 1 for a cycling machine), base and step
+    order; only the first bad one is built, and its state run replayed.  A
+    shortest bad product walk never revisits a product vertex except at
     its endpoints, so max_len >= |V| * |S| makes a clean sweep conclusive;
-    below that threshold a clean sweep raises BudgetError instead of
-    claiming goodness.
+    below that a clean sweep raises BudgetError instead of claiming goodness.
     """
     _require_same_k(graph, machine)
     semantics = _semantics(machine)
     require_valid(machine, semantics)
     max_len = int(max_len)
-    for length in range(max_len + 1):
-        if semantics == "cycling" and length == 0:
-            continue
+    for length in range(1 if semantics == "cycling" else 0, max_len + 1):
         for base in graph.vertices:
-            for cycle in _anchored_cycles(graph, base, length):
+            cycle = _bad_cycle(graph, machine, base, length)
+            if cycle is not None:
                 run = _accepting_run(machine, cycle)
-                if run is not None:
-                    witness = BadCycleWitness(cycle, run, (run[0], run[-1]))
-                    return GoodnessVerdict(False, witness)
+                return GoodnessVerdict(False, BadCycleWitness(cycle, run, (run[0], run[-1])))
     if max_len >= len(graph.vertices) * len(machine.states):
         return GoodnessVerdict(True)
     raise BudgetError(
@@ -171,9 +174,5 @@ def check_two_balanced_equivalence(graph, n_max=None):
         n_max = 2 * len(graph.edges) + 2
     n_max = int(n_max)
     balanced = is_alpha_balanced(graph, 2).balanced
-    good_all = True
-    for n in range(1, n_max + 1):
-        if not is_good(graph, gen_counter_machine(n)).good:
-            good_all = False
-            break
+    good_all = all(is_good(graph, gen_counter_machine(n)).good for n in range(1, n_max + 1))
     return balanced == good_all

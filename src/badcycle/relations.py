@@ -260,17 +260,18 @@ def build_relation_machine(allowed, projections):
             "the diagonal relation must be allowed; otherwise the empty run "
             "at the start state would already be flagged"
         )
-    reached = list(_discover([diag], lambda t, _: [compose(t, rel) for rel in table.values()]))
-    names = {t: _relation_name(t) for t in reached}
-    rows = [
-        (names[t], i, j, (names[compose(t, rel)],))
-        for t in reached
-        for (i, j), rel in sorted(table.items())
-    ]
-    bad = [(names[diag], names[t]) for t in reached if t not in allowed_set]
-    machine = Machine(k, [names[t] for t in reached], rows, bad)
+    step = {}  # each state's successors by (i, j), composed once, in discovery order
+
+    def expand(t, _):
+        step[t] = {ij: compose(t, rel) for ij, rel in table.items()}
+        return step[t].values()
+
+    names = {t: _relation_name(t) for t in _discover([diag], expand)}
+    rows = [(names[t], i, j, (names[step[t][i, j]],)) for t in names for i, j in sorted(table)]
+    bad = [(names[diag], names[t]) for t in names if t not in allowed_set]
+    machine = Machine(k, list(names.values()), rows, bad)
     require_valid(machine, "general")
-    return RelationMachine(machine, {names[t]: t for t in reached}, names[diag])
+    return RelationMachine(machine, {name: t for t, name in names.items()}, names[diag])
 
 
 def gen_alternating_relation():

@@ -1,12 +1,15 @@
 import heapq
+from itertools import chain
 
 import pytest
 
+from badcycle import digraph, goodness, oracles
 from badcycle.corpus import default_rng, goodness_corpus, random_cycling_machine, random_hypergraph, random_machine
 from badcycle.errors import BudgetError, InputError, NotGoodError
 from badcycle.generators import gen_shift_digraph
 from badcycle.goodness import (
     BadCycleWitness,
+    GoodnessVerdict,
     build_auxiliary,
     induced_order_system_coloring,
     is_good,
@@ -14,7 +17,7 @@ from badcycle.goodness import (
 )
 from badcycle.hypergraph import DirectedHypergraph, HyperCycle, chromatic_number_exact, is_proper_coloring, path_digraph
 from badcycle.machine import Machine
-from badcycle.oracles import brute_force_is_good, cross_check_goodness
+from badcycle.oracles import brute_force_is_good, cross_check_goodness, sweep_cap
 from badcycle.orders import OrderSystem, count_order_systems, find_compatible_order, find_order_system
 from badcycle.relations import gen_alternating_machine
 
@@ -581,3 +584,183 @@ def test_is_good_matches_the_tuple_product_reference():
             bad += 1
     assert good >= 100
     assert bad >= 100
+
+
+def reference_anchored_cycles(graph, base, length):
+    # every anchored cycle of this length at base, as its steps and their
+    # position pairs, in (edge index, coordinate) step order
+    steps, traces = [], []
+
+    def walk(at, remaining):
+        if remaining == 0:
+            if at == base:
+                yield steps, traces
+            return
+        for edge_index in graph.incident_edges(at):
+            edge = graph.edges[edge_index]
+            for j, nxt in enumerate(edge, 1):
+                steps.append((edge_index, nxt))
+                traces.append((edge.index(at) + 1, j))
+                yield from walk(nxt, remaining - 1)
+                steps.pop()
+                traces.pop()
+
+    yield from walk(base, length)
+
+
+def reference_accepting_run(machine, traces):
+    # each start state's reachable layers replayed from scratch (an empty
+    # layer stays empty, so it ends the replay), then the first accepting
+    # state walked back through each layer's first state
+    states, targets = machine.states, machine.targets
+    for s0 in states:
+        layers = [{s0}]
+        for i, j in traces:
+            layers.append({t for s in layers[-1] for t in targets(s, i, j)})
+            if not layers[-1]:
+                break
+        final = [t for t in states if t in layers[-1] and (s0, t) in machine.bad]
+        if not final:
+            continue
+        seq = final[:1]
+        for m in reversed(range(len(traces))):
+            i, j = traces[m]
+            seq.append(next(s for s in states if s in layers[m] and seq[-1] in targets(s, i, j)))
+        return tuple(reversed(seq))
+    return None
+
+
+def reference_brute_force_is_good(graph, machine, max_len):
+    # the sweep before runs were carried: every anchored cycle enumerated
+    # and every start state's run replayed on it, by length, base, then
+    # step order; same threshold and message as brute_force_is_good
+    for length in range(max_len + 1):
+        if machine.is_cycling and length == 0:
+            continue
+        for base in graph.vertices:
+            for steps, traces in reference_anchored_cycles(graph, base, length):
+                run = reference_accepting_run(machine, traces)
+                if run is not None:
+                    witness = BadCycleWitness(HyperCycle(graph, base, steps), run, (run[0], run[-1]))
+                    return GoodnessVerdict(False, witness)
+    need = len(graph.vertices) * len(machine.states)
+    if max_len >= need:
+        return GoodnessVerdict(True)
+    raise BudgetError(f"cycle length budget {max_len} cannot certify goodness (needs {need})")
+
+
+def sweep_outcome(oracle, graph, machine, max_len):
+    # verdict with the witness's fields, or the BudgetError message
+    try:
+        verdict = oracle(graph, machine, max_len)
+    except BudgetError as exc:
+        return str(exc)
+    if verdict.good:
+        return True
+    w = verdict.witness
+    return w.cycle.vertex_seq, w.cycle.edge_indices, w.states, w.bad_pair
+
+
+def criterion_08_pairs():
+    # the instances of test_acceptance's criterion 08
+    rng = default_rng(90801)
+    for trial in range(300):
+        k = 2 if trial % 2 else 3
+        graph = random_hypergraph(rng, k=k, max_vertices=5, max_edges=5)
+        if trial % 3 == 0:
+            machine = random_cycling_machine(rng, k=k, max_states=3)
+        else:
+            machine = random_machine(rng, k=k, max_states=3)
+        yield graph, machine
+
+
+def test_brute_force_matches_the_replaying_reference():
+    # every max_len up to the cap; the reference sweeps the lengths in
+    # order, so its answer at the cap fixes every shorter one: a bad cycle
+    # of length m answers each max_len >= m, and each max_len below m
+    # sweeps clean
+    sweeps = bad = 0
+    for graph, machine in chain(goodness_corpus(4207, 140), criterion_08_pairs()):
+        need = len(graph.vertices) * len(machine.states)
+        cap = sweep_cap(graph, need)
+        top = sweep_outcome(reference_brute_force_is_good, graph, machine, cap)
+        found = len(top[0]) - 1 if isinstance(top, tuple) else cap + 1
+        for max_len in range(cap + 1):
+            if max_len >= found:
+                expected = top
+            elif max_len >= need:
+                expected = True
+            else:
+                expected = f"cycle length budget {max_len} cannot certify goodness (needs {need})"
+            assert sweep_outcome(brute_force_is_good, graph, machine, max_len) == expected
+            sweeps += 1
+        bad += found <= cap
+    assert sweeps == 2593
+    assert bad == 199
+
+
+def test_brute_force_matches_the_reference_on_edge_cases():
+    # a general machine sweeps length 0 (no valid one is bad there), a
+    # cycling one skips it; edgeless and vertexless graphs and a machine
+    # with no bad pair sweep clean
+    general = Machine(2, ["s", "t"], [("s", 1, 2, ["t"]), ("t", 2, 1, ["s"])], bad=[("s", "t")])
+    cycling = Machine(2, ["s"], [("s", 1, 2, ["s"])], bad=[("s", "s")])
+    no_bad = Machine(2, ["s"], [("s", 1, 2, ["s"]), ("s", 2, 1, ["s"])], bad=[])
+    tri = triangle([("1", "2"), ("2", "3"), ("3", "1")])
+    edgeless = DirectedHypergraph(2, ["a", "b"], [])
+    empty = DirectedHypergraph(2, [], [])
+    for graph in (tri, path_digraph(2), edgeless, empty):
+        for machine in (general, cycling, no_bad, hasse_machine()):
+            for max_len in range(8):
+                expected = sweep_outcome(reference_brute_force_is_good, graph, machine, max_len)
+                assert sweep_outcome(brute_force_is_good, graph, machine, max_len) == expected
+    budget = "cycle length budget 0 cannot certify goodness (needs {})"
+    assert sweep_outcome(brute_force_is_good, tri, general, 0) == budget.format(6)
+    assert sweep_outcome(brute_force_is_good, tri, cycling, 0) == budget.format(3)
+    assert sweep_outcome(brute_force_is_good, tri, cycling, 3)[2] == ("s", "s", "s", "s")
+    assert sweep_outcome(brute_force_is_good, edgeless, general, 4) is True
+    assert sweep_outcome(brute_force_is_good, empty, cycling, 0) is True
+    assert sweep_outcome(brute_force_is_good, tri, no_bad, 3) is True
+
+
+def test_brute_force_builds_only_the_returned_cycle(monkeypatch):
+    built = []
+
+    class CountedCycle(HyperCycle):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracles, "HyperCycle", CountedCycle)
+    bad = 0
+    for graph, machine in goodness_corpus(4207, 40):
+        built.clear()
+        cap = sweep_cap(graph, len(graph.vertices) * len(machine.states))
+        verdict = sweep_outcome(brute_force_is_good, graph, machine, cap)
+        assert len(built) == isinstance(verdict, tuple)
+        bad += len(built)
+    assert bad == 20
+
+
+def test_brute_force_needs_neither_the_product_nor_the_graph_searches(monkeypatch):
+    # the oracle checks the decider, so it must answer with the decider's
+    # product and searches all refusing to run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force oracle ran a decider routine")
+
+    for module, name in [
+        (goodness, "_product"),
+        (goodness, "tarjan"),
+        (goodness, "bfs"),
+        (digraph, "tarjan"),
+        (digraph, "bfs"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    test_brute_force_agrees_on_the_frozen_examples()
+    bad = 0
+    for graph, machine in goodness_corpus(4207, 140):
+        cap = sweep_cap(graph, len(graph.vertices) * len(machine.states))
+        bad += isinstance(sweep_outcome(brute_force_is_good, graph, machine, cap), tuple)
+    assert bad >= 25
+    with pytest.raises(AssertionError):
+        is_good(path_digraph(1), hasse_machine())

@@ -317,6 +317,21 @@ def test_alternating_machine_shape():
     assert flagged == {n for n, rel in rm.relations.items() if rel not in fam}
 
 
+def test_relation_machine_composes_each_step_once(monkeypatch):
+    # each (state, projection) pair is composed once, in the state walk;
+    # the rows read what the walk composed
+    pairs = []
+
+    def counted(r, s):
+        pairs.append((r, s))
+        return compose(r, s)
+
+    monkeypatch.setattr(relations, "compose", counted)
+    rm = gen_alternating_machine()
+    assert len(pairs) <= 166
+    assert rm.machine.states == ALTERNATING_MACHINE_STATES
+
+
 def test_build_relation_machine_constant_diagonal():
     d = diagonal_relation(2)
     rm = build_relation_machine([d], {(1, 2): d, (2, 1): d})
