@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import InputError
 from .hypergraph import DirectedHypergraph
@@ -148,10 +149,6 @@ def unbalanced_machine_order_system(k):
     return OrderSystem(classes, pairs)
 
 
-def _subset_name(elems):
-    return "-".join(str(x) for x in sorted(elems))
-
-
 def gen_explicit_hasse_digraph(n):
     """Cover digraph of 2-subsets of [2^n] compared by max against min.
 
@@ -172,13 +169,21 @@ def gen_explicit_hasse_digraph(n):
     return gen_shift_digraph(2**n)
 
 
+def _subset_names(m, size):
+    """Each size-subset of [m], as an ascending tuple, mapped to its name."""
+    return {c: "-".join(map(str, c)) for c in combinations(range(1, m + 1), size)}
+
+
 def gen_cycling_construction(machine, order, m):
     """Hypergraph on |S|-subsets of [m] realizing a compatible order.
 
     Every (k * |S|)-subset of [m] contributes one edge: its elements are
     handed out, smallest first, to the (state, position) pairs in order,
     and coordinate i of the edge is the block of elements landing in
-    position i.  Good whenever the order verifies compatible.
+    position i.  Good whenever the order verifies compatible.  Vertex names
+    come from one table of the |S|-subsets: a window is ascending, so each
+    block is read through fixed slots and named by one lookup, and the
+    edges hold the vertex name objects themselves.
     """
     result = verify_compatible_order(machine, order)
     if not result.ok:
@@ -190,19 +195,20 @@ def gen_cycling_construction(machine, order, m):
     span = machine.k * size
     if m < span:
         raise InputError(f"need m >= {span} to fit an edge")
-    listed = [(s, int(i)) for s, i in order]
-    vertices = [_subset_name(c) for c in combinations(range(1, m + 1), size)]
-    edges = []
-    for window in combinations(range(1, m + 1), span):
-        blocks = {i: [] for i in machine.positions}
-        for element, (_, position) in zip(window, listed):
-            blocks[position].append(element)
-        edges.append(tuple(_subset_name(blocks[i]) for i in machine.positions))
-    return DirectedHypergraph(machine.k, vertices, edges)
-
-
-def _proper_subset(x, y):
-    return x < y
+    names = _subset_names(m, size)
+    name = names.__getitem__
+    blocks = []
+    for i in machine.positions:
+        slots = [n for n, (_, p) in enumerate(order) if int(p) == i]
+        if size == 1:
+            # itemgetter(n) alone reads a bare element; a slice reads a 1-tuple
+            slots = [slice(slots[0], slots[0] + 1)]
+        blocks.append(itemgetter(*slots))
+    edges = [
+        tuple([name(block(window)) for block in blocks])
+        for window in combinations(range(1, m + 1), span)
+    ]
+    return DirectedHypergraph(machine.k, names.values(), edges)
 
 
 def gen_incomparable_pairs_digraph(m):
@@ -215,26 +221,22 @@ def gen_incomparable_pairs_digraph(m):
     m = int(m)
     if not 2 <= m <= 4:
         raise InputError("supported range is 2 <= m <= 4")
-    ground = range(1, m + 1)
-    subsets = []
+    subsets = {}
     for size in range(m + 1):
-        subsets.extend(frozenset(c) for c in combinations(ground, size))
-    pairs = [
-        (x, y)
+        subsets.update((frozenset(c), x) for c, x in _subset_names(m, size).items())
+    pairs = {
+        (x, y): f"{subsets[x]}|{subsets[y]}"
         for x in subsets
         for y in subsets
         if not (x <= y or y <= x)
+    }
+    edges = [
+        (pairs[a, b], pairs[b2, c])
+        for a, b in pairs
+        for b2, c in pairs
+        if b == b2 and a < c
     ]
-
-    def name(pair):
-        return f"{_subset_name(pair[0])}|{_subset_name(pair[1])}"
-
-    edges = []
-    for a, b in pairs:
-        for b2, c in pairs:
-            if b == b2 and _proper_subset(a, c):
-                edges.append((name((a, b)), name((b2, c))))
-    return DirectedHypergraph(2, [name(p) for p in pairs], edges)
+    return DirectedHypergraph(2, pairs.values(), edges)
 
 
 def gen_shift_digraph(m):
@@ -243,11 +245,8 @@ def gen_shift_digraph(m):
     m = int(m)
     if m < 2:
         raise InputError("needs m >= 2")
-    vertices = [(a, b) for a, b in combinations(range(1, m + 1), 2)]
+    names = _subset_names(m, 2)
     edges = [
-        (f"{a}-{b}", f"{b}-{c}")
-        for a, b in vertices
-        for b2, c in vertices
-        if b == b2
+        (names[a, b], names[b, c]) for a, b in names for c in range(b + 1, m + 1)
     ]
-    return DirectedHypergraph(2, [f"{a}-{b}" for a, b in vertices], edges)
+    return DirectedHypergraph(2, names.values(), edges)

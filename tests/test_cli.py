@@ -48,6 +48,7 @@ from badcycle.relations import (
     reverse,
 )
 from badcycle.sat import cnf_from_dimacs, cnf_to_dimacs, CnfInstance
+from test_generators import reference_cycling_construction, reference_shift_digraph
 
 
 def run(capsys, *argv):
@@ -309,6 +310,43 @@ def test_gen_missing_parameter(tmp_path, capsys):
     code, out = run(capsys, "gen", "shift", "-o", str(tmp_path / "x"))
     assert code == 2
     assert "needs --m" in out
+
+
+@pytest.mark.parametrize(
+    "argv, reference",
+    [
+        (
+            ("cycling-construction", "--n", "2", "--m", "8"),
+            lambda: reference_cycling_construction(
+                gen_counter_machine(2), counter_machine_order(2), 8
+            ),
+        ),
+        (("shift", "--m", "9"), lambda: reference_shift_digraph(9)),
+    ],
+    ids=["cycling-construction", "shift"],
+)
+def test_gen_graph_files_match_reference_bytes(tmp_path, capsys, argv, reference):
+    target = tmp_path / "out.json"
+    expected = tmp_path / "reference.json"
+    code, _ = run(capsys, "gen", *argv, "-o", str(target))
+    assert code == 0
+    save_hypergraph(reference(), expected)
+    assert target.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "2", "--m", "5"), "error: need m >= 6 to fit an edge"),
+        (("--n", "-1", "--m", "8"), "error: the counter needs n >= 0"),
+    ],
+)
+def test_gen_cycling_construction_rejects_out_of_range(tmp_path, capsys, argv, message):
+    target = tmp_path / "out.json"
+    code, out = run(capsys, "gen", "cycling-construction", *argv, "-o", str(target))
+    assert code == 2
+    assert out.strip() == message
+    assert not target.exists()
 
 
 def test_reduce_3sat_decides_both_ways(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from badcycle.corpus import default_rng, random_cycling_machine
 from badcycle.errors import InputError
 from badcycle.generators import (
     counter_machine_order,
@@ -25,6 +26,7 @@ from badcycle.machine import Machine, validate_machine
 from badcycle.orders import (
     OrderSystem,
     decide_cycling_2machine,
+    find_compatible_order,
     find_order_system,
     induced_on_position,
     iter_compatible_order_systems,
@@ -296,6 +298,104 @@ def test_cycling_construction_rejects():
         gen_cycling_construction(
             gen_example3_machine(), COUNTER2_ORDER, 8
         )
+
+
+# The generators as they were before the subset-table rewrite, kept
+# verbatim as references: the rewrite must list the same vertices and
+# edges in the same order.
+
+
+def _subset_name(elems):
+    return "-".join(str(x) for x in sorted(elems))
+
+
+def reference_cycling_construction(machine, order, m):
+    result = verify_compatible_order(machine, order)
+    if not result.ok:
+        raise InputError(
+            "the order is not compatible with the machine: " + result.violations[0]
+        )
+    m = int(m)
+    size = len(machine.states)
+    span = machine.k * size
+    if m < span:
+        raise InputError(f"need m >= {span} to fit an edge")
+    listed = [(s, int(i)) for s, i in order]
+    vertices = [_subset_name(c) for c in itertools.combinations(range(1, m + 1), size)]
+    edges = []
+    for window in itertools.combinations(range(1, m + 1), span):
+        blocks = {i: [] for i in machine.positions}
+        for element, (_, position) in zip(window, listed):
+            blocks[position].append(element)
+        edges.append(tuple(_subset_name(blocks[i]) for i in machine.positions))
+    return DirectedHypergraph(machine.k, vertices, edges)
+
+
+def reference_shift_digraph(m):
+    m = int(m)
+    if m < 2:
+        raise InputError("needs m >= 2")
+    vertices = [(a, b) for a, b in itertools.combinations(range(1, m + 1), 2)]
+    edges = [
+        (f"{a}-{b}", f"{b}-{c}")
+        for a, b in vertices
+        for b2, c in vertices
+        if b == b2
+    ]
+    return DirectedHypergraph(2, [f"{a}-{b}" for a, b in vertices], edges)
+
+
+def assert_matches_reference(graph, reference):
+    assert graph.k == reference.k
+    assert graph.vertices == reference.vertices
+    assert graph.edges == reference.edges
+    # every edge coordinate is the vertex's own name object, not a copy
+    coordinates = itertools.chain.from_iterable(graph.edges)
+    assert all(
+        v is graph.vertices[n] for v, n in zip(coordinates, graph.members)
+    )
+
+
+def _construction_cases():
+    for n in range(4):
+        machine = gen_counter_machine(n)
+        span = 2 * (n + 1)
+        for m in range(span, span + 4):
+            yield machine, counter_machine_order(n), m
+    for m in range(2, 6):
+        yield one_state_cycler(), (("s", 1), ("s", 2)), m
+
+
+@pytest.mark.parametrize("machine, order, m", list(_construction_cases()))
+def test_cycling_construction_matches_reference(machine, order, m):
+    assert_matches_reference(
+        gen_cycling_construction(machine, order, m),
+        reference_cycling_construction(machine, order, m),
+    )
+
+
+@pytest.mark.parametrize("k, seed", [(2, 2024), (3, 2025)])
+def test_cycling_construction_matches_reference_on_found_orders(k, seed):
+    rng = default_rng(seed)
+    sizes = []
+    for _ in range(200):
+        machine = random_cycling_machine(rng, k=k, max_states=3, density=0.2)
+        order = find_compatible_order(machine)
+        if order is None:
+            continue
+        span = k * len(machine.states)
+        for m in (span, span + 2):
+            assert_matches_reference(
+                gen_cycling_construction(machine, order, m),
+                reference_cycling_construction(machine, order, m),
+            )
+        sizes.append(len(machine.states))
+    assert len(sizes) >= 50 and set(sizes) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+def test_shift_digraph_matches_reference(m):
+    assert_matches_reference(gen_shift_digraph(m), reference_shift_digraph(m))
 
 
 def test_incomparable_pairs_m2():
