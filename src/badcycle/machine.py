@@ -142,47 +142,49 @@ def validate_machine(machine, semantics, expect_deterministic=False):
     """
     if semantics not in SEMANTICS:
         raise InputError(f"unknown semantics {semantics!r}")
+    # (sort key, message) in listing order; only the problems get sorted:
+    # rows by (str(source), i, j), pairs and states by name, ties as listed
     problems = []
     if machine.k < 2:
-        problems.append(f"uniformity k must be at least 2, got {machine.k}")
+        problems.append(((0,), f"uniformity k must be at least 2, got {machine.k}"))
     known = set(machine.states)
-    for (s, i, j), targets in sorted(
-        machine._table.items(), key=lambda kv: (str(kv[0][0]), kv[0][1], kv[0][2])
-    ):
+    for n, ((s, i, j), targets) in enumerate(machine._table.items()):
         if s not in known:
-            problems.append(f"transition source {s!r} is not a declared state")
+            message = f"transition source {s!r} is not a declared state"
+            problems.append(((1, str(s), i, j, n, 0), message))
         for pos, name in ((i, "i"), (j, "j")):
             if not 1 <= pos <= machine.k:
-                problems.append(
-                    f"transition position {name}={pos} out of range for ({s!r},{i},{j})"
-                )
-        for t in sorted(targets, key=str):
+                message = f"transition position {name}={pos} out of range for ({s!r},{i},{j})"
+                problems.append(((1, str(s), i, j, n, 0), message))
+        for t in targets:
             if t not in known:
-                problems.append(f"transition target {t!r} is not a declared state")
-        if expect_deterministic:
-            if len(targets) > 1:
-                problems.append(
-                    f"nondeterministic value of size {len(targets)} at ({s!r},{i},{j}) "
-                    "in deterministic machine"
-                )
-            if i == j:
-                problems.append(
-                    f"diagonal position pair ({i},{j}) in deterministic machine"
-                )
-    for a, b in sorted(machine.bad, key=lambda p: (str(p[0]), str(p[1]))):
+                message = f"transition target {t!r} is not a declared state"
+                problems.append(((1, str(s), i, j, n, 1, str(t)), message))
+        if expect_deterministic and len(targets) > 1:
+            message = (
+                f"nondeterministic value of size {len(targets)} at ({s!r},{i},{j}) "
+                "in deterministic machine"
+            )
+            problems.append(((1, str(s), i, j, n, 2), message))
+        if expect_deterministic and i == j:
+            message = f"diagonal position pair ({i},{j}) in deterministic machine"
+            problems.append(((1, str(s), i, j, n, 2), message))
+    for a, b in machine.bad:
         for x in (a, b):
             if x not in known:
-                problems.append(f"bad pair references unknown state {x!r}")
+                problems.append(((2, str(a), str(b)), f"bad pair references unknown state {x!r}"))
     diagonal = frozenset((s, s) for s in machine.states)
     if semantics == "cycling" and machine.bad != diagonal:
-        problems.append("cycling semantics requires the bad set to equal the diagonal")
+        problems.append(((3,), "cycling semantics requires the bad set to equal the diagonal"))
     if semantics == "general":
-        for s in sorted(machine.states, key=str):
+        for s in machine.states:
             if (s, s) in machine.bad:
-                problems.append(f"diagonal bad pair ({s!r},{s!r}) under general semantics")
+                message = f"diagonal bad pair ({s!r},{s!r}) under general semantics"
+                problems.append(((4, str(s)), message))
+    problems.sort(key=lambda problem: problem[0])
     return ValidationReport(
         semantics=semantics,
-        violations=tuple(problems),
+        violations=tuple(message for _, message in problems),
         deterministic=machine.is_deterministic,
         cycling=machine.is_cycling,
     )

@@ -223,9 +223,12 @@ def verify_compatible_order(machine, order):
         raise InputError("order is not a total order on the state-position pairs")
     pos = {x: n for n, x in enumerate(listed)}
     violations = []
-    first = [s for s, i in listed if i == 1]
+    restrictions = {i: [] for i in machine.positions}
+    for s, i in listed:
+        restrictions[i].append(s)
+    first = restrictions[1]
     for copy in machine.positions[1:]:
-        restriction = [s for s, i in listed if i == copy]
+        restriction = restrictions[copy]
         if restriction != first:
             violations.append(
                 f"restriction to position {copy} orders the states {restriction}"
@@ -255,10 +258,16 @@ def find_compatible_order(machine, budget=None):
     on it, so along a branch the reach sets only grow, and a prefix is
     abandoned when an atom reaches itself.
 
+    A subtree depends only on the placed states and the reach sets; the
+    prefix's order fixes only a leaf's interleaving.  So a failed prefix
+    is remembered by (placed-state bitmask, reach), not by the unplaced
+    atoms, which miss the states no atom leaves, and fails at once when
+    its key recurs.  Only failures are kept, so the answer is unchanged.
+
     Returns the first order in canonical enumeration order (states tried
     in declaration order, position chains interleaved lowest position
     first) or None when the space is exhausted.  The budget counts prefix
-    nodes.
+    nodes, and so bounds the memo: it keeps at most one key per node.
     """
     require_valid(machine, "cycling")
     states = machine.states
@@ -307,19 +316,25 @@ def find_compatible_order(machine, budget=None):
             succ[(i - 1) * p + rank[s]].append((j - 1) * p + rank[t])
         return tuple((states[prefix[x % p]], x // p + 1) for x in least_first_order(succ))
 
-    def extend(prefix, reach, unplaced):
+    dead = set()  # (placed bitmask, reach) of every subtree that failed
+
+    def extend(prefix, placed, reach, unplaced):
         if len(prefix) == len(states):
             return interleave(prefix)
+        key = (placed, tuple(reach))
+        if key in dead:
+            return None
         for s in range(len(states)):
-            if s not in prefix:
+            if not placed >> s & 1:
                 counter.spend()
                 # an atom landing on (s,j) now leads on to every atom
                 # leaving position j at an unplaced state, s included
                 grown = land(s, reach, unplaced)
                 if grown is not None:
-                    found = extend(prefix + [s], grown, unplaced & ~from_state[s])
+                    found = extend(prefix + [s], placed | 1 << s, grown, unplaced & ~from_state[s])
                     if found is not None:
                         return found
+        dead.add(key)
         return None
 
     # with nothing placed, an atom landing on (t,j) leads on to the atoms
@@ -330,7 +345,7 @@ def find_compatible_order(machine, budget=None):
         reach = land(t, reach, from_state[t])
         if reach is None:
             return None
-    return extend([], reach, (1 << len(atoms)) - 1)
+    return extend([], 0, reach, (1 << len(atoms)) - 1)
 
 
 def induced_on_position(system, position):

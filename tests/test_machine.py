@@ -186,6 +186,48 @@ def test_validate_sorts_names_that_do_not_compare():
     )
 
 
+def test_validate_pins_every_message_and_its_place():
+    # every rule broken: rows come by (str(source), i, j), ties in table
+    # order (1 before '1'), then bad pairs, then states by name, ties in
+    # declaration order
+    m = Machine(
+        1,
+        ["b", 1, "1", "a"],
+        [
+            ("z", 1, 2, ["q"]),
+            (1, 1, 1, ["y", "x"]),
+            ("1", 1, 1, ["a", "b"]),
+            ("a", 0, 1, ["b"]),
+        ],
+        bad=[("b", "b"), (1, 1), ("1", "1"), ("a", "w"), ("v", "a")],
+    )
+    common = (
+        "uniformity k must be at least 2, got 1",
+        "transition target 'x' is not a declared state",
+        "transition target 'y' is not a declared state",
+        "nondeterministic value of size 2 at (1,1,1) in deterministic machine",
+        "diagonal position pair (1,1) in deterministic machine",
+        "nondeterministic value of size 2 at ('1',1,1) in deterministic machine",
+        "diagonal position pair (1,1) in deterministic machine",
+        "transition position i=0 out of range for ('a',0,1)",
+        "transition source 'z' is not a declared state",
+        "transition position j=2 out of range for ('z',1,2)",
+        "transition target 'q' is not a declared state",
+        "bad pair references unknown state 'w'",
+        "bad pair references unknown state 'v'",
+    )
+    report = validate_machine(m, "cycling", expect_deterministic=True)
+    assert report.violations == common + (
+        "cycling semantics requires the bad set to equal the diagonal",
+    )
+    report = validate_machine(m, "general", expect_deterministic=True)
+    assert report.violations == common + (
+        "diagonal bad pair (1,1) under general semantics",
+        "diagonal bad pair ('1','1') under general semantics",
+        "diagonal bad pair ('b','b') under general semantics",
+    )
+
+
 def test_machine_is_validated_once(monkeypatch):
     calls = []
     validate = machine_module.validate_machine

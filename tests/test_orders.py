@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from badcycle.orders import (
     verify_order_system,
 )
 from badcycle.relations import gen_alternating_machine
-from badcycle.sat import CnfInstance, sat_to_machine
+from badcycle.sat import CnfInstance, evaluate_cnf, order_to_assignment, sat_to_machine
 
 
 def counter_machine(n):
@@ -356,21 +357,65 @@ def reference_corpus():
         yield gen_counter_machine(n)
 
 
+def least_completing_budget(machine, high):
+    # bisection: the search takes the same path under every budget, so it
+    # completes exactly from its prefix-node count up; budget 0 never does
+    # (the root is charged) and budget high does
+    low = 0
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            find_compatible_order(machine, budget=mid)
+            high = mid
+        except BudgetError:
+            low = mid
+    return high
+
+
 def test_find_compatible_order_matches_the_forced_arc_reference():
-    # same first order, and the budget runs out at the same prefix node
-    found = exhausted = 0
+    # same first order; the dead-state memo skips subtrees the reference
+    # searches again, so it never needs more prefix nodes, and needs fewer
+    # over the corpus
+    found = exhausted = spent = reference = 0
     for machine in reference_corpus():
         order, nodes = reference_order_search(machine)
         assert find_compatible_order(machine) == order
         assert find_compatible_order(machine, budget=nodes) == order
-        with pytest.raises(BudgetError):
-            find_compatible_order(machine, budget=nodes - 1)
+        least = least_completing_budget(machine, nodes)
+        assert least <= nodes
+        spent += least
+        reference += nodes
         if order is None:
             exhausted += 1
         else:
             found += 1
+    assert spent < reference
     assert found >= 200
     assert exhausted >= 150
+
+
+def threshold_formulas():
+    # five random 3-CNFs near the satisfiability threshold: 34 clauses on
+    # 8 variables, three distinct variables per clause, each sign fair
+    rng = random.Random(5)
+    for _ in range(5):
+        clauses = [
+            [(f"x{v}", rng.random() < 0.5) for v in rng.sample(range(1, 9), 3)]
+            for _ in range(34)
+        ]
+        yield CnfInstance([f"x{v}" for v in range(1, 9)], clauses)
+
+
+def test_find_compatible_order_passes_the_3sat_wall():
+    # without the dead-state memo each formula needs more than 50,000
+    # prefix nodes; with it, at most 23,869
+    for cnf in threshold_formulas():
+        machine = sat_to_machine(cnf)
+        order = find_compatible_order(machine, budget=30_000)
+        assert verify_compatible_order(machine, order).ok
+        assert evaluate_cnf(cnf, order_to_assignment(order, cnf))
+        with pytest.raises(BudgetError):
+            find_compatible_order(machine, budget=1)
 
 
 def all_one_state_cycling_machines():
