@@ -199,12 +199,6 @@ def least_first_order(succ, key=None):
     return order
 
 
-def reachable(graph, u, v):
-    """True iff a directed walk (possibly empty) leads from u to v."""
-    source, target = graph.index_of(u), graph.index_of(v)
-    return bool(bfs(graph._succ, source, lambda x: x == target)[1])
-
-
 def _cyclic_components(graph):
     """(size, rows, positions) of each strong component with a cycle: its rows
     renumbered by place in the component, and their places in ``graph.arcs``."""

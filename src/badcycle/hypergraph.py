@@ -144,33 +144,6 @@ class HyperCycle:
     def traces(self):
         return tuple(self.trace(i) for i in range(1, self.length + 1))
 
-    def _encoded(self):
-        flat = []
-        for i, edge_index in enumerate(self.edge_indices):
-            flat.append(self.graph.index_of(self.vertex_seq[i]))
-            flat.append(edge_index)
-        return flat
-
-    def canonical_key(self):
-        """Lexicographically least rotation of the (vertex, edge, ...) encoding."""
-        if self.length == 0:
-            return (self.graph.index_of(self.base),)
-        flat = self._encoded()
-        return min(
-            tuple(flat[2 * r :] + flat[: 2 * r]) for r in range(self.length)
-        )
-
-    def canonical(self):
-        """The rotation of this cycle whose encoding is canonical."""
-        key = self.canonical_key()
-        if self.length == 0:
-            return self
-        names = self.graph.vertices
-        verts = [names[key[2 * i]] for i in range(self.length)]
-        verts.append(verts[0])
-        steps = [(key[2 * i + 1], verts[i + 1]) for i in range(self.length)]
-        return HyperCycle(self.graph, verts[0], steps)
-
     def __eq__(self, other):
         if not isinstance(other, HyperCycle):
             return NotImplemented
@@ -185,40 +158,6 @@ class HyperCycle:
 
     def __repr__(self):
         return f"HyperCycle(base={self.base!r}, length={self.length})"
-
-
-def enumerate_cycles(graph, max_len):
-    """Yield every cycle of length at most max_len, once per rotation class.
-
-    The representative yielded is the canonical rotation.  Vertices and
-    edges may repeat within a cycle; length-0 cycles are included.
-    """
-    if max_len < 0:
-        raise InputError(f"max_len must be nonnegative, got {max_len}")
-    for base in graph.vertices:
-        yield HyperCycle(graph, base)
-    for base_rank, base in enumerate(graph.vertices):
-        seen = set()
-        steps = []
-
-        def walk(at):
-            if len(steps) >= max_len:
-                return
-            for edge_index in graph.incident_edges(at):
-                for nxt in graph.edges[edge_index]:
-                    if graph.index_of(nxt) < base_rank:
-                        continue
-                    steps.append((edge_index, nxt))
-                    if nxt == base:
-                        cycle = HyperCycle(graph, base, tuple(steps))
-                        key = cycle.canonical_key()
-                        if key not in seen:
-                            seen.add(key)
-                            yield cycle.canonical()
-                    yield from walk(nxt)
-                    steps.pop()
-
-        yield from walk(base)
 
 
 def path_digraph(n):

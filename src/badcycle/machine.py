@@ -4,9 +4,9 @@ A k-machine has a finite state set S, a sparse transition table
 f : S x [k]^2 -> P(S) (absent keys denote the empty set) and a set B of
 bad state pairs.  Two validation semantics exist: "cycling" machines
 must have B equal to the diagonal of S, "general" machines must have B
-disjoint from the diagonal.  A machine is immutable, so it numbers the
-states of its transition atoms and bad pairs once, on first use by the
-deciders, and keeps ``require_valid``'s report per semantics.
+disjoint from the diagonal.  A machine is immutable, so it sorts its
+canonical views once and numbers their states once, on first use, and
+keeps ``require_valid``'s report per semantics.
 """
 from __future__ import annotations
 
@@ -57,19 +57,29 @@ class Machine:
         # undeclared states go last, by name, so an invalid machine sorts too
         return (self._index.get(s, len(self.states)), str(s))
 
-    def transition_rows(self):
-        """Transitions as sorted (state, i, j, sorted-target-tuple) rows."""
+    @cached_property
+    def _rows(self):
+        # (transition rows, transition atoms), sorted once
         key = self._state_key
         rows = [(s, i, j, tuple(sorted(ts, key=key))) for (s, i, j), ts in self._table.items()]
-        return tuple(sorted(rows, key=lambda r: (key(r[0]), r[1], r[2])))
+        rows = tuple(sorted(rows, key=lambda r: (key(r[0]), r[1], r[2])))
+        return rows, tuple((s, i, j, t) for s, i, j, ts in rows for t in ts)
 
-    def bad_rows(self):
+    @cached_property
+    def _bad_rows(self):
         key = self._state_key
         return tuple(sorted(self.bad, key=lambda p: (key(p[0]), key(p[1]))))
 
+    def transition_rows(self):
+        """Transitions as sorted (state, i, j, sorted-target-tuple) rows."""
+        return self._rows[0]
+
+    def bad_rows(self):
+        return self._bad_rows
+
     def transition_atoms(self):
         """Flattened (s, i, j, t) tuples, one per target, in canonical order."""
-        return tuple((s, i, j, t) for s, i, j, ts in self.transition_rows() for t in ts)
+        return self._rows[1]
 
     @cached_property
     def numbered_atoms(self):

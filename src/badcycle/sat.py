@@ -43,6 +43,7 @@ class CnfInstance:
                 )
             normalized.append(literals)
         self.clauses = tuple(normalized)
+        self._machine = None
 
     def _literal(self, raw):
         if isinstance(raw, str):
@@ -87,10 +88,13 @@ def sat_to_machine(cnf):
     States are the literals, k = 3 per clause, and clause number n (from
     zero) owns positions 3n+1, 3n+2, 3n+3: each of its literals steps from
     its own slot to the next slot cyclically, landing on the negation of
-    the literal there.  Every diagonal pair is bad.
+    the literal there.  Every diagonal pair is bad.  The formula keeps
+    the machine built first, so its validation and rows are reused.
     """
     if not cnf.clauses:
         raise InputError("the reduction needs at least one clause")
+    if cnf._machine is not None:
+        return cnf._machine
     states = []
     for v in cnf.variables:
         states.append(_literal_state(v, True))
@@ -108,9 +112,8 @@ def sat_to_machine(cnf):
                     [_literal_state(there, not positive)],
                 )
             )
-    return Machine(
-        3 * len(cnf.clauses), states, rows, bad=[(s, s) for s in states]
-    )
+    cnf._machine = Machine(3 * len(cnf.clauses), states, rows, bad=[(s, s) for s in states])
+    return cnf._machine
 
 
 def order_to_assignment(order, cnf):

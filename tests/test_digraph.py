@@ -7,12 +7,12 @@ import pytest
 from badcycle.digraph import (
     LongestWalks,
     WeightedDigraph,
+    bfs,
     find_positive_cycle,
     least_first_order,
     longest_walk_potentials,
     max_cycle_mean,
     min_cycle_mean,
-    reachable,
     strong_components,
 )
 from badcycle.corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
@@ -183,15 +183,22 @@ def test_least_first_order_matches_networkx():
 
 
 def test_reachable_matches_closure_oracle():
+    # bfs from u parents exactly the closure's row of u, and a target
+    # test stops it with that target as the one hit when it is reached
     rng = random.Random(12)
     for _ in range(30):
         g = random_weighted(rng)
         reach = closure_oracle(g)
         for u in g.vertices:
-            for v in g.vertices:
-                assert reachable(g, u, v) == ((u, v) in reach)
+            source = g.index_of(u)
+            parent, hits = bfs(g._succ, source, lambda x: False)
+            assert hits == []
+            assert {g.vertices[w] for w in parent} == {v for a, v in reach if a == u}
+            for target, v in enumerate(g.vertices):
+                hits = bfs(g._succ, source, lambda x: x == target)[1]
+                assert hits == ([target] if (u, v) in reach else [])
     with pytest.raises(InputError):
-        reachable(g, "nope", g.vertices[0])
+        g.index_of("nope")
 
 
 def test_cycle_mean_small_cases():

@@ -723,6 +723,27 @@ def test_brute_force_matches_the_reference_on_edge_cases():
     assert sweep_outcome(brute_force_is_good, tri, no_bad, 3) is True
 
 
+def test_brute_force_finds_each_cycle_of_a_single_edge():
+    # the loops at either end and the out-and-back walk, each flagged alone
+    edge = DirectedHypergraph(2, ["1", "2"], [("1", "2")])
+    cases = [
+        (Machine(2, ["s", "t"], [("s", 1, 1, ["t"])], bad=[("s", "t")]), ("1", "1"), ((1, 1),)),
+        (Machine(2, ["s", "t"], [("s", 2, 2, ["t"])], bad=[("s", "t")]), ("2", "2"), ((2, 2),)),
+        (
+            Machine(2, ["s", "u", "t"], [("s", 1, 2, ["u"]), ("u", 2, 1, ["t"])], bad=[("s", "t")]),
+            ("1", "2", "1"),
+            ((1, 2), (2, 1)),
+        ),
+    ]
+    for machine, vertices, traces in cases:
+        verdict = brute_force_is_good(edge, machine, 2)
+        assert not verdict.good
+        assert verdict.witness.cycle.vertex_seq == vertices
+        assert verdict.witness.cycle.traces() == traces
+        assert verdict.witness.bad_pair == ("s", "t")
+        assert validate_witness(edge, machine, verdict.witness).ok
+
+
 def test_brute_force_builds_only_the_returned_cycle(monkeypatch):
     built = []
 

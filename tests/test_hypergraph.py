@@ -20,7 +20,6 @@ from badcycle.hypergraph import (
     HyperCycle,
     chromatic_number_exact,
     chromatic_upper_greedy,
-    enumerate_cycles,
     is_proper_coloring,
     path_digraph,
     weak_components,
@@ -38,24 +37,6 @@ def brute_chromatic(graph):
             if is_proper_coloring(graph, coloring):
                 return t
     raise AssertionError("no coloring found")
-
-
-def brute_cycle_keys(graph, max_len):
-    """Oracle: canonical keys of all cycles, by exhaustive step sequences."""
-    keys = set()
-    alphabet = [
-        (n, v) for n in range(len(graph.edges)) for v in graph.edges[n]
-    ]
-    for base in graph.vertices:
-        keys.add(HyperCycle(graph, base).canonical_key())
-        for length in range(1, max_len + 1):
-            for steps in itertools.product(alphabet, repeat=length):
-                try:
-                    cycle = HyperCycle(graph, base, steps)
-                except InputError:
-                    continue
-                keys.add(cycle.canonical_key())
-    return keys
 
 
 def triangle():
@@ -114,53 +95,6 @@ def test_cycle_validation():
     assert c.length == 3
     assert c.base == "1"
     assert c.vertex_seq == ("1", "2", "3", "1")
-
-
-def test_canonical_key_identifies_rotations():
-    g = triangle()
-    c1 = HyperCycle(g, "1", [(0, "2"), (1, "3"), (2, "1")])
-    c2 = HyperCycle(g, "2", [(1, "3"), (2, "1"), (0, "2")])
-    c3 = HyperCycle(g, "3", [(2, "1"), (0, "2"), (1, "3")])
-    assert c1.canonical_key() == c2.canonical_key() == c3.canonical_key()
-    assert c2.canonical() == c1
-    other = HyperCycle(g, "1", [(2, "3"), (1, "2"), (0, "1")])
-    assert other.canonical_key() != c1.canonical_key()
-
-
-def test_enumerate_cycles_single_edge():
-    g = DirectedHypergraph(2, ["1", "2"], [("1", "2")])
-    cycles = list(enumerate_cycles(g, 2))
-    keys = {c.canonical_key() for c in cycles}
-    assert len(cycles) == len(keys) == 7
-    lengths = sorted(c.length for c in cycles)
-    assert lengths == [0, 0, 1, 1, 2, 2, 2]
-    seqs = {c.vertex_seq for c in cycles}
-    assert ("1", "2", "1") in seqs
-    assert ("1", "1") in seqs
-    assert ("2", "2") in seqs
-
-
-def test_enumerate_cycles_edgeless():
-    g = DirectedHypergraph(2, ["a", "b", "c"], [])
-    cycles = list(enumerate_cycles(g, 4))
-    assert sorted(c.base for c in cycles) == ["a", "b", "c"]
-    assert all(c.length == 0 for c in cycles)
-
-
-def test_enumerate_cycles_matches_oracle_on_triangle():
-    g = triangle()
-    got = [c.canonical_key() for c in enumerate_cycles(g, 3)]
-    assert len(got) == len(set(got))
-    assert set(got) == brute_cycle_keys(g, 3)
-
-
-def test_enumerate_cycles_matches_oracle_on_corpus():
-    rng = random.Random(2004)
-    for _ in range(20):
-        g = random_hypergraph(rng, k=rng.choice([2, 3]), max_vertices=4, max_edges=3)
-        got = [c.canonical_key() for c in enumerate_cycles(g, 3)]
-        assert len(got) == len(set(got))
-        assert set(got) == brute_cycle_keys(g, 3)
 
 
 def test_path_digraph_shapes():

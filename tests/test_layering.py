@@ -1,6 +1,6 @@
 """Module boundaries: the deciders never load the reference oracles, the
-alternating-cycle check never loads the deciders, and no module imports a
-name it never uses.
+alternating-cycle check never loads the deciders, no module imports a
+name it never uses, and no private function, class or method goes unused.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -84,6 +84,50 @@ def test_no_module_imports_an_unused_name():
     files = sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     assert len(files) > 20
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def private_definitions(tree):
+    """Top-level ``_name`` functions and classes, and ``_name`` methods, with
+    their lines; dunder names are not private."""
+    found = []
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for item in [node, *members]:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and item.name.startswith("_")
+                and not item.name.startswith("__")
+            ):
+                found.append((item.name, item.lineno))
+    return found
+
+
+def referenced_names(tree):
+    """Every name a module uses as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(badcycle.__file__).parent.glob("*.py"))
+    }
+    referenced = set().union(*map(referenced_names, trees.values()))
+    defined = [
+        (name, f"{module}:{line} {name}")
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree)
+    ]
+    assert len(defined) > 50
+    assert [where for name, where in defined if name not in referenced] == []
 
 
 def test_every_exported_name_resolves_once():

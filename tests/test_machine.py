@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from badcycle import machine as machine_module
 from badcycle.errors import InputError
+from badcycle.fileio import save_machine
 from badcycle.generators import gen_counter_machine, gen_hasse_machine
 from badcycle.machine import Machine, require_valid, step, validate_machine
 from badcycle.orders import decide_cycling_2machine, find_compatible_order
@@ -69,6 +72,35 @@ def test_canonical_rows_follow_declaration_order():
         ("z", 1, 2, "a"),
         ("a", 1, 2, "z"),
     ]
+
+
+def test_canonical_views_are_sorted_once(tmp_path):
+    # "q" is undeclared: it sorts after the declared states in every view
+    def made():
+        rows = [("a", 1, 2, ["q"]), ("z", 1, 2, ["a", "z"]), ("q", 2, 1, ["z"])]
+        return Machine(2, ["z", "a"], rows, bad=[("q", "z"), ("z", "a"), ("a", "q")])
+
+    m = made()
+    for view in (m.transition_rows, m.bad_rows, m.transition_atoms):
+        assert view() is view()
+    assert m.transition_rows() == (
+        ("z", 1, 2, ("z", "a")),
+        ("a", 1, 2, ("q",)),
+        ("q", 2, 1, ("z",)),
+    )
+    assert m.bad_rows() == (("z", "a"), ("a", "q"), ("q", "z"))
+    assert m.transition_atoms() == (
+        ("z", 1, 2, "z"),
+        ("z", 1, 2, "a"),
+        ("a", 1, 2, "q"),
+        ("q", 2, 1, "z"),
+    )
+    # a machine saved before any view was read writes the same bytes
+    save_machine(m, tmp_path / "read.json")
+    save_machine(made(), tmp_path / "fresh.json")
+    written = (tmp_path / "read.json").read_bytes()
+    assert written == (tmp_path / "fresh.json").read_bytes()
+    assert json.loads(written)["transitions"][2] == {"from": "q", "i": 2, "j": 1, "to": ["z"]}
 
 
 def test_deterministic_and_cycling_tags():

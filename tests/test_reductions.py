@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from badcycle import sat
 from badcycle.corpus import default_rng, random_cnf
 from badcycle.errors import InputError
 from badcycle.machine import validate_machine
@@ -106,6 +107,30 @@ def test_two_clause_machine_positions():
 def test_sat_to_machine_rejects_empty():
     with pytest.raises(InputError, match="at least one clause"):
         sat_to_machine(CnfInstance(["x"], []))
+
+
+def test_one_clause_machine_per_formula(monkeypatch):
+    built = []
+
+    class CountedMachine(sat.Machine):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sat, "Machine", CountedMachine)
+    cnf = CnfInstance(["x", "y", "z"], [("x", "y", "z"), ("~x", "y", "~z")])
+    machine = sat_to_machine(cnf)
+    assert sat_to_machine(cnf) is machine
+    order = find_compatible_order(machine)
+    assert evaluate_cnf(cnf, order_to_assignment(order, cnf))
+    assert len(built) == 1
+    # an equal formula is another object and builds its own machine
+    assert sat_to_machine(CnfInstance(cnf.variables, cnf.clauses)) == machine
+    assert len(built) == 2
+    empty = CnfInstance(["x"], [])
+    for _ in range(2):
+        with pytest.raises(InputError, match="at least one clause"):
+            sat_to_machine(empty)
 
 
 def test_assignment_to_order_accepted():
