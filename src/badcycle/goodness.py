@@ -3,9 +3,9 @@
 A hypergraph is good for a machine when no cycle admits an accepting
 state sequence ending in a bad pair.  The decision runs on the product
 digraph over vertex-state pairs: a step of a cycle together with a
-machine transition becomes one arc.  The decision numbers the pairs and
-keeps integer successor lists; which edge yields an arc is worked out
-only for the steps of a witness.  Components, witness walks and induced
+machine transition becomes one arc.  The decision builds integer
+successor lists a position pair of an edge at a time, and finds the edge
+behind an arc only for a witness.  Components, witness walks and induced
 linear orders come from ``digraph.tarjan``, ``bfs`` and ``least_first_order``.
 """
 from __future__ import annotations
@@ -80,13 +80,22 @@ def _product_arcs(graph, machine):
 
 
 def _product(graph, machine):
-    """Successor lists of the product on node numbers, in first-arc order."""
-    succ = [[] for _ in range(len(graph.vertices) * len(machine.states))]
-    for arcs in _product_arcs(graph, machine):
-        for u, w in arcs:
-            succ[u].append(w)
-    # an arc repeats only when two edges share both of its vertices
-    return [list(dict.fromkeys(ws)) for ws in succ]
+    """Successor lists of the product on node numbers, in first-arc order: atoms
+    sort by (s, i, j, t) and a vertex holds one place per edge, so taking them
+    grouped by position pair, groups in sorted order, keeps ``_product_arcs`` order.
+    An arc two edges share is listed twice: ``tarjan`` retakes a min, ``bfs``
+    keeps the first parent, and ``in`` tests and the reach OR are idempotent."""
+    width = len(machine.states)
+    groups = {}
+    for s, i, j, t in sorted(machine.numbered_atoms, key=lambda atom: atom[1:3]):
+        groups.setdefault((i - 1, j - 1), []).append((s, t))
+    succ = [[] for _ in range(len(graph.vertices) * width)]
+    for edge in zip(*[iter(graph.members)] * graph.k):
+        for (i, j), pairs in groups.items():
+            a, b = edge[i] * width, edge[j] * width
+            for s, t in pairs:
+                succ[a + s].append(b + t)
+    return succ
 
 
 def build_auxiliary(graph, machine):
@@ -156,23 +165,19 @@ class _Product:
         return self.graph.vertices[v], self.machine.states[s]
 
     @cached_property
-    def condensation(self):
-        """Per component: the later components it has arcs to, and the
-        bitset of components it reaches (itself included)."""
-        following = [None] * len(self.components)
-        bits = [0] * len(self.components)
+    def reach(self):
+        """Per component, the bitset of components it reaches (itself
+        included), ORed in over every arc in one sweep."""
+        reach = [0] * len(self.components)
+        succ, component_of = self.succ, self.component_of
         # components are topologically sorted, so every target is done first
         for c in reversed(range(len(self.components))):
-            targets = {
-                self.component_of[w] for u in self.components[c] for w in self.succ[u]
-            }
-            targets.discard(c)
-            reached = 1 << c
-            for d in targets:
-                reached |= bits[d]
-            following[c] = targets
-            bits[c] = reached
-        return following, bits
+            bits = 1 << c
+            for u in self.components[c]:
+                for w in succ[u]:
+                    bits |= reach[component_of[w]]
+            reach[c] = bits
+        return reach
 
 
 def is_good(graph, machine):
@@ -209,9 +214,8 @@ def _decide(graph, machine):
     require_valid(machine, _semantics(machine))
     product = _Product(graph, machine)
     walk = _bad_walk(product)
-    if walk is None:
-        return GoodnessVerdict(True), product
-    return GoodnessVerdict(False, _witness(product, walk)), product
+    witness = None if walk is None else _witness(product, walk)
+    return GoodnessVerdict(walk is None, witness), product
 
 
 def _bad_walk(product):
@@ -229,8 +233,7 @@ def _bad_walk(product):
             last = min(nearest, key=lambda u: _first_arc(product, u, node))
             return _walk_to(parent, node, last) + [node]
         return None
-    _, reach = product.condensation
-    width = product.width
+    reach, width = product.reach, product.width
     for v in range(len(graph.vertices)):
         for s, t in machine.numbered_bad:
             source, target = v * width + s, v * width + t
@@ -274,15 +277,17 @@ def validate_witness(graph, machine, witness):
 def induced_order_system_coloring(graph, machine):
     """Color each vertex by the order system its product states induce.
 
-    Same strong component gives same class, condensation reachability
-    gives the strict order, and a fixed topological order of the
-    condensation (least product vertex first among the ready components)
-    gives the linear order.  Requires the hypergraph to be good.
+    Same strong component gives same class, reach bitsets give the strict
+    order, and a fixed topological order of the condensation, whose arcs
+    only this coloring reads (least product vertex first among the ready
+    components), gives the linear order.  Requires the hypergraph to be good.
     """
     verdict, product = _decide(graph, machine)
     if not verdict.good:
         raise NotGoodError("hypergraph is not good for this machine", verdict.witness)
-    following, reach = product.condensation
+    component_of, reach, succ = product.component_of, product.reach, product.succ
+    following = [{component_of[w] for u in comp for w in succ[u]} - {c}
+                 for c, comp in enumerate(product.components)]
     # components list their members in ascending node order
     order = least_first_order(following, [comp[0] for comp in product.components])
     rank = {c: n for n, c in enumerate(order)}
@@ -291,7 +296,7 @@ def induced_order_system_coloring(graph, machine):
     for n, v in enumerate(graph.vertices):
         groups = {}
         for m, s in enumerate(machine.states):
-            c = product.component_of[n * width + m]
+            c = component_of[n * width + m]
             groups.setdefault(c, []).append(s)
         comps = sorted(groups, key=lambda c: rank[c])
         classes = [frozenset(groups[c]) for c in comps]

@@ -126,6 +126,68 @@ def test_auxiliary_merges_provenance_for_repeated_arcs():
     assert aux.provenance[(("b", "s"), ("a", "s"))] == ((0, 2, 1), (1, 1, 2))
 
 
+def test_product_lists_each_nodes_arcs_in_product_arc_order():
+    # the grouped build lists every node's arcs, repeats included, in the
+    # order _product_arcs yields them: edge by edge, then atom by atom;
+    # taking the position-pair groups in first-appearance order instead of
+    # sorted order reorders some lists here
+    rng = default_rng(99)
+    for trial in range(400):
+        k = 2 + trial % 2
+        graph = random_hypergraph(rng, k=k, max_vertices=6, max_edges=8)
+        draw = random_cycling_machine if trial % 4 < 2 else random_machine
+        machine = draw(rng, k=k, max_states=4)
+        expected = [[] for _ in range(len(graph.vertices) * len(machine.states))]
+        for arcs in goodness._product_arcs(graph, machine):
+            for u, w in arcs:
+                expected[u].append(w)
+        assert goodness._product(graph, machine) == expected
+
+
+def test_repeated_product_arcs_change_no_answer(monkeypatch):
+    # antiparallel edges (a, b), (b, a) and atoms (s,1,2,t), (s,2,1,t) put
+    # each arc (a,s) -> (b,t) and (b,s) -> (a,t) twice in the product; the
+    # components, BFS parents, reach bitsets, verdict, witness and induced
+    # coloring are those of the deduplicated successor lists
+    graph = DirectedHypergraph(2, ["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
+    both = [("s", 1, 2, ["t"]), ("s", 2, 1, ["t"])]
+    loops = [("s", "s"), ("t", "t"), ("u", "u")]
+    machines = [
+        Machine(2, ["s", "t", "u"], both, loops),
+        Machine(2, ["s", "t", "u"], both + [("t", 1, 2, ["s"])], loops),
+        Machine(2, ["s", "t", "u"], both + [("t", 1, 2, ["u"])], [("u", "s")]),
+        Machine(2, ["s", "t", "u"], both + [("t", 1, 2, ["u"])], [("s", "u")]),
+    ]
+    build = goodness._product
+
+    def deduplicated(graph, machine):
+        return [list(dict.fromkeys(ws)) for ws in build(graph, machine)]
+
+    verdicts = []
+    for machine in machines:
+        succ, unique = build(graph, machine), deduplicated(graph, machine)
+        assert succ != unique
+        assert digraph.tarjan(succ) == digraph.tarjan(unique)
+        for node in range(len(succ)):
+            parent, _ = digraph.bfs(succ, node, lambda u: False)
+            unique_parent, _ = digraph.bfs(unique, node, lambda u: False)
+            assert list(parent.items()) == list(unique_parent.items())
+        answers = []
+        for product in (build, deduplicated):
+            monkeypatch.setattr(goodness, "_product", product)
+            verdict = is_good(graph, machine)
+            if verdict.good:
+                answer = induced_order_system_coloring(graph, machine)
+            else:
+                cycle = verdict.witness.cycle
+                answer = (cycle.vertex_seq, cycle.edge_indices, verdict.witness.states,
+                          verdict.witness.bad_pair)
+            answers.append((verdict.good, answer, goodness._Product(graph, machine).reach))
+        assert answers[0] == answers[1]
+        verdicts.append(answers[0][0])
+    assert verdicts == [True, False, True, False]
+
+
 def test_auxiliary_uniformity_mismatch():
     with pytest.raises(InputError):
         build_auxiliary(path_digraph(2), Machine(3, ["s"], [], bad=[]))
@@ -566,6 +628,12 @@ def reference_goodness_corpus():
         yield graph, alternating
         yield graph, random_cycling_machine(rng, k=2, max_states=4, density=0.2)
         yield graph, random_machine(rng, k=2, max_states=4)
+    # 3-uniform pairs with cycling machines too, and up to four states
+    rng = default_rng(4303)
+    for trial in range(100):
+        graph = random_hypergraph(rng, k=3, max_vertices=6, max_edges=7)
+        draw = random_cycling_machine if trial % 2 else random_machine
+        yield graph, draw(rng, k=3, max_states=4)
 
 
 def test_is_good_matches_the_tuple_product_reference():
