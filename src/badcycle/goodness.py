@@ -7,9 +7,19 @@ machine transition becomes one arc.  The decision builds integer
 successor lists a position pair of an edge at a time, and finds the edge
 behind an arc only for a witness.  Components, witness walks and induced
 linear orders come from ``digraph.tarjan``, ``bfs`` and ``least_first_order``.
+
+``is_good`` builds the product only on the machine's ``live_atoms``, the
+atoms that can lie on a bad walk, and on the states they touch.  Every bad
+walk is kept, with every arc between two nodes that lie on one, and the
+kept nodes keep their relative order.  So the components holding a cycle,
+and the BFS layers of the nodes that reach the target, are those of the
+whole product: the first qualifying node and its witness are the same.
+The induced coloring reads every state's component, so it builds the
+whole product.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,6 +74,11 @@ def _semantics(machine):
     return "cycling" if machine.is_cycling else "general"
 
 
+def _require_decidable(graph, machine):
+    _require_same_k(graph, machine)
+    require_valid(machine, _semantics(machine))
+
+
 def _product_arcs(graph, machine):
     """Each edge's product arcs as (u, w) node-number pairs, edge by edge.
 
@@ -79,15 +94,15 @@ def _product_arcs(graph, machine):
         yield [(base[i] + s, base[j] + t) for s, i, j, t in atoms]
 
 
-def _product(graph, machine):
-    """Successor lists of the product on node numbers, in first-arc order: atoms
-    sort by (s, i, j, t) and a vertex holds one place per edge, so taking them
+def _product(graph, width, atoms):
+    """Successor lists of the product on node numbers, width states a vertex,
+    from atoms on those states' local numbers, in first-arc order: atoms sort
+    by (s, i, j, t) and a vertex holds one place per edge, so taking them
     grouped by position pair, groups in sorted order, keeps ``_product_arcs`` order.
     An arc two edges share is listed twice: ``tarjan`` retakes a min, ``bfs``
     keeps the first parent, and ``in`` tests and the reach OR are idempotent."""
-    width = len(machine.states)
     groups = {}
-    for s, i, j, t in sorted(machine.numbered_atoms, key=lambda atom: atom[1:3]):
+    for s, i, j, t in sorted(atoms, key=lambda atom: atom[1:3]):
         groups.setdefault((i - 1, j - 1), []).append((s, t))
     succ = [[] for _ in range(len(graph.vertices) * width)]
     for edge in zip(*[iter(graph.members)] * graph.k):
@@ -102,7 +117,7 @@ def build_auxiliary(graph, machine):
     """Product digraph of a hypergraph and a machine, as a public view.
 
     Arcs come in first-occurrence order with weight 0.  ``is_good`` does
-    not build this view; it decides on the same arcs by node number.
+    not build this view; it decides by node number on the arcs of live atoms.
     """
     _require_same_k(graph, machine)
     nodes = [(v, s) for v in graph.vertices for s in machine.states]
@@ -131,13 +146,16 @@ def _first_arc(product, u, w):
     """(edge number, atom number) of the least edge that yields the product
     arc u -> w and of the atom that yields it there."""
     (a, s), (b, t) = divmod(u, product.width), divmod(w, product.width)
+    s, t = product.states[s], product.states[t]
     graph, atoms = product.graph, product.machine.numbered_atoms
     for e in graph.incidence[a]:
         edge = graph.members_of(e)
         if b in edge:
             atom = (s, edge.index(a) + 1, edge.index(b) + 1, t)
-            if atom in atoms:
-                return e, atoms.index(atom)
+            # numbered_atoms is sorted, so one bisection finds the atom or its gap
+            n = bisect_left(atoms, atom)
+            if n < len(atoms) and atoms[n] == atom:
+                return e, n
     raise AssertionError(f"no edge yields the product arc {u!r} -> {w!r}")
 
 
@@ -150,19 +168,25 @@ def _witness(product, walk):
 
 
 class _Product:
-    """The product digraph on node numbers with its strong components."""
+    """The product digraph on node numbers with its strong components, on the
+    given ascending state numbers and atoms among them: node (v, states[m])
+    is numbered index(v) * len(states) + m."""
 
-    def __init__(self, graph, machine):
+    def __init__(self, graph, machine, states, atoms):
         self.graph = graph
         self.machine = machine
-        self.width = len(machine.states)
-        self.succ = _product(graph, machine)
+        self.states = states
+        self.local = local = {s: m for m, s in enumerate(states)}
+        self.width = len(states)
+        self.succ = _product(
+            graph, self.width, [(local[s], i, j, local[t]) for s, i, j, t in atoms]
+        )
         self.components, self.component_of = tarjan(self.succ)
 
     def name(self, node):
         """The (vertex, state) pair numbered node."""
-        v, s = divmod(node, self.width)
-        return self.graph.vertices[v], self.machine.states[s]
+        v, m = divmod(node, self.width)
+        return self.graph.vertices[v], self.machine.states[self.states[m]]
 
     @cached_property
     def reach(self):
@@ -188,8 +212,14 @@ def is_good(graph, machine):
     (v,t) for a bad pair (s,t); reachability is reflexive, which is
     harmless because bad pairs are off the diagonal.  Witnesses are the
     shortest ones through the first qualifying product vertex.
+
+    The product holds only the machine's ``live_atoms`` and ``live_states``:
+    a bad walk projects onto a machine walk from a bad pair's first state to
+    its second, so the atoms left out lie on none, and the verdict and
+    witness are those of the whole product.
     """
-    return _decide(graph, machine)[0]
+    _require_decidable(graph, machine)
+    return _decide(_Product(graph, machine, machine.live_states, machine.live_atoms))
 
 
 def check_paths_good(machine, n_max):
@@ -208,14 +238,11 @@ def check_paths_good(machine, n_max):
     return None
 
 
-def _decide(graph, machine):
-    """The goodness verdict with the product and strong components behind it."""
-    _require_same_k(graph, machine)
-    require_valid(machine, _semantics(machine))
-    product = _Product(graph, machine)
+def _decide(product):
+    """The goodness verdict read off a product."""
     walk = _bad_walk(product)
     witness = None if walk is None else _witness(product, walk)
-    return GoodnessVerdict(walk is None, witness), product
+    return GoodnessVerdict(walk is None, witness)
 
 
 def _bad_walk(product):
@@ -233,9 +260,12 @@ def _bad_walk(product):
             last = min(nearest, key=lambda u: _first_arc(product, u, node))
             return _walk_to(parent, node, last) + [node]
         return None
-    reach, width = product.reach, product.width
+    reach, width, local = product.reach, product.width, product.local
+    # a bad pair off the product's states has no bad walk
+    pairs = [(local[s], local[t]) for s, t in machine.numbered_bad
+             if s in local and t in local]
     for v in range(len(graph.vertices)):
-        for s, t in machine.numbered_bad:
+        for s, t in pairs:
             source, target = v * width + s, v * width + t
             if reach[component_of[source]] >> component_of[target] & 1:
                 parent, _ = bfs(succ, source, lambda u: u == target)
@@ -281,8 +311,11 @@ def induced_order_system_coloring(graph, machine):
     order, and a fixed topological order of the condensation, whose arcs
     only this coloring reads (least product vertex first among the ready
     components), gives the linear order.  Requires the hypergraph to be good.
+    It builds the whole product, every state and atom, and decides on it.
     """
-    verdict, product = _decide(graph, machine)
+    _require_decidable(graph, machine)
+    product = _Product(graph, machine, range(len(machine.states)), machine.numbered_atoms)
+    verdict = _decide(product)
     if not verdict.good:
         raise NotGoodError("hypergraph is not good for this machine", verdict.witness)
     component_of, reach, succ = product.component_of, product.reach, product.succ

@@ -6,7 +6,9 @@ bad state pairs.  Two validation semantics exist: "cycling" machines
 must have B equal to the diagonal of S, "general" machines must have B
 disjoint from the diagonal.  A machine is immutable, so it sorts its
 canonical views once and numbers their states once, on first use, and
-keeps ``require_valid``'s report per semantics.
+keeps ``require_valid``'s report per semantics.  It also keeps, once, the
+atoms that can lie on a bad walk (``live_atoms``), which goodness builds
+its product from.
 """
 from __future__ import annotations
 
@@ -92,6 +94,36 @@ class Machine:
         """``bad_rows`` on state numbers; read only once validated."""
         return tuple((self._index[s], self._index[t]) for s, t in self.bad_rows())
 
+    @cached_property
+    def live_atoms(self):
+        """The ``numbered_atoms`` that can lie on a bad walk; read only once validated.
+
+        A bad walk runs from a bad pair's first state a to its second b, so an
+        atom (s, i, j, t) is kept when some bad pair (a, b) has a reaching s and
+        t reaching b in the state graph, an arc s -> t per atom with positions
+        ignored.  On a cycling machine, whose bad pairs are the diagonal, that
+        is when t reaches s: s and t share a strong component.
+        """
+        atoms = self.numbered_atoms
+        succ = [set() for _ in self.states]
+        pred = [set() for _ in self.states]
+        for s, _, _, t in atoms:
+            succ[s].add(t)
+            pred[t].add(s)
+        seconds = {}
+        for a, b in self.numbered_bad:
+            seconds.setdefault(a, []).append(b)
+        spans = [(_closure([a], succ), _closure(bs, pred)) for a, bs in seconds.items()]
+        return tuple(
+            atom for atom in atoms
+            if any(atom[0] in after and atom[3] in before for after, before in spans)
+        )
+
+    @cached_property
+    def live_states(self):
+        """The state numbers on ``live_atoms``, ascending."""
+        return tuple(sorted({s for atom in self.live_atoms for s in (atom[0], atom[3])}))
+
     # -- derived tags ----------------------------------------------------
 
     @property
@@ -128,6 +160,18 @@ class Machine:
             f"Machine(k={self.k}, states={len(self.states)}, "
             f"transitions={len(self._table)}, bad={len(self.bad)})"
         )
+
+
+def _closure(starts, succ):
+    """The states reachable from starts, starts included, along succ."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for t in succ[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,24 @@ from itertools import chain
 import pytest
 
 from badcycle import digraph, goodness, oracles
-from badcycle.corpus import default_rng, goodness_corpus, random_cycling_machine, random_hypergraph, random_machine
+from badcycle.corpus import (
+    default_rng,
+    goodness_corpus,
+    random_cycling_machine,
+    random_digraph,
+    random_hypergraph,
+    random_machine,
+)
 from badcycle.errors import BudgetError, InputError, NotGoodError
-from badcycle.generators import gen_shift_digraph
+from badcycle.generators import (
+    counter_machine_order,
+    gen_counter_machine,
+    gen_cycling_construction,
+    gen_shift_digraph,
+)
 from badcycle.goodness import (
     BadCycleWitness,
+    check_paths_good,
     GoodnessVerdict,
     build_auxiliary,
     induced_order_system_coloring,
@@ -141,7 +154,8 @@ def test_product_lists_each_nodes_arcs_in_product_arc_order():
         for arcs in goodness._product_arcs(graph, machine):
             for u, w in arcs:
                 expected[u].append(w)
-        assert goodness._product(graph, machine) == expected
+        width = len(machine.states)
+        assert goodness._product(graph, width, machine.numbered_atoms) == expected
 
 
 def test_repeated_product_arcs_change_no_answer(monkeypatch):
@@ -160,12 +174,13 @@ def test_repeated_product_arcs_change_no_answer(monkeypatch):
     ]
     build = goodness._product
 
-    def deduplicated(graph, machine):
-        return [list(dict.fromkeys(ws)) for ws in build(graph, machine)]
+    def deduplicated(graph, width, atoms):
+        return [list(dict.fromkeys(ws)) for ws in build(graph, width, atoms)]
 
     verdicts = []
     for machine in machines:
-        succ, unique = build(graph, machine), deduplicated(graph, machine)
+        whole = (graph, len(machine.states), machine.numbered_atoms)
+        succ, unique = build(*whole), deduplicated(*whole)
         assert succ != unique
         assert digraph.tarjan(succ) == digraph.tarjan(unique)
         for node in range(len(succ)):
@@ -182,7 +197,9 @@ def test_repeated_product_arcs_change_no_answer(monkeypatch):
                 cycle = verdict.witness.cycle
                 answer = (cycle.vertex_seq, cycle.edge_indices, verdict.witness.states,
                           verdict.witness.bad_pair)
-            answers.append((verdict.good, answer, goodness._Product(graph, machine).reach))
+            states = range(len(machine.states))
+            reach = goodness._Product(graph, machine, states, machine.numbered_atoms).reach
+            answers.append((verdict.good, answer, reach))
         assert answers[0] == answers[1]
         verdicts.append(answers[0][0])
     assert verdicts == [True, False, True, False]
@@ -353,9 +370,9 @@ def test_induced_coloring_builds_the_product_once(monkeypatch):
     calls = []
     build = goodness._product
 
-    def counting(graph, machine):
+    def counting(graph, width, atoms):
         calls.append(1)
-        return build(graph, machine)
+        return build(graph, width, atoms)
 
     monkeypatch.setattr(goodness, "_product", counting)
     induced_order_system_coloring(path_digraph(3), hasse_machine())
@@ -652,6 +669,80 @@ def test_is_good_matches_the_tuple_product_reference():
             bad += 1
     assert good >= 100
     assert bad >= 100
+
+
+def live_product_corpus():
+    # random draws, the alternating machine on shift digraphs and on
+    # 10-vertex digraphs, and the counter machines on their constructions
+    # and on shift digraphs
+    rng = default_rng(4401)
+    for trial in range(1200):
+        k = 2 + trial % 2
+        graph = random_hypergraph(rng, k=k, max_vertices=6, max_edges=8)
+        draw = random_cycling_machine if trial % 4 < 2 else random_machine
+        yield graph, draw(rng, k=k, max_states=4)
+    alternating = gen_alternating_machine().machine
+    for m in range(3, 12):
+        yield gen_shift_digraph(m), alternating
+    rng = default_rng(4402)
+    drawn = 0
+    while drawn < 60:
+        graph = random_digraph(rng, max_vertices=10)
+        if len(graph.vertices) == 10:
+            drawn += 1
+            yield graph, alternating
+    for n, m in ((1, 8), (1, 10), (2, 8), (2, 9), (3, 9)):
+        machine = gen_counter_machine(n)
+        yield gen_cycling_construction(machine, counter_machine_order(n), m), machine
+    for n in (1, 2, 3):
+        for m in range(3, 8):
+            yield gen_shift_digraph(m), gen_counter_machine(n)
+
+
+def comparable(verdict):
+    witness = verdict.witness
+    if witness is None:
+        return verdict.good, None
+    cycle = witness.cycle
+    return verdict.good, (cycle.vertex_seq, cycle.edge_indices, witness.states, witness.bad_pair)
+
+
+def test_live_product_answers_as_the_whole_product():
+    # is_good decides on the live atoms only; the whole product, which the
+    # induced coloring builds, must give the same verdict and witness
+    counts = {True: 0, False: 0}
+    pruned = 0
+    for graph, machine in live_product_corpus():
+        live = is_good(graph, machine)
+        states = range(len(machine.states))
+        whole = goodness._decide(goodness._Product(graph, machine, states, machine.numbered_atoms))
+        assert comparable(live) == comparable(whole)
+        if live.good:
+            coloring = induced_order_system_coloring(graph, machine)
+            assert set(coloring) == set(graph.vertices)
+        else:
+            with pytest.raises(NotGoodError) as caught:
+                induced_order_system_coloring(graph, machine)
+            assert comparable(GoodnessVerdict(False, caught.value.witness)) == comparable(live)
+        counts[live.good] += 1
+        pruned += machine.live_atoms != machine.numbered_atoms
+    assert counts[True] >= 300
+    assert counts[False] >= 300
+    assert pruned >= 450
+
+
+def test_dead_bad_pairs_are_good_without_a_product_state():
+    # b is not reachable from a, so no atom is live and neither a nor b is a
+    # product state, though the whole product has the arc a -> c
+    general = Machine(2, ["a", "b", "c"], [("a", 1, 2, ["c"]), ("b", 1, 2, ["a"])], bad=[("a", "b")])
+    cycling = Machine(2, ["a", "b"], [("a", 1, 2, ["b"]), ("a", 2, 1, ["b"])],
+                      bad=[("a", "a"), ("b", "b")])
+    for machine in (general, cycling):
+        assert machine.live_atoms == () and machine.live_states == ()
+        for graph in (path_digraph(3), triangle([("1", "2"), ("2", "3"), ("3", "1")])):
+            assert is_good(graph, machine).good
+            assert induced_order_system_coloring(graph, machine)
+    assert check_paths_good(cycling, 6) is None
 
 
 def reference_anchored_cycles(graph, base, length):

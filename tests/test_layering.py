@@ -1,6 +1,7 @@
 """Module boundaries: the deciders never load the reference oracles, the
-alternating-cycle check never loads the deciders, no module imports a
-name it never uses, and no private function, class or method goes unused.
+alternating-cycle check never loads the deciders, the machine model loads
+nothing but the errors, no module imports a name it never uses, and no
+private function, class or method goes unused.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -55,6 +56,12 @@ def test_relations_loads_neither_the_digraph_kernel_nor_goodness():
     loaded = loaded_by("badcycle.relations")
     assert "badcycle.relations" in loaded
     assert not loaded & {"badcycle.digraph", "badcycle.goodness"}
+
+
+def test_machine_loads_nothing_but_the_errors():
+    # relations imports machine and stays off the graph kernel, so the
+    # machine's live-atom view closes over its state graph itself
+    assert loaded_by("badcycle.machine") == {"badcycle.machine", "badcycle.errors"}
 
 
 def unused_imports(path):

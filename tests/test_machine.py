@@ -8,6 +8,7 @@ from badcycle.fileio import save_machine
 from badcycle.generators import gen_counter_machine, gen_hasse_machine
 from badcycle.machine import Machine, require_valid, step, validate_machine
 from badcycle.orders import decide_cycling_2machine, find_compatible_order
+from badcycle.relations import gen_alternating_machine
 
 
 def hasse_machine():
@@ -297,3 +298,29 @@ def test_validation_cache_hides_nothing():
         with pytest.raises(InputError, match="under cycling semantics"):
             require_valid(general, "cycling")
     assert require_valid(general, "general").ok
+
+
+def test_live_atoms_are_those_on_walks_between_bad_pairs():
+    alternating = gen_alternating_machine().machine
+    assert alternating.live_states == (0, 1, 2, 4, 5, 9, 12)
+    assert len(alternating.live_atoms) == 8
+    assert len(alternating.numbered_atoms) == 62
+    # the counter's forward step 0 -> 1 never comes back to 0; from n = 2 on
+    # every state lies on one strong component
+    counter = gen_counter_machine(1)
+    assert counter.numbered_atoms == ((0, 1, 2, 1), (1, 1, 2, 1))
+    assert counter.live_atoms == ((1, 1, 2, 1),)
+    assert counter.live_states == (1,)
+    for n in (2, 3):
+        counter = gen_counter_machine(n)
+        assert counter.live_atoms == counter.numbered_atoms
+        assert counter.live_states == tuple(range(n + 1))
+    # the pair's second state is not reachable from its first
+    dead = Machine(2, ["a", "b", "c"], [("a", 1, 2, ["c"]), ("b", 1, 2, ["a"])], bad=[("a", "b")])
+    assert dead.live_atoms == ()
+    assert dead.live_states == ()
+    # a general pair keeps only the walks from its first state to its second
+    chain = Machine(2, ["a", "b", "c", "d"],
+                    [("d", 1, 2, ["a"]), ("a", 1, 2, ["b"]), ("b", 2, 1, ["c"])],
+                    bad=[("a", "b")])
+    assert chain.live_atoms == ((0, 1, 2, 1),)
