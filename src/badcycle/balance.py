@@ -4,14 +4,15 @@ A digraph is alpha-balanced when every closed traversal of its underlying
 graph uses strictly fewer than alpha times as many backward edges as
 forward ones.  Recognition reduces to cycle means on a doubled weighted
 digraph; balanced graphs get a proper coloring with at most ceil(alpha)+1
-colors from longest-walk potentials.
+colors from longest-walk potentials.  Both run ``digraph``'s row kernels
+directly on each weak component's doubled int rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import WeightedDigraph, find_positive_cycle, longest_walk_potentials
+from .digraph import _positive_cycle, _relax
 from .errors import InputError, UnbalancedError
 from .hypergraph import _components
 
@@ -60,6 +61,14 @@ def _require_digraph(graph):
         raise InputError("balance is defined for 2-uniform digraphs")
 
 
+def _doubled(graph, vertices, edges, forward, backward):
+    """A weak component's rows on places in ``vertices``: its n-th edge gives
+    row 2n forward, of weight ``forward``, and row 2n+1 backward."""
+    local = dict(zip(vertices, range(len(vertices))))
+    ends = [(local[graph.members[2 * e]], local[graph.members[2 * e + 1]]) for e in edges]
+    return [row for a, b in ends for row in ((a, b, forward), (b, a, backward))]
+
+
 def is_alpha_balanced(graph, alpha):
     """Decide alpha-balance; unbalanced verdicts carry a traversal witness.
 
@@ -76,18 +85,16 @@ def is_alpha_balanced(graph, alpha):
     scale = len(graph.vertices) + 1
     forward = 1 - alpha.numerator * scale
     backward = 1 + alpha.denominator * scale
-    arcs = []
-    origin = {}
-    for edge in graph.edges:
-        a, b = edge
-        arcs.append((a, b, forward))
-        origin[(a, b, forward)] = (edge, "forward")
-        arcs.append((b, a, backward))
-        origin[(b, a, backward)] = (edge, "backward")
-    cycle = find_positive_cycle(WeightedDigraph(graph.vertices, arcs))
-    if cycle is None:
-        return BalanceVerdict(True, alpha)
-    return BalanceVerdict(False, alpha, tuple(origin[arc] for arc in cycle))
+    # every doubled arc has its reverse, so the strong components are the
+    # weak ones; they are searched in Tarjan's order, greatest least vertex first
+    for vertices, edges in sorted(_components(graph), reverse=True):
+        rows = _doubled(graph, vertices, edges, forward, backward)
+        cycle = edges and _positive_cycle(len(vertices), rows)
+        if cycle:
+            steps = ((graph.edges[edges[p >> 1]], "backward" if p & 1 else "forward")
+                     for p in cycle)
+            return BalanceVerdict(False, alpha, tuple(steps))
+    return BalanceVerdict(True, alpha)
 
 
 def balanced_coloring(graph, alpha):
@@ -106,26 +113,11 @@ def balanced_coloring(graph, alpha):
     ceiling = -(-alpha.numerator // alpha.denominator)
     potentials = {}
     for vertices, edges in _components(graph):
-        arcs = []
-        for e in edges:
-            a, b = graph.edges[e]
-            arcs.append((a, b, 1))
-            arcs.append((b, a, -ceiling))
-        part = [graph.vertices[v] for v in vertices]
-        walks = longest_walk_potentials(WeightedDigraph(part, arcs), part[0])
-        if not walks.bounded:
-            # unreachable on balanced input: a positive cycle here means
-            # some traversal has more than ceil(alpha) forward edges per
-            # backward edge, and its reverse already violates balance
-            witness = []
-            for u, v, w in walks.positive_cycle:
-                edge = (u, v) if w == 1 else (v, u)
-                witness.append((edge, "backward" if w == 1 else "forward"))
-            raise UnbalancedError(
-                "the digraph is not alpha-balanced",
-                BalanceVerdict(False, alpha, tuple(reversed(witness))),
-            )
-        potentials.update(walks.potentials)
-    colors = {v: int(potentials[v]) % (ceiling + 1) for v in graph.vertices}
+        n = len(vertices)
+        dist, changed = _relax(n, _doubled(graph, vertices, edges, 1, -ceiling), 0, n)
+        if changed:
+            # reversed, a positive cycle here has over alpha backward edges per forward one
+            raise AssertionError("a balanced digraph has bounded potentials")
+        potentials.update(zip([graph.vertices[v] for v in vertices], dist))
+    colors = {v: potentials[v] % (ceiling + 1) for v in graph.vertices}
     return BalancedColoring(alpha, ceiling, potentials, colors)
-

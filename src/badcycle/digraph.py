@@ -1,13 +1,14 @@
-"""Weighted digraph kernels shared by the deciders, all on int rows.
+"""Digraph kernels shared by the deciders, all on int rows.
 
-A WeightedDigraph keeps each arc as a row (u, v, w*L) on node numbers,
-with L the least common denominator of the weights.  One iterative Tarjan
-pass splits the strong components; Karp's cycle means (over a common
-denominator), the longest-walk relaxation and the tight-cycle search run
-on each component's local numbering.  Names and Fractions appear only at
-the edges: means and potentials are divided by L on return, and a cycle
-is returned as ``arcs`` by position.  ``tarjan``, ``bfs`` and the least-key
-topological order ``least_first_order`` also serve ``goodness`` and ``orders``.
+The kernels take (u, v, w) rows on node numbers: one iterative Tarjan pass
+splits the strong components, and Karp's cycle means (over a common
+denominator), the longest-walk relaxation and the tight-cycle search run on
+each component's local numbering.  ``balance`` and ``orders`` build their
+rows and call the kernels directly.  ``WeightedDigraph`` is the public,
+name-keyed view: it keeps each arc as a row (u, v, w*L), L the least common
+denominator of the weights, and its functions divide means and potentials
+by L and return a cycle as ``arcs`` by position.  ``tarjan``, ``bfs`` and
+``least_first_order`` (Kahn by least key) also serve ``goodness`` and ``orders``.
 """
 from __future__ import annotations
 
@@ -199,21 +200,25 @@ def least_first_order(succ, key=None):
     return order
 
 
-def _cyclic_components(graph):
-    """(size, rows, positions) of each strong component with a cycle: its rows
-    renumbered by place in the component, and their places in ``graph.arcs``."""
-    raw, owner = tarjan(graph._succ)
-    local = [0] * len(owner)
+def _cyclic_components(n, rows):
+    """(size, rows, positions) of each strong component with a cycle of the
+    digraph on nodes 0..n-1 with (u, v, w) ``rows``: its rows renumbered by
+    place in the component, and their places in ``rows``."""
+    succ = [[] for _ in range(n)]
+    for u, v, _ in rows:
+        succ[u].append(v)
+    raw, owner = tarjan(succ)
+    local = [0] * n
     for comp in raw:
         for place, v in enumerate(comp):
             local[v] = place
-    rows = [[] for _ in raw]
+    inner = [[] for _ in raw]
     positions = [[] for _ in raw]
-    for p, (u, v, w) in enumerate(graph._rows):
+    for p, (u, v, w) in enumerate(rows):
         if owner[u] == owner[v]:
-            rows[owner[u]].append((local[u], local[v], w))
+            inner[owner[u]].append((local[u], local[v], w))
             positions[owner[u]].append(p)
-    return [(len(c), r, p) for c, r, p in zip(raw, rows, positions) if r]
+    return [(len(c), r, p) for c, r, p in zip(raw, inner, positions) if r]
 
 
 def _karp(n, rows, scale):
@@ -241,7 +246,7 @@ def _negated(rows):
 
 def _extreme_mean(graph, sign):
     """sign * the least mean of sign * weights: min (1) or max (-1) cycle mean."""
-    parts = _cyclic_components(graph)
+    parts = _cyclic_components(len(graph.vertices), graph._rows)
     if not parts:
         return None
     scale = lcm(*range(1, max(n for n, _, _ in parts) + 1))
@@ -261,33 +266,39 @@ def max_cycle_mean(graph):
     return _extreme_mean(graph, -1)
 
 
-def has_zero_mean_span(graph):
-    """Whether some strong component has cycles of mean <= 0 and >= 0 (signs only)."""
-    for n, rows, _ in _cyclic_components(graph):
-        scale = lcm(*range(1, n + 1))
-        if _karp(n, rows, scale) <= 0 and _karp(n, _negated(rows), scale) <= 0:
+def has_zero_mean_span(n, rows):
+    """Whether some strong component of the digraph on nodes 0..n-1 with int
+    ``rows`` has cycles of mean <= 0 and >= 0."""
+    for size, part, _ in _cyclic_components(n, rows):
+        scale = lcm(*range(1, size + 1))
+        if _karp(size, part, scale) <= 0 and _karp(size, _negated(part), scale) <= 0:
             return True
     return False
 
 
-def find_positive_cycle(graph):
-    """Some directed cycle of strictly positive total weight, or None.
+def _positive_cycle(n, rows):
+    """Row positions of a directed cycle of positive weight in the strong
+    component on nodes 0..n-1 with (u, v, w) int ``rows``, or None.  Uses the
+    tight subgraph of max-mean-shifted potentials, so the result is exact:
+    with max mean -a/D, the rows w*D + a are the shifted weights scaled by D."""
+    scale = lcm(*range(1, n + 1))
+    least = _karp(n, _negated(rows), scale)
+    if least >= 0:
+        return None
+    shifted = [(u, v, w * scale + least) for u, v, w in rows]
+    pot, _ = _relax(n, shifted, 0, max(n - 1, 1))
+    tight = [p for p, (u, v, w) in enumerate(shifted) if pot[v] == pot[u] + w]
+    cycle = _any_cycle(n, [shifted[p] for p in tight])
+    return cycle and [tight[i] for i in cycle]
 
-    Returns the cycle as a tuple of (source, target, weight) arcs.  Uses
-    the tight subgraph of max-mean-shifted potentials, so the result is
-    exact.  With max mean -a/D, the rows w*D + a are the shifted weights
-    scaled by D*L > 0, which keeps the tight arcs."""
-    for n, rows, positions in _cyclic_components(graph):
-        scale = lcm(*range(1, n + 1))
-        least = _karp(n, _negated(rows), scale)
-        if least >= 0:
-            continue
-        shifted = [(u, v, w * scale + least) for u, v, w in rows]
-        pot, _ = _relax(n, shifted, 0, max(n - 1, 1))
-        tight = [p for p, (u, v, w) in enumerate(shifted) if pot[v] == pot[u] + w]
-        cycle = _any_cycle(n, [shifted[p] for p in tight])
+
+def find_positive_cycle(graph):
+    """Some directed cycle of strictly positive total weight, or None,
+    as a tuple of (source, target, weight) arcs of ``graph.arcs``."""
+    for n, rows, positions in _cyclic_components(len(graph.vertices), graph._rows):
+        cycle = _positive_cycle(n, rows)
         if cycle:
-            return tuple(graph.arcs[positions[tight[i]]] for i in cycle)
+            return tuple(graph.arcs[positions[p]] for p in cycle)
     return None
 
 

@@ -169,18 +169,16 @@ def _witness(product, walk):
 
 class _Product:
     """The product digraph on node numbers with its strong components, on the
-    given ascending state numbers and atoms among them: node (v, states[m])
-    is numbered index(v) * len(states) + m."""
+    given ascending state numbers, with atoms and bad pairs (by default the
+    machine's) on places m there: node (v, states[m]) is index(v) * len(states) + m."""
 
-    def __init__(self, graph, machine, states, atoms):
+    def __init__(self, graph, machine, states, atoms, bad=None):
         self.graph = graph
         self.machine = machine
         self.states = states
-        self.local = local = {s: m for m, s in enumerate(states)}
+        self.bad = machine.numbered_bad if bad is None else bad
         self.width = len(states)
-        self.succ = _product(
-            graph, self.width, [(local[s], i, j, local[t]) for s, i, j, t in atoms]
-        )
+        self.succ = _product(graph, self.width, atoms)
         self.components, self.component_of = tarjan(self.succ)
 
     def name(self, node):
@@ -219,7 +217,8 @@ def is_good(graph, machine):
     witness are those of the whole product.
     """
     _require_decidable(graph, machine)
-    return _decide(_Product(graph, machine, machine.live_states, machine.live_atoms))
+    atoms, bad = machine.live_local
+    return _decide(_Product(graph, machine, machine.live_states, atoms, bad))
 
 
 def check_paths_good(machine, n_max):
@@ -260,12 +259,9 @@ def _bad_walk(product):
             last = min(nearest, key=lambda u: _first_arc(product, u, node))
             return _walk_to(parent, node, last) + [node]
         return None
-    reach, width, local = product.reach, product.width, product.local
-    # a bad pair off the product's states has no bad walk
-    pairs = [(local[s], local[t]) for s, t in machine.numbered_bad
-             if s in local and t in local]
+    reach, width = product.reach, product.width
     for v in range(len(graph.vertices)):
-        for s, t in pairs:
+        for s, t in product.bad:
             source, target = v * width + s, v * width + t
             if reach[component_of[source]] >> component_of[target] & 1:
                 parent, _ = bfs(succ, source, lambda u: u == target)

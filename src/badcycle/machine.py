@@ -7,7 +7,8 @@ must have B equal to the diagonal of S, "general" machines must have B
 disjoint from the diagonal.  A machine is immutable, so it sorts its
 canonical views once and numbers their states once, on first use, and
 keeps ``require_valid``'s report per semantics.  It also keeps, once, the
-atoms that can lie on a bad walk (``live_atoms``), which goodness builds
+atoms that can lie on a bad walk (``live_atoms``), and them and the bad
+pairs on the live states' places (``live_local``), which goodness builds
 its product from.
 """
 from __future__ import annotations
@@ -55,22 +56,28 @@ class Machine:
 
     # -- canonical views -------------------------------------------------
 
-    def _state_key(self, s):
-        # undeclared states go last, by name, so an invalid machine sorts too
-        return (self._index.get(s, len(self.states)), str(s))
+    def _by_state(self, build):
+        """``build(key)``, key the state number; with a state undeclared, those
+        go last, by name, so an invalid machine sorts too."""
+        try:
+            return build(self._index.__getitem__)
+        except KeyError:
+            return build(lambda s: (self._index.get(s, len(self.states)), str(s)))
 
     @cached_property
     def _rows(self):
         # (transition rows, transition atoms), sorted once
-        key = self._state_key
-        rows = [(s, i, j, tuple(sorted(ts, key=key))) for (s, i, j), ts in self._table.items()]
-        rows = tuple(sorted(rows, key=lambda r: (key(r[0]), r[1], r[2])))
+        def build(key):
+            rows = [(s, i, j, tuple(sorted(ts, key=key))) for (s, i, j), ts in self._table.items()]
+            return tuple(sorted(rows, key=lambda r: (key(r[0]), r[1], r[2])))
+        rows = self._by_state(build)
         return rows, tuple((s, i, j, t) for s, i, j, ts in rows for t in ts)
 
     @cached_property
     def _bad_rows(self):
-        key = self._state_key
-        return tuple(sorted(self.bad, key=lambda p: (key(p[0]), key(p[1]))))
+        return self._by_state(
+            lambda key: tuple(sorted(self.bad, key=lambda p: (key(p[0]), key(p[1]))))
+        )
 
     def transition_rows(self):
         """Transitions as sorted (state, i, j, sorted-target-tuple) rows."""
@@ -123,6 +130,15 @@ class Machine:
     def live_states(self):
         """The state numbers on ``live_atoms``, ascending."""
         return tuple(sorted({s for atom in self.live_atoms for s in (atom[0], atom[3])}))
+
+    @cached_property
+    def live_local(self):
+        """``live_atoms``, and the bad pairs with both states live, on each
+        state's place in ``live_states``; the live product is numbered so."""
+        local = {s: m for m, s in enumerate(self.live_states)}
+        atoms = tuple((local[s], i, j, local[t]) for s, i, j, t in self.live_atoms)
+        return atoms, tuple((local[s], local[t]) for s, t in self.numbered_bad
+                            if s in local and t in local)
 
     # -- derived tags ----------------------------------------------------
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .digraph import WeightedDigraph, has_zero_mean_span, least_first_order
+from .digraph import has_zero_mean_span, least_first_order
 from .errors import Budget, InputError
 from .machine import require_valid
 
@@ -535,5 +535,5 @@ def decide_cycling_2machine(machine):
     require_valid(machine, "cycling")
     if machine.k != 2:
         raise InputError("the fast decision procedure needs k = 2")
-    arcs = [(s, t, j - i) for s, i, j, t in machine.numbered_atoms]
-    return not has_zero_mean_span(WeightedDigraph(range(len(machine.states)), arcs))
+    rows = [(s, t, j - i) for s, i, j, t in machine.numbered_atoms]
+    return not has_zero_mean_span(len(machine.states), rows)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from badcycle import digraph
 from badcycle.balance import balanced_coloring, is_alpha_balanced
 from badcycle.corpus import default_rng, random_digraph
 from badcycle.digraph import WeightedDigraph, find_positive_cycle, longest_walk_potentials
@@ -15,7 +16,9 @@ from badcycle.hypergraph import (
     path_digraph,
     weak_components,
 )
+from badcycle.machine import Machine
 from badcycle.oracles import check_two_balanced_equivalence
+from badcycle.orders import decide_cycling_2machine
 
 ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
 
@@ -280,6 +283,14 @@ def reference_balance_corpus():
     for seed, count, size in ((611, 100, 5), (612, 80, 5), (613, 60, 5), (615, 60, 6)):
         rng = default_rng(seed)
         yield from (random_digraph(rng, max_vertices=size) for _ in range(count))
+    # disjoint unions, the second draw's vertices primed and declared first,
+    # so several weak components can hold a violating traversal
+    rng = default_rng(90605)
+    for _ in range(100):
+        first, second = (random_digraph(rng, max_vertices=4, edge_prob=0.5) for _ in "12")
+        primed = [(a + "'", b + "'") for a, b in second.edges]
+        vertices = [v + "'" for v in second.vertices] + list(first.vertices)
+        yield DirectedHypergraph(2, vertices, list(first.edges) + primed)
 
 
 def test_balance_matches_the_fraction_weight_reference():
@@ -298,3 +309,36 @@ def test_balance_matches_the_fraction_weight_reference():
                 unbalanced += 1
     assert balanced >= 1000
     assert unbalanced >= 500
+
+
+def test_witness_comes_from_the_component_with_the_greatest_least_vertex():
+    # both triangles violate 2-balance; the components are searched in
+    # Tarjan's order on the doubled digraph, so d, e, f answer, though a, b, c
+    # come first by name and by edge
+    graph = DirectedHypergraph(
+        2, "abcdef", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"), ("f", "d")]
+    )
+    verdict = is_alpha_balanced(graph, 2)
+    assert verdict.witness == (
+        (("f", "d"), "backward"), (("e", "f"), "backward"), (("d", "e"), "backward")
+    )
+    with pytest.raises(UnbalancedError) as caught:
+        balanced_coloring(graph, 2)
+    assert caught.value.verdict == verdict
+
+
+def test_balance_and_the_cycling_decision_build_no_weighted_digraph(monkeypatch):
+    # both decide on int rows; the name-keyed WeightedDigraph is a public view
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a WeightedDigraph was built")
+
+    monkeypatch.setattr(digraph.WeightedDigraph, "__init__", refuse)
+    graph = transitive_triangle()
+    assert is_alpha_balanced(graph, 3).balanced
+    assert_valid_witness(graph, is_alpha_balanced(graph, 2))
+    assert balanced_coloring(graph, 3).colors == {"1": 0, "2": 1, "3": 2}
+    with pytest.raises(UnbalancedError):
+        balanced_coloring(graph, 2)
+    assert decide_cycling_2machine(gen_counter_machine(2))
+    loop = Machine(2, ["a"], [("a", 1, 2, ["a"]), ("a", 2, 1, ["a"])], bad=[("a", "a")])
+    assert not decide_cycling_2machine(loop)
