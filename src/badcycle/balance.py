@@ -82,12 +82,17 @@ def is_alpha_balanced(graph, alpha):
     """
     alpha = _as_alpha(alpha)
     _require_digraph(graph)
+    return _balance(graph, alpha, _components(graph))
+
+
+def _balance(graph, alpha, components):
+    """``is_alpha_balanced`` on the graph's weak ``components``."""
     scale = len(graph.vertices) + 1
     forward = 1 - alpha.numerator * scale
     backward = 1 + alpha.denominator * scale
     # every doubled arc has its reverse, so the strong components are the
     # weak ones; they are searched in Tarjan's order, greatest least vertex first
-    for vertices, edges in sorted(_components(graph), reverse=True):
+    for vertices, edges in sorted(components, reverse=True):
         rows = _doubled(graph, vertices, edges, forward, backward)
         cycle = edges and _positive_cycle(len(vertices), rows)
         if cycle:
@@ -107,12 +112,14 @@ def balanced_coloring(graph, alpha):
     the coloring proper.
     """
     alpha = _as_alpha(alpha)
-    verdict = is_alpha_balanced(graph, alpha)
+    _require_digraph(graph)
+    components = _components(graph)
+    verdict = _balance(graph, alpha, components)
     if not verdict.balanced:
         raise UnbalancedError("the digraph is not alpha-balanced", verdict)
     ceiling = -(-alpha.numerator // alpha.denominator)
     potentials = {}
-    for vertices, edges in _components(graph):
+    for vertices, edges in components:
         n = len(vertices)
         dist, changed = _relax(n, _doubled(graph, vertices, edges, 1, -ceiling), 0, n)
         if changed:

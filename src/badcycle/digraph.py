@@ -1,14 +1,16 @@
 """Digraph kernels shared by the deciders, all on int rows.
 
-The kernels take (u, v, w) rows on node numbers: one iterative Tarjan pass
-splits the strong components, and Karp's cycle means (over a common
-denominator), the longest-walk relaxation and the tight-cycle search run on
-each component's local numbering.  ``balance`` and ``orders`` build their
-rows and call the kernels directly.  ``WeightedDigraph`` is the public,
+The kernels take (u, v, w) rows on node numbers: one iterative Tarjan
+search, ``tarjan_from``, splits the strong components, and Karp's cycle
+means (over a common denominator), the longest-walk relaxation and the
+tight-cycle search run on each component's local numbering.  ``balance``
+and ``orders`` build their rows and call the kernels directly.  ``WeightedDigraph`` is the public,
 name-keyed view: it keeps each arc as a row (u, v, w*L), L the least common
 denominator of the weights, and its functions divide means and potentials
-by L and return a cycle as ``arcs`` by position.  ``tarjan``, ``bfs`` and
-``least_first_order`` (Kahn by least key) also serve ``goodness`` and ``orders``.
+by L and return a cycle as ``arcs`` by position.  ``tarjan_from`` runs
+from the given roots in order and hands control back after each, so a
+caller can stop at its answer; ``tarjan`` runs it from every node.  They,
+``bfs`` and ``least_first_order`` (Kahn) also serve ``goodness`` and ``orders``.
 """
 from __future__ import annotations
 
@@ -80,62 +82,67 @@ class SCCResult:
     internal_arcs: tuple
 
 
-def tarjan(succ):
-    """Strong components of the digraph on nodes 0..n-1 with successor lists.
-
-    Tarjan's algorithm (1972), iterative, with roots taken in node order
-    and successors in list order.  Returns the components in topological
-    order (every arc stays inside one or goes to a later one), each
-    listing its members in ascending order, and each node's component
-    number.
-    """
+def tarjan_from(succ, roots):
+    """Tarjan (1972), iterative, on nodes 0..n-1 with successor lists, from
+    each of ``roots`` in turn, skipping one already reached.  Yields after
+    each root, once all it reaches has closed: the components so far in
+    closing order (arcs go within one or to an earlier one), members
+    ascending, and each node's place there, -1 while unreached."""
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     place = [0] * n
+    owner = [-1] * n
     stack = []
-    raw = []
+    closed = []
     counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        place[root] = len(stack)
-        stack.append(root)
-        call = [(root, iter(succ[root]))]
-        while call:
-            v, pending = call[-1]
-            for w in pending:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    place[w] = len(stack)
-                    stack.append(w)
-                    call.append((w, iter(succ[w])))
-                    break
-                # a finished node's index is n, so only stacked ones count
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                call.pop()
-                if low[v] == index[v]:
-                    comp = stack[place[v]:]
-                    del stack[place[v]:]
-                    for w in comp:
-                        index[w] = n
-                    comp.sort()
-                    raw.append(comp)
-                if call:
-                    u = call[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-    raw.reverse()
-    component_of = [0] * n
-    for c, comp in enumerate(raw):
-        for v in comp:
-            component_of[v] = c
-    return raw, component_of
+    for root in roots:
+        if index[root] < 0:
+            index[root] = low[root] = counter
+            counter += 1
+            place[root] = len(stack)
+            stack.append(root)
+            call = [(root, iter(succ[root]))]
+            while call:
+                v, pending = call[-1]
+                for w in pending:
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        place[w] = len(stack)
+                        stack.append(w)
+                        call.append((w, iter(succ[w])))
+                        break
+                    # a closed node's index is n, so only stacked ones count
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    call.pop()
+                    if low[v] == index[v]:
+                        comp = stack[place[v]:]
+                        del stack[place[v]:]
+                        c = len(closed)
+                        for w in comp:
+                            index[w] = n
+                            owner[w] = c
+                        comp.sort()
+                        closed.append(comp)
+                    if call:
+                        u = call[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+        yield closed, owner
+
+
+def tarjan(succ):
+    """Strong components: ``tarjan_from`` run from every node in order, its
+    components listed in topological order (every arc stays inside one or
+    goes to a later one), and each node's component number in that list."""
+    closed, owner = [], []
+    for closed, owner in tarjan_from(succ, range(len(succ))):
+        pass
+    last = len(closed) - 1
+    return closed[::-1], [last - c for c in owner]
 
 
 def strong_components(graph):

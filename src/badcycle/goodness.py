@@ -4,9 +4,15 @@ A hypergraph is good for a machine when no cycle admits an accepting
 state sequence ending in a bad pair.  The decision runs on the product
 digraph over vertex-state pairs: a step of a cycle together with a
 machine transition becomes one arc.  The decision builds integer
-successor lists a position pair of an edge at a time, and finds the edge
-behind an arc only for a witness.  Components, witness walks and induced
-linear orders come from ``digraph.tarjan``, ``bfs`` and ``least_first_order``.
+successor lists from the machine's position-pair groups, and finds the
+edge behind an arc only for a witness.  Witness walks and induced linear
+orders come from ``digraph.bfs`` and ``least_first_order``.
+
+The decision asks its queries in order, (v, s) reaching (v, t) per vertex
+v and bad pair (s, t), or each node lying on a cycle, and answers them with
+``digraph.tarjan_from`` rooted at each query's node in turn, ORing in reach
+bitsets as components close.  It stops at the first query that hits, so
+it never visits a node that no earlier query reaches.
 
 ``is_good`` builds the product only on the machine's ``live_atoms``, the
 atoms that can lie on a bad walk, and on the states they touch.  Every bad
@@ -15,15 +21,15 @@ kept nodes keep their relative order.  So the components holding a cycle,
 and the BFS layers of the nodes that reach the target, are those of the
 whole product: the first qualifying node and its witness are the same.
 The induced coloring reads every state's component, so it builds the
-whole product.
+whole product and runs the search on from every node.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import chain
 
-from .digraph import WeightedDigraph, bfs, least_first_order, tarjan
+from .digraph import WeightedDigraph, bfs, least_first_order, tarjan_from
 from .errors import InputError, NotGoodError
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
@@ -94,19 +100,17 @@ def _product_arcs(graph, machine):
         yield [(base[i] + s, base[j] + t) for s, i, j, t in atoms]
 
 
-def _product(graph, width, atoms):
+def _product(graph, width, groups):
     """Successor lists of the product on node numbers, width states a vertex,
-    from atoms on those states' local numbers, in first-arc order: atoms sort
-    by (s, i, j, t) and a vertex holds one place per edge, so taking them
-    grouped by position pair, groups in sorted order, keeps ``_product_arcs`` order.
-    An arc two edges share is listed twice: ``tarjan`` retakes a min, ``bfs``
-    keeps the first parent, and ``in`` tests and the reach OR are idempotent."""
-    groups = {}
-    for s, i, j, t in sorted(atoms, key=lambda atom: atom[1:3]):
-        groups.setdefault((i - 1, j - 1), []).append((s, t))
+    from position-pair ``groups`` on those states' places (``Machine.atom_groups``
+    or ``live_local``), in first-arc order: atoms sort by (s, i, j, t) and a
+    vertex holds one place per edge, so taking them grouped by position pair,
+    groups in sorted order, keeps ``_product_arcs`` order.  An arc two edges
+    share is listed twice: ``tarjan_from`` retakes a min, ``bfs`` keeps the
+    first parent, and ``in`` tests and the reach OR are idempotent."""
     succ = [[] for _ in range(len(graph.vertices) * width)]
     for edge in zip(*[iter(graph.members)] * graph.k):
-        for (i, j), pairs in groups.items():
+        for i, j, pairs in groups:
             a, b = edge[i] * width, edge[j] * width
             for s, t in pairs:
                 succ[a + s].append(b + t)
@@ -142,12 +146,12 @@ def _walk_to(parent, source, target):
     return path
 
 
-def _first_arc(product, u, w):
+def _first_arc(graph, machine, states, u, w):
     """(edge number, atom number) of the least edge that yields the product
-    arc u -> w and of the atom that yields it there."""
-    (a, s), (b, t) = divmod(u, product.width), divmod(w, product.width)
-    s, t = product.states[s], product.states[t]
-    graph, atoms = product.graph, product.machine.numbered_atoms
+    arc u -> w, on the state numbers ``states``, and of the atom that yields it there."""
+    (a, s), (b, t) = divmod(u, len(states)), divmod(w, len(states))
+    s, t = states[s], states[t]
+    atoms = machine.numbered_atoms
     for e in graph.incidence[a]:
         edge = graph.members_of(e)
         if b in edge:
@@ -159,47 +163,45 @@ def _first_arc(product, u, w):
     raise AssertionError(f"no edge yields the product arc {u!r} -> {w!r}")
 
 
-def _witness(product, walk):
-    """The bad-cycle witness read off a product walk on node numbers."""
-    vertices, states = zip(*map(product.name, walk))
-    edges = [_first_arc(product, u, w)[0] for u, w in zip(walk, walk[1:])]
-    cycle = HyperCycle(product.graph, vertices[0], zip(edges, vertices[1:]))
-    return BadCycleWitness(cycle, states, (states[0], states[-1]))
+def _witness(graph, machine, states, walk):
+    """The bad-cycle witness read off a walk of the product on ``states``."""
+    vertices = [graph.vertices[u // len(states)] for u in walk]
+    names = tuple(machine.states[states[u % len(states)]] for u in walk)
+    edges = [_first_arc(graph, machine, states, u, w)[0] for u, w in zip(walk, walk[1:])]
+    cycle = HyperCycle(graph, vertices[0], zip(edges, vertices[1:]))
+    return BadCycleWitness(cycle, names, (names[0], names[-1]))
 
 
-class _Product:
-    """The product digraph on node numbers with its strong components, on the
-    given ascending state numbers, with atoms and bad pairs (by default the
-    machine's) on places m there: node (v, states[m]) is index(v) * len(states) + m."""
-
-    def __init__(self, graph, machine, states, atoms, bad=None):
-        self.graph = graph
-        self.machine = machine
-        self.states = states
-        self.bad = machine.numbered_bad if bad is None else bad
-        self.width = len(states)
-        self.succ = _product(graph, self.width, atoms)
-        self.components, self.component_of = tarjan(self.succ)
-
-    def name(self, node):
-        """The (vertex, state) pair numbered node."""
-        v, m = divmod(node, self.width)
-        return self.graph.vertices[v], self.machine.states[self.states[m]]
-
-    @cached_property
-    def reach(self):
-        """Per component, the bitset of components it reaches (itself
-        included), ORed in over every arc in one sweep."""
-        reach = [0] * len(self.components)
-        succ, component_of = self.succ, self.component_of
-        # components are topologically sorted, so every target is done first
-        for c in reversed(range(len(self.components))):
-            bits = 1 << c
-            for u in self.components[c]:
+def _closing(succ, roots):
+    """``tarjan_from`` with each component's reach bitset, its own bit and
+    those of the components it reaches, ORed in from its arcs when its root
+    is handed back: their targets closed first, so the bits are final."""
+    reach = []
+    for closed, owner in tarjan_from(succ, roots):
+        for comp in closed[len(reach):]:
+            bits = 1 << len(reach)
+            reach.append(bits)
+            for u in comp:
                 for w in succ[u]:
-                    bits |= reach[component_of[w]]
-            reach[c] = bits
-        return reach
+                    bits |= reach[owner[w]]
+            reach[-1] = bits
+        yield closed, owner, reach
+
+
+def _decide(graph, machine, states, groups, bad, reach=False):
+    """The product on ``states``, ascending state numbers, from position-pair
+    ``groups``, with ``bad`` pairs on places there; the verdict on it; and the
+    search rooted at its queries' sources, which goes on from every node when
+    resumed, with reach bitsets under general semantics or with ``reach``."""
+    width = len(states)
+    succ = _product(graph, width, groups)
+    # cycling bad pairs are the diagonal, so there the queries are the nodes in order
+    queries = [(v * width + s, v * width + t) for v in range(len(graph.vertices)) for s, t in bad]
+    roots = chain([source for source, _ in queries], range(len(succ)))
+    search = (_closing if reach or not machine.is_cycling else tarjan_from)(succ, roots)
+    walk = _bad_walk(graph, machine, states, succ, queries, search)
+    witness = walk and _witness(graph, machine, states, walk)
+    return succ, GoodnessVerdict(walk is None, witness), search
 
 
 def is_good(graph, machine):
@@ -217,8 +219,7 @@ def is_good(graph, machine):
     witness are those of the whole product.
     """
     _require_decidable(graph, machine)
-    atoms, bad = machine.live_local
-    return _decide(_Product(graph, machine, machine.live_states, atoms, bad))
+    return _decide(graph, machine, machine.live_states, *machine.live_local)[1]
 
 
 def check_paths_good(machine, n_max):
@@ -237,35 +238,26 @@ def check_paths_good(machine, n_max):
     return None
 
 
-def _decide(product):
-    """The goodness verdict read off a product."""
-    walk = _bad_walk(product)
-    witness = None if walk is None else _witness(product, walk)
-    return GoodnessVerdict(walk is None, witness)
-
-
-def _bad_walk(product):
-    """Shortest bad product walk through the first qualifying node, or None."""
-    graph, machine, succ = product.graph, product.machine, product.succ
-    components, component_of = product.components, product.component_of
+def _bad_walk(graph, machine, states, succ, queries, search):
+    """Shortest bad walk of the product on ``states`` through the first
+    qualifying node, or None; ``search`` is resumed once per query and left
+    at the first that hits."""
     if machine.is_cycling:
-        for node in range(len(succ)):
-            if len(components[component_of[node]]) == 1 and node not in succ[node]:
+        for (node, _), (closed, owner, *_) in zip(queries, search):
+            if len(closed[owner[node]]) == 1 and node not in succ[node]:
                 continue
             # every node the BFS reaches with an arc back to node lies in
             # its component; the nearest ones close shortest closed walks,
             # and ties go to the arc that comes first in the product
             parent, nearest = bfs(succ, node, lambda u: node in succ[u])
-            last = min(nearest, key=lambda u: _first_arc(product, u, node))
+            last = min(nearest, key=lambda u: _first_arc(graph, machine, states, u, node))
             return _walk_to(parent, node, last) + [node]
         return None
-    reach, width = product.reach, product.width
-    for v in range(len(graph.vertices)):
-        for s, t in product.bad:
-            source, target = v * width + s, v * width + t
-            if reach[component_of[source]] >> component_of[target] & 1:
-                parent, _ = bfs(succ, source, lambda u: u == target)
-                return _walk_to(parent, source, target)
+    for (source, target), (_, owner, reach) in zip(queries, search):
+        # a target the search has not reached is not reached from source
+        if owner[target] >= 0 and reach[owner[source]] >> owner[target] & 1:
+            parent, _ = bfs(succ, source, lambda u: u == target)
+            return _walk_to(parent, source, target)
     return None
 
 
@@ -307,21 +299,25 @@ def induced_order_system_coloring(graph, machine):
     order, and a fixed topological order of the condensation, whose arcs
     only this coloring reads (least product vertex first among the ready
     components), gives the linear order.  Requires the hypergraph to be good.
-    It builds the whole product, every state and atom, and decides on it.
+    It builds the whole product, every state and atom, decides on it, and
+    then runs the search on from every node.
     """
     _require_decidable(graph, machine)
-    product = _Product(graph, machine, range(len(machine.states)), machine.numbered_atoms)
-    verdict = _decide(product)
+    width = len(machine.states)
+    succ, verdict, search = _decide(
+        graph, machine, range(width), machine.atom_groups, machine.numbered_bad, True
+    )
     if not verdict.good:
         raise NotGoodError("hypergraph is not good for this machine", verdict.witness)
-    component_of, reach, succ = product.component_of, product.reach, product.succ
+    components, component_of, reach = [], [], []
+    for components, component_of, reach in search:
+        pass
     following = [{component_of[w] for u in comp for w in succ[u]} - {c}
-                 for c, comp in enumerate(product.components)]
+                 for c, comp in enumerate(components)]
     # components list their members in ascending node order
-    order = least_first_order(following, [comp[0] for comp in product.components])
+    order = least_first_order(following, [comp[0] for comp in components])
     rank = {c: n for n, c in enumerate(order)}
     coloring = {}
-    width = product.width
     for n, v in enumerate(graph.vertices):
         groups = {}
         for m, s in enumerate(machine.states):

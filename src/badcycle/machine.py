@@ -7,9 +7,9 @@ must have B equal to the diagonal of S, "general" machines must have B
 disjoint from the diagonal.  A machine is immutable, so it sorts its
 canonical views once and numbers their states once, on first use, and
 keeps ``require_valid``'s report per semantics.  It also keeps, once, the
-atoms that can lie on a bad walk (``live_atoms``), and them and the bad
-pairs on the live states' places (``live_local``), which goodness builds
-its product from.
+atoms that can lie on a bad walk (``live_atoms``).  Goodness builds its
+products from ``atom_groups`` and ``live_local``: all atoms, and the live
+ones on the live states' places, grouped by position pair.
 """
 from __future__ import annotations
 
@@ -133,12 +133,17 @@ class Machine:
 
     @cached_property
     def live_local(self):
-        """``live_atoms``, and the bad pairs with both states live, on each
-        state's place in ``live_states``; the live product is numbered so."""
+        """``live_atoms`` grouped as ``atom_groups`` are, and the bad pairs with
+        both states live, on each state's place in ``live_states``."""
         local = {s: m for m, s in enumerate(self.live_states)}
-        atoms = tuple((local[s], i, j, local[t]) for s, i, j, t in self.live_atoms)
-        return atoms, tuple((local[s], local[t]) for s, t in self.numbered_bad
-                            if s in local and t in local)
+        atoms = [(local[s], i, j, local[t]) for s, i, j, t in self.live_atoms]
+        return _groups(atoms), tuple((local[s], local[t]) for s, t in self.numbered_bad
+                                     if s in local and t in local)
+
+    @cached_property
+    def atom_groups(self):
+        """``numbered_atoms`` grouped by position pair (see ``_groups``)."""
+        return _groups(self.numbered_atoms)
 
     # -- derived tags ----------------------------------------------------
 
@@ -146,7 +151,7 @@ class Machine:
     def is_deterministic(self):
         return all(len(ts) == 1 and i != j for (_, i, j), ts in self._table.items())
 
-    @property
+    @cached_property
     def is_cycling(self):
         return self.bad == frozenset((s, s) for s in self.states)
 
@@ -188,6 +193,15 @@ def _closure(starts, succ):
                 seen.add(t)
                 stack.append(t)
     return seen
+
+
+def _groups(atoms):
+    """(i, j, ((s, t), ...)) per position pair of (s, i, j, t) atoms, the
+    positions from 0, pairs in sorted order, atoms in their given order."""
+    groups = {}
+    for s, i, j, t in sorted(atoms, key=lambda atom: atom[1:3]):
+        groups.setdefault((i - 1, j - 1), []).append((s, t))
+    return tuple((i, j, tuple(pairs)) for (i, j), pairs in groups.items())
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -14,6 +15,8 @@ from badcycle.digraph import (
     max_cycle_mean,
     min_cycle_mean,
     strong_components,
+    tarjan,
+    tarjan_from,
 )
 from badcycle.corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
 from badcycle.errors import InputError
@@ -157,6 +160,53 @@ def test_strong_components_match_networkx():
         networkx_cross_check(nx, build_auxiliary(graph, machine).graph)
     alternating = gen_alternating_machine().machine
     networkx_cross_check(nx, build_auxiliary(gen_shift_digraph(6), alternating).graph)
+
+
+def random_succ(rng, n, out=3):
+    return [[rng.randrange(n) for _ in range(rng.randint(0, out))] for _ in range(n)]
+
+
+def test_rooted_search_closes_what_its_roots_reach_as_networkx_does():
+    # from shuffled roots, each yield has closed exactly the nodes the roots so
+    # far reach, every one in its networkx component, and no other node
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        succ = random_succ(rng, n, out=(1, 2, 3)[trial % 3])
+        dag = nx.DiGraph()
+        dag.add_nodes_from(range(n))
+        dag.add_edges_from((u, w) for u, targets in enumerate(succ) for w in targets)
+        theirs = {v: frozenset(c) for c in nx.strongly_connected_components(dag) for v in c}
+        roots = list(range(n)) * 2
+        rng.shuffle(roots)
+        reached = set()
+        yields = 0
+        for root, (closed, owner) in zip(roots, tarjan_from(succ, roots)):
+            yields += 1
+            reached |= nx.descendants(dag, root) | {root}
+            assert {v for v in range(n) if owner[v] >= 0} == reached
+            assert sorted(v for comp in closed for v in comp) == sorted(reached)
+            for c, comp in enumerate(closed):
+                assert comp == sorted(theirs[comp[0]])
+                assert all(owner[v] == c for v in comp)
+                # closing order: every arc stays inside or goes to an earlier one
+                assert all(owner[w] <= c for v in comp for w in succ[v])
+        assert yields == len(roots)
+
+
+def test_tarjan_is_unchanged_by_the_rooted_search():
+    # the components, in topological order with members ascending, and the
+    # component numbers, as the node-order search gave them before it could resume
+    assert tarjan([]) == ([], [])
+    assert tarjan([[1], [2], [0, 3], [], [4, 3]]) == ([[4], [0, 1, 2], [3]], [1, 1, 1, 2, 0])
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        digest.update(repr(tarjan(random_succ(rng, rng.randint(0, 14)))).encode())
+    assert digest.hexdigest() == (
+        "12246f3be7e106dd0ffaf9c09e327c5338ec5275c9e5de99d764cd2ea9a13cde"
+    )
 
 
 def test_least_first_order_matches_networkx():

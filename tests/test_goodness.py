@@ -155,13 +155,14 @@ def test_product_lists_each_nodes_arcs_in_product_arc_order():
             for u, w in arcs:
                 expected[u].append(w)
         width = len(machine.states)
-        assert goodness._product(graph, width, machine.numbered_atoms) == expected
+        assert goodness._product(graph, width, machine.atom_groups) == expected
 
 
 def test_repeated_product_arcs_change_no_answer(monkeypatch):
     # antiparallel edges (a, b), (b, a) and atoms (s,1,2,t), (s,2,1,t) put
     # each arc (a,s) -> (b,t) and (b,s) -> (a,t) twice in the product; the
-    # components, BFS parents, reach bitsets, verdict, witness and induced
+    # components, BFS parents, whole-product verdict, the search's components
+    # and reach bitsets from every node, the verdict, witness and induced
     # coloring are those of the deduplicated successor lists
     graph = DirectedHypergraph(2, ["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
     both = [("s", 1, 2, ["t"]), ("s", 2, 1, ["t"])]
@@ -174,12 +175,12 @@ def test_repeated_product_arcs_change_no_answer(monkeypatch):
     ]
     build = goodness._product
 
-    def deduplicated(graph, width, atoms):
-        return [list(dict.fromkeys(ws)) for ws in build(graph, width, atoms)]
+    def deduplicated(graph, width, groups):
+        return [list(dict.fromkeys(ws)) for ws in build(graph, width, groups)]
 
     verdicts = []
     for machine in machines:
-        whole = (graph, len(machine.states), machine.numbered_atoms)
+        whole = (graph, len(machine.states), machine.atom_groups)
         succ, unique = build(*whole), deduplicated(*whole)
         assert succ != unique
         assert digraph.tarjan(succ) == digraph.tarjan(unique)
@@ -198,8 +199,12 @@ def test_repeated_product_arcs_change_no_answer(monkeypatch):
                 answer = (cycle.vertex_seq, cycle.edge_indices, verdict.witness.states,
                           verdict.witness.bad_pair)
             states = range(len(machine.states))
-            reach = goodness._Product(graph, machine, states, machine.numbered_atoms).reach
-            answers.append((verdict.good, answer, reach))
+            _, decided, search = goodness._decide(
+                graph, machine, states, machine.atom_groups, machine.numbered_bad, True
+            )
+            # resumed to its end, the search has run from every node
+            *_, (components, owner, reach) = search
+            answers.append((verdict.good, answer, comparable(decided), components, owner, reach))
         assert answers[0] == answers[1]
         verdicts.append(answers[0][0])
     assert verdicts == [True, False, True, False]
@@ -707,6 +712,33 @@ def comparable(verdict):
     return verdict.good, (cycle.vertex_seq, cycle.edge_indices, witness.states, witness.bad_pair)
 
 
+def test_search_closes_nothing_past_the_first_answer(monkeypatch):
+    # a small bad digraph on the first vertices, then shift(12) disjoint from
+    # it: the verdict and witness are the small digraph's alone, and the
+    # search, under either semantics, closes no node of the shift part
+    small = DirectedHypergraph(2, ["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+    shift = gen_shift_digraph(12)
+    union = DirectedHypergraph(2, small.vertices + shift.vertices, small.edges + shift.edges)
+    either_way = Machine(2, ["s"], {("s", 1, 2): {"s"}, ("s", 2, 1): {"s"}}, bad=[("s", "s")])
+    rooted = goodness.tarjan_from
+    closed = []
+
+    def recording(succ, roots):
+        for components, owner in rooted(succ, roots):
+            closed[:] = [(len(succ), v) for comp in components for v in comp]
+            yield components, owner
+
+    monkeypatch.setattr(goodness, "tarjan_from", recording)
+    for machine in (gen_alternating_machine().machine, either_way):
+        alone = is_good(small, machine)
+        assert not alone.good
+        whole = is_good(union, machine)
+        assert comparable(whole) == comparable(alone)
+        assert closed
+        for size, node in closed:
+            assert node < len(small.vertices) * size // len(union.vertices)
+
+
 def test_live_product_answers_as_the_whole_product():
     # is_good decides on the live atoms only; the whole product, which the
     # induced coloring builds, must give the same verdict and witness
@@ -715,7 +747,9 @@ def test_live_product_answers_as_the_whole_product():
     for graph, machine in live_product_corpus():
         live = is_good(graph, machine)
         states = range(len(machine.states))
-        whole = goodness._decide(goodness._Product(graph, machine, states, machine.numbered_atoms))
+        whole = goodness._decide(
+            graph, machine, states, machine.atom_groups, machine.numbered_bad
+        )[1]
         assert comparable(live) == comparable(whole)
         if live.good:
             coloring = induced_order_system_coloring(graph, machine)
@@ -930,9 +964,10 @@ def test_brute_force_needs_neither_the_product_nor_the_graph_searches(monkeypatc
 
     for module, name in [
         (goodness, "_product"),
-        (goodness, "tarjan"),
+        (goodness, "tarjan_from"),
         (goodness, "bfs"),
         (digraph, "tarjan"),
+        (digraph, "tarjan_from"),
         (digraph, "bfs"),
     ]:
         monkeypatch.setattr(module, name, refuse)
