@@ -1,74 +1,42 @@
 """Digraph kernels shared by the deciders, all on int rows.
 
-The kernels take (u, v, w) rows on node numbers: one iterative Tarjan
-search, ``tarjan_from``, splits the strong components, and Karp's cycle
-means (over a common denominator), the longest-walk relaxation and the
-tight-cycle search run on each component's local numbering.  ``balance``
-and ``orders`` build their rows and call the kernels directly.  ``WeightedDigraph`` is the public,
-name-keyed view: it keeps each arc as a row (u, v, w*L), L the least common
-denominator of the weights, and its functions divide means and potentials
-by L and return a cycle as ``arcs`` by position.  ``tarjan_from`` runs
-from the given roots in order and hands control back after each, so a
-caller can stop at its answer; ``tarjan`` runs it from every node.  They,
-``bfs`` and ``least_first_order`` (Kahn) also serve ``goodness`` and ``orders``.
+The kernels take successor lists or (u, v, w) rows on node numbers: one
+iterative Tarjan search, ``tarjan_from``, splits the strong components, and
+Karp's cycle means (over a common denominator), the longest-walk relaxation
+and the tight-cycle search run on each component's local numbering.
+``balance`` and ``orders`` build their rows and call the kernels directly.
+``tarjan_from`` runs from the given roots in order and hands control back
+after each, so a caller can stop at its answer; ``tarjan`` runs it from
+every node.  They, ``bfs`` and ``least_first_order`` (Kahn) also serve
+``goodness`` and ``orders``.  ``Digraph`` is an unweighted name-keyed view
+that exists only for ``goodness.build_auxiliary`` and ``strong_components``.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import InputError
 
 
-class WeightedDigraph:
-    """Digraph with exact rational arc weights.
-
-    Parallel arcs and self-loops are allowed; arcs are (source, target,
-    weight) triples kept in input order, ints as ints and any other
-    weight as a Fraction.
-    """
+class Digraph:
+    """Digraph on named vertices; arcs are (source, target) pairs kept in
+    input order, parallel arcs and self-loops allowed."""
 
     def __init__(self, vertices, arcs=()):
         self.vertices = tuple(vertices)
-        self._index = index = {v: n for n, v in enumerate(self.vertices)}
+        index = {v: n for n, v in enumerate(self.vertices)}
         if len(index) != len(self.vertices):
             raise InputError("duplicate vertex names")
-        cleaned = []
-        for u, v, w in arcs:
+        self.arcs = tuple(arcs)
+        self._succ = succ = [[] for _ in self.vertices]
+        for u, v in self.arcs:
             if u not in index:
                 raise InputError(f"arc source {u!r} is not a declared vertex")
             if v not in index:
                 raise InputError(f"arc target {v!r} is not a declared vertex")
-            cleaned.append((u, v, w if type(w) is int else Fraction(w)))
-        self.arcs = tuple(cleaned)
-        self._scale = scale = lcm(*{w.denominator for _, _, w in cleaned})
-        self._rows = [
-            (index[u], index[v], w.numerator * (scale // w.denominator))
-            for u, v, w in cleaned
-        ]
-        self._succ = succ = [[] for _ in self.vertices]
-        for u, v, _ in self._rows:
-            succ[u].append(v)
-
-    def index_of(self, v):
-        if v not in self._index:
-            raise InputError(f"unknown vertex {v!r}")
-        return self._index[v]
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedDigraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash((self.vertices, self.arcs))
-
-    def __repr__(self):
-        return (
-            f"WeightedDigraph(vertices={len(self.vertices)}, arcs={len(self.arcs)})"
-        )
+            succ[index[u]].append(index[v])
 
 
 @dataclass(frozen=True)
@@ -146,19 +114,21 @@ def tarjan(succ):
 
 
 def strong_components(graph):
-    """Strong components of a WeightedDigraph, topologically sorted (see tarjan)."""
+    """Strong components of a Digraph, topologically sorted (see tarjan)."""
     names = graph.vertices
     raw, owner = tarjan(graph._succ)
+    component_of = dict(zip(names, owner))
     internal = [[] for _ in raw]
     conden = set()
-    for arc, (u, v, _) in zip(graph.arcs, graph._rows):
-        if owner[u] == owner[v]:
-            internal[owner[u]].append(arc)
+    for u, v in graph.arcs:
+        a, b = component_of[u], component_of[v]
+        if a == b:
+            internal[a].append((u, v))
         else:
-            conden.add((owner[u], owner[v]))
+            conden.add((a, b))
     return SCCResult(
         tuple(tuple(names[v] for v in comp) for comp in raw),
-        dict(zip(names, owner)),
+        component_of,
         tuple(sorted(conden)),
         tuple(tuple(arcs) for arcs in internal),
     )
@@ -251,28 +221,6 @@ def _negated(rows):
     return [(u, v, -w) for u, v, w in rows]
 
 
-def _extreme_mean(graph, sign):
-    """sign * the least mean of sign * weights: min (1) or max (-1) cycle mean."""
-    parts = _cyclic_components(len(graph.vertices), graph._rows)
-    if not parts:
-        return None
-    scale = lcm(*range(1, max(n for n, _, _ in parts) + 1))
-    least = min(
-        _karp(n, rows if sign > 0 else _negated(rows), scale) for n, rows, _ in parts
-    )
-    return sign * Fraction(least, scale * graph._scale)
-
-
-def min_cycle_mean(graph):
-    """Minimum mean weight over directed cycles; None when acyclic."""
-    return _extreme_mean(graph, 1)
-
-
-def max_cycle_mean(graph):
-    """Maximum mean weight over directed cycles; None when acyclic."""
-    return _extreme_mean(graph, -1)
-
-
 def has_zero_mean_span(n, rows):
     """Whether some strong component of the digraph on nodes 0..n-1 with int
     ``rows`` has cycles of mean <= 0 and >= 0."""
@@ -297,16 +245,6 @@ def _positive_cycle(n, rows):
     tight = [p for p, (u, v, w) in enumerate(shifted) if pot[v] == pot[u] + w]
     cycle = _any_cycle(n, [shifted[p] for p in tight])
     return cycle and [tight[i] for i in cycle]
-
-
-def find_positive_cycle(graph):
-    """Some directed cycle of strictly positive total weight, or None,
-    as a tuple of (source, target, weight) arcs of ``graph.arcs``."""
-    for n, rows, positions in _cyclic_components(len(graph.vertices), graph._rows):
-        cycle = _positive_cycle(n, rows)
-        if cycle:
-            return tuple(graph.arcs[positions[p]] for p in cycle)
-    return None
 
 
 def _relax(n, rows, source, rounds):
@@ -356,37 +294,3 @@ def _any_cycle(n, rows):
                 if path:
                     path.pop()
     return None
-
-
-@dataclass(frozen=True)
-class LongestWalks:
-    """Either finite longest-walk values or a positive-cycle witness."""
-
-    potentials: dict | None
-    positive_cycle: tuple | None
-
-    @property
-    def bounded(self):
-        return self.potentials is not None
-
-
-def longest_walk_potentials(graph, source):
-    """Supremum of walk weights from source to each vertex.
-
-    Every vertex must be reachable from source.  When some reachable
-    cycle has positive total weight the supremum is infinite and the
-    witness cycle is returned instead.  Potentials are ints when every
-    weight is an int, and Fractions otherwise.
-    """
-    start = graph.index_of(source)
-    parent, _ = bfs(graph._succ, start, lambda x: False)
-    missing = [v for n, v in enumerate(graph.vertices) if n not in parent]
-    if missing:
-        raise InputError(f"vertex {missing[0]!r} is not reachable from {source!r}")
-    n = len(graph.vertices)
-    dist, changed = _relax(n, graph._rows, start, n)
-    if changed:
-        return LongestWalks(None, find_positive_cycle(graph))
-    if graph._scale != 1:
-        dist = [Fraction(d, graph._scale) for d in dist]
-    return LongestWalks(dict(zip(graph.vertices, dist)), None)

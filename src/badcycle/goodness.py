@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .digraph import WeightedDigraph, bfs, least_first_order, tarjan_from
+from .digraph import Digraph, bfs, least_first_order, tarjan_from
 from .errors import InputError, NotGoodError
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
@@ -47,7 +47,7 @@ class AuxiliaryDigraph:
     ``is_good`` does not build it and decides on node numbers instead.
     """
 
-    graph: WeightedDigraph
+    graph: Digraph
     provenance: dict = field(compare=False)
 
 
@@ -120,8 +120,8 @@ def _product(graph, width, groups):
 def build_auxiliary(graph, machine):
     """Product digraph of a hypergraph and a machine, as a public view.
 
-    Arcs come in first-occurrence order with weight 0.  ``is_good`` does
-    not build this view; it decides by node number on the arcs of live atoms.
+    Arcs come in first-occurrence order.  ``is_good`` does not build this
+    view; it decides by node number on the arcs of live atoms.
     """
     _require_same_k(graph, machine)
     nodes = [(v, s) for v in graph.vertices for s in machine.states]
@@ -129,13 +129,11 @@ def build_auxiliary(graph, machine):
     for edge_index, arcs in enumerate(_product_arcs(graph, machine)):
         for arc, (_, i, j, _) in zip(arcs, machine.transition_atoms()):
             tags.setdefault(arc, []).append((edge_index, i, j))
-    weighted = WeightedDigraph(
-        nodes, [(nodes[u], nodes[w], 0) for u, w in tags]
-    )
+    product = Digraph(nodes, [(nodes[u], nodes[w]) for u, w in tags])
     provenance = {
         (nodes[u], nodes[w]): tuple(sorted(found)) for (u, w), found in tags.items()
     }
-    return AuxiliaryDigraph(weighted, provenance)
+    return AuxiliaryDigraph(product, provenance)
 
 
 def _walk_to(parent, source, target):

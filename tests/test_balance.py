@@ -6,10 +6,9 @@ import pytest
 from badcycle import digraph
 from badcycle.balance import balanced_coloring, is_alpha_balanced
 from badcycle.corpus import default_rng, random_digraph
-from badcycle.digraph import WeightedDigraph, find_positive_cycle, longest_walk_potentials
 from badcycle.errors import InputError, UnbalancedError
 from badcycle.generators import gen_counter_machine, gen_explicit_hasse_digraph
-from badcycle.goodness import is_good
+from badcycle.goodness import induced_order_system_coloring, is_good, validate_witness
 from badcycle.hypergraph import (
     DirectedHypergraph,
     is_proper_coloring,
@@ -18,7 +17,9 @@ from badcycle.hypergraph import (
 )
 from badcycle.machine import Machine
 from badcycle.oracles import check_two_balanced_equivalence
-from badcycle.orders import decide_cycling_2machine
+from badcycle.orders import decide_cycling_2machine, find_compatible_order
+from badcycle.relations import gen_alternating_machine
+from named_rows import ref_find_positive_cycle, ref_relax
 
 ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
 
@@ -246,7 +247,8 @@ def test_equivalence_rejects_wrong_arity():
 def reference_balance(graph, alpha):
     # the eps-perturbed Fraction construction is_alpha_balanced used before
     # it scaled the weights by |V|+1 to integers, and balanced_coloring's
-    # potentials on Fraction weights; returns (witness or None, potentials)
+    # potentials on Fraction weights, both on the test-local Fraction
+    # references; returns (witness or None, potentials)
     p, q = alpha.numerator, alpha.denominator
     eps = Fraction(1, len(graph.vertices) + 1)
     arcs = []
@@ -257,7 +259,7 @@ def reference_balance(graph, alpha):
         origin[(a, b, eps - p)] = (edge, "forward")
         arcs.append((b, a, eps + q))
         origin[(b, a, eps + q)] = (edge, "backward")
-    cycle = find_positive_cycle(WeightedDigraph(graph.vertices, arcs))
+    cycle = ref_find_positive_cycle(graph.vertices, arcs)
     if cycle is not None:
         return tuple(origin[arc] for arc in cycle), None
     ceiling = Fraction(math.ceil(alpha))
@@ -269,8 +271,9 @@ def reference_balance(graph, alpha):
             if a in members:
                 arcs.append((a, b, Fraction(1)))
                 arcs.append((b, a, -ceiling))
-        walks = longest_walk_potentials(WeightedDigraph(component, arcs), component[0])
-        potentials.update(walks.potentials)
+        dist, changed = ref_relax(component, arcs, component[0], len(component))
+        assert not changed
+        potentials.update(dist)
     return None, potentials
 
 
@@ -327,18 +330,38 @@ def test_witness_comes_from_the_component_with_the_greatest_least_vertex():
     assert caught.value.verdict == verdict
 
 
-def test_balance_and_the_cycling_decision_build_no_weighted_digraph(monkeypatch):
-    # both decide on int rows; the name-keyed WeightedDigraph is a public view
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a WeightedDigraph was built")
-
-    monkeypatch.setattr(digraph.WeightedDigraph, "__init__", refuse)
-    graph = transitive_triangle()
-    assert is_alpha_balanced(graph, 3).balanced
-    assert_valid_witness(graph, is_alpha_balanced(graph, 2))
-    assert balanced_coloring(graph, 3).colors == {"1": 0, "2": 1, "3": 2}
-    with pytest.raises(UnbalancedError):
-        balanced_coloring(graph, 2)
-    assert decide_cycling_2machine(gen_counter_machine(2))
+def test_no_decider_builds_a_name_keyed_digraph(monkeypatch):
+    # goodness, the induced coloring, balance and the order searches all
+    # decide on int rows; the name-keyed Digraph serves build_auxiliary only
+    alternating = gen_alternating_machine().machine
+    triangle = transitive_triangle()
     loop = Machine(2, ["a"], [("a", 1, 2, ["a"]), ("a", 2, 1, ["a"])], bad=[("a", "a")])
-    assert not decide_cycling_2machine(loop)
+
+    def answers():
+        bad = is_good(triangle, alternating)
+        assert validate_witness(triangle, alternating, bad.witness).ok
+        return (
+            is_good(path_digraph(3), alternating),
+            bad,
+            induced_order_system_coloring(path_digraph(3), alternating),
+            is_alpha_balanced(triangle, 3),
+            is_alpha_balanced(triangle, 2),
+            balanced_coloring(triangle, 3),
+            decide_cycling_2machine(gen_counter_machine(2)),
+            decide_cycling_2machine(loop),
+            find_compatible_order(gen_counter_machine(2)),
+            find_compatible_order(loop),
+        )
+
+    expected = answers()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a name-keyed Digraph was built")
+
+    monkeypatch.setattr(digraph.Digraph, "__init__", refuse)
+    assert answers() == expected
+    good, bad, _, balanced, unbalanced, _, counter, swing, order, no_order = expected
+    assert good and not bad and balanced.balanced and not unbalanced.balanced
+    assert counter and not swing and order is not None and no_order is None
+    with pytest.raises(UnbalancedError):
+        balanced_coloring(triangle, 2)

@@ -1,19 +1,13 @@
 import hashlib
 import random
-import re
 from fractions import Fraction
 
 import pytest
 
 from badcycle.digraph import (
-    LongestWalks,
-    WeightedDigraph,
+    Digraph,
     bfs,
-    find_positive_cycle,
     least_first_order,
-    longest_walk_potentials,
-    max_cycle_mean,
-    min_cycle_mean,
     strong_components,
     tarjan,
     tarjan_from,
@@ -24,6 +18,14 @@ from badcycle.generators import gen_shift_digraph
 from badcycle.goodness import build_auxiliary
 from badcycle.hypergraph import weak_components
 from badcycle.relations import gen_alternating_machine
+from named_rows import (
+    NamedRows,
+    ref_cyclic_components,
+    ref_find_positive_cycle,
+    ref_karp_max_mean,
+    ref_karp_min_mean,
+    ref_relax,
+)
 from test_balance import ALPHAS, reference_balance_corpus
 
 
@@ -38,7 +40,11 @@ def random_weighted(rng, max_vertices=6, arc_factor=1.5, weights=MIXED_WEIGHTS):
         u = rng.choice(vertices)
         v = rng.choice(vertices)
         arcs.append((u, v, rng.choice(weights)))
-    return WeightedDigraph(vertices, arcs)
+    return NamedRows(vertices, arcs)
+
+
+def unweighted(g):
+    return Digraph(g.vertices, [(u, v) for u, v, _ in g.arcs])
 
 
 def all_simple_cycles(g):
@@ -67,7 +73,7 @@ def all_simple_cycles(g):
 def closure_oracle(g):
     """Oracle: reflexive transitive closure by repeated squaring of the relation."""
     reach = {(v, v) for v in g.vertices}
-    reach |= {(u, v) for u, v, _ in g.arcs}
+    reach |= {(u, v) for u, v, *_ in g.arcs}
     while True:
         extra = {
             (a, d)
@@ -81,23 +87,26 @@ def closure_oracle(g):
 
 
 def test_construction_checks_endpoints():
+    with pytest.raises(InputError, match="source 'c'"):
+        Digraph(["a"], [("c", "a")])
+    with pytest.raises(InputError, match="target 'b'"):
+        Digraph(["a"], [("a", "b")])
     with pytest.raises(InputError):
-        WeightedDigraph(["a"], [("a", "b", 1)])
-    with pytest.raises(InputError):
-        WeightedDigraph(["a", "a"])
-    g = WeightedDigraph(["a", "b"], [("a", "b", "1/2")])
-    assert g.arcs == (("a", "b", Fraction(1, 2)),)
+        Digraph(["a", "a"])
+    # parallel arcs and self-loops are kept, in input order
+    g = Digraph(["a", "b"], [("a", "b"), ("b", "b"), ("a", "b")])
+    assert g.arcs == (("a", "b"), ("b", "b"), ("a", "b"))
 
 
 def test_strong_components_two_cycle():
-    g = WeightedDigraph(["a", "b"], [("a", "b", 1), ("b", "a", 1)])
+    g = Digraph(["a", "b"], [("a", "b"), ("b", "a")])
     res = strong_components(g)
     assert res.components == (("a", "b"),)
     assert res.condensation == ()
 
 
 def test_strong_components_path_is_topological():
-    g = WeightedDigraph(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])
+    g = Digraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     res = strong_components(g)
     assert res.components == (("a",), ("b",), ("c",))
     assert res.condensation == ((0, 1), (1, 2))
@@ -106,7 +115,7 @@ def test_strong_components_path_is_topological():
 def test_strong_components_agree_with_reachability():
     rng = random.Random(11)
     for _ in range(30):
-        g = random_weighted(rng)
+        g = unweighted(random_weighted(rng))
         res = strong_components(g)
         reach = closure_oracle(g)
         for u in g.vertices:
@@ -127,7 +136,7 @@ def networkx_cross_check(nx, g):
     res = strong_components(g)
     nxg = nx.DiGraph()
     nxg.add_nodes_from(g.vertices)
-    nxg.add_edges_from((u, v) for u, v, _ in g.arcs)
+    nxg.add_edges_from(g.arcs)
     theirs = {frozenset(c) for c in nx.strongly_connected_components(nxg)}
     assert {frozenset(c) for c in res.components} == theirs
     cond = nx.condensation(nxg)
@@ -146,9 +155,8 @@ def test_strong_components_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(13)
     for n in range(80):
-        networkx_cross_check(
-            nx, random_weighted(rng, max_vertices=10, arc_factor=(0.7, 1.2, 2.0)[n % 3])
-        )
+        g = random_weighted(rng, max_vertices=10, arc_factor=(0.7, 1.2, 2.0)[n % 3])
+        networkx_cross_check(nx, unweighted(g))
     rng = default_rng(14)
     for n in range(40):
         k = 2 + n % 2
@@ -239,38 +247,38 @@ def test_reachable_matches_closure_oracle():
     for _ in range(30):
         g = random_weighted(rng)
         reach = closure_oracle(g)
-        for u in g.vertices:
-            source = g.index_of(u)
-            parent, hits = bfs(g._succ, source, lambda x: False)
+        succ = [[] for _ in g.vertices]
+        for u, v, _ in g.rows:
+            succ[u].append(v)
+        for source, u in enumerate(g.vertices):
+            parent, hits = bfs(succ, source, lambda x: False)
             assert hits == []
             assert {g.vertices[w] for w in parent} == {v for a, v in reach if a == u}
             for target, v in enumerate(g.vertices):
-                hits = bfs(g._succ, source, lambda x: x == target)[1]
+                hits = bfs(succ, source, lambda x: x == target)[1]
                 assert hits == ([target] if (u, v) in reach else [])
-    with pytest.raises(InputError):
-        g.index_of("nope")
 
 
 def test_cycle_mean_small_cases():
-    two = WeightedDigraph(["a", "b"], [("a", "b", 1), ("b", "a", -1)])
-    assert min_cycle_mean(two) == 0
-    assert max_cycle_mean(two) == 0
-    tri = WeightedDigraph(
+    two = NamedRows(["a", "b"], [("a", "b", 1), ("b", "a", -1)])
+    assert two.cycle_mean(1) == 0
+    assert two.cycle_mean(-1) == 0
+    tri = NamedRows(
         ["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)]
     )
-    assert min_cycle_mean(tri) == 1
-    acyclic = WeightedDigraph(["a", "b"], [("a", "b", 5)])
-    assert min_cycle_mean(acyclic) is None
-    assert max_cycle_mean(acyclic) is None
+    assert tri.cycle_mean(1) == 1
+    acyclic = NamedRows(["a", "b"], [("a", "b", 5)])
+    assert acyclic.cycle_mean(1) is None
+    assert acyclic.cycle_mean(-1) is None
 
 
 def test_cycle_mean_counter_machine_digraph():
-    g = WeightedDigraph(
+    g = NamedRows(
         ["0", "1", "2"],
         [("0", "1", 1), ("1", "2", 1), ("2", "2", 1), ("2", "0", -1)],
     )
-    assert min_cycle_mean(g) == Fraction(1, 3)
-    assert max_cycle_mean(g) == 1
+    assert g.cycle_mean(1) == Fraction(1, 3)
+    assert g.cycle_mean(-1) == 1
 
 
 def test_cycle_mean_matches_oracle():
@@ -280,14 +288,14 @@ def test_cycle_mean_matches_oracle():
         g = random_weighted(rng, max_vertices=6)
         cycles = all_simple_cycles(g)
         if not cycles:
-            assert min_cycle_mean(g) is None
+            assert g.cycle_mean(1) is None
             continue
         seen_cyclic += 1
         means = [
             Fraction(sum(w for _, _, w in c)) / len(c) for c in cycles
         ]
-        assert min_cycle_mean(g) == min(means)
-        assert max_cycle_mean(g) == max(means)
+        assert g.cycle_mean(1) == min(means)
+        assert g.cycle_mean(-1) == max(means)
     assert seen_cyclic >= 20
 
 
@@ -298,7 +306,7 @@ def test_find_positive_cycle_replays():
         g = random_weighted(rng, max_vertices=6)
         cycles = all_simple_cycles(g)
         expected = any(sum(w for _, _, w in c) > 0 for c in cycles)
-        witness = find_positive_cycle(g)
+        witness = g.positive_cycle()
         assert (witness is not None) == expected
         if witness is None:
             continue
@@ -315,29 +323,26 @@ def test_find_positive_cycle_replays():
 
 
 def test_longest_walk_single_arc():
-    g = WeightedDigraph(["a", "b"], [("a", "b", 1)])
-    res = longest_walk_potentials(g, "a")
-    assert res == LongestWalks({"a": 0, "b": 1}, None)
-    assert res.bounded
+    g = NamedRows(["a", "b"], [("a", "b", 1)])
+    assert g.potentials("a") == {"a": 0, "b": 1}
 
 
 def test_longest_walk_hand_relaxation():
-    g = WeightedDigraph(["a", "b"], [("a", "b", 1), ("b", "a", -2)])
-    res = longest_walk_potentials(g, "a")
-    assert res.potentials == {"a": 0, "b": 1}
+    g = NamedRows(["a", "b"], [("a", "b", 1), ("b", "a", -2)])
+    assert g.potentials("a") == {"a": 0, "b": 1}
 
 
 def test_longest_walk_positive_self_loop():
-    g = WeightedDigraph(["a"], [("a", "a", 1)])
-    res = longest_walk_potentials(g, "a")
-    assert not res.bounded
-    assert res.positive_cycle == (("a", "a", Fraction(1)),)
+    g = NamedRows(["a"], [("a", "a", 1)])
+    assert g.potentials("a") is None
+    assert g.positive_cycle() == (("a", "a", Fraction(1)),)
 
 
 def test_longest_walk_requires_reachability():
-    g = WeightedDigraph(["a", "b"], [])
-    with pytest.raises(InputError):
-        longest_walk_potentials(g, "a")
+    # the relaxation gives a vertex the source does not reach no value
+    g = NamedRows(["a", "b", "c"], [("b", "c", 1)])
+    assert g.potentials("a") == {"a": 0, "b": None, "c": None}
+    assert g.potentials("b") == {"a": None, "b": 0, "c": 1}
 
 
 def brute_longest(g, source):
@@ -371,21 +376,21 @@ def test_longest_walk_matches_oracle_and_tightness():
             (base.vertices[i], base.vertices[i + 1], Fraction(-2))
             for i in range(len(base.vertices) - 1)
         ]
-        g = WeightedDigraph(base.vertices, chain + list(base.arcs))
+        g = NamedRows(base.vertices, chain + list(base.arcs))
         source = g.vertices[0]
-        res = longest_walk_potentials(g, source)
+        potentials = g.potentials(source)
         cycles = all_simple_cycles(g)
         has_positive = any(sum(w for _, _, w in c) > 0 for c in cycles)
-        assert res.bounded == (not has_positive)
-        if not res.bounded:
-            assert sum(w for _, _, w in res.positive_cycle) > 0
+        assert (potentials is not None) == (not has_positive)
+        if potentials is None:
+            assert sum(w for _, _, w in g.positive_cycle()) > 0
             continue
         checked += 1
-        assert res.potentials == brute_longest(g, source)
+        assert potentials == brute_longest(g, source)
         incoming_tight = {v: False for v in g.vertices}
         for u, v, w in g.arcs:
-            assert res.potentials[v] >= res.potentials[u] + w
-            if res.potentials[v] == res.potentials[u] + w:
+            assert potentials[v] >= potentials[u] + w
+            if potentials[v] == potentials[u] + w:
                 incoming_tight[v] = True
         for v in g.vertices:
             if v != source:
@@ -393,157 +398,14 @@ def test_longest_walk_matches_oracle_and_tightness():
     assert checked >= 10
 
 
-# Reference kernel: the name-keyed implementation badcycle.digraph ran
-# before its kernels moved to int rows on node numbers, transcribed
-# unchanged except that it reads the graph only through the public
-# ``vertices``, ``arcs`` and ``strong_components``.  Karp builds one
-# Fraction per (vertex, walk length) pair and the relaxation runs on the
-# exact weights.
-
-
-def ref_cyclic_components(graph):
-    result = strong_components(graph)
-    return [pair for pair in zip(result.components, result.internal_arcs) if pair[1]]
-
-
-def ref_karp_min_mean(comp, arcs):
-    n = len(comp)
-    rank = {v: i for i, v in enumerate(comp)}
-    rows = [(rank[u], rank[v], w) for u, v, w in arcs]
-    d = [[None] * n for _ in range(n + 1)]
-    d[0][0] = 0
-    for k in range(1, n + 1):
-        prev, cur = d[k - 1], d[k]
-        for u, v, w in rows:
-            if prev[u] is None:
-                continue
-            cand = prev[u] + w
-            if cur[v] is None or cand < cur[v]:
-                cur[v] = cand
-    return min(
-        max(Fraction(d[n][v] - d[k][v], n - k) for k in range(n) if d[k][v] is not None)
-        for v in range(n)
-        if d[n][v] is not None
-    )
-
-
-def ref_karp_max_mean(comp, arcs):
-    return -ref_karp_min_mean(comp, [(u, v, -w) for u, v, w in arcs])
-
-
-def ref_relax(vertices, arcs, source, rounds):
-    dist = dict.fromkeys(vertices)
-    dist[source] = 0
-    for _ in range(rounds):
-        changed = False
-        for u, v, w in arcs:
-            if dist[u] is None:
-                continue
-            cand = dist[u] + w
-            if dist[v] is None or cand > dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    return dist, changed
-
-
-def ref_any_cycle(vertices, arcs):
-    out = {v: [] for v in vertices}
-    for arc in arcs:
-        out[arc[0]].append(arc)
-    color = {v: 0 for v in vertices}
-    for root in vertices:
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [(root, 0)]
-        path_arcs = []
-        while stack:
-            v, pos = stack[-1]
-            if pos < len(out[v]):
-                stack[-1] = (v, pos + 1)
-                arc = out[v][pos]
-                w = arc[1]
-                if color[w] == 1:
-                    idx = len(path_arcs)
-                    for n, a in enumerate(path_arcs):
-                        if a[0] == w:
-                            idx = n
-                            break
-                    return path_arcs[idx:] + [arc]
-                if color[w] == 0:
-                    color[w] = 1
-                    path_arcs.append(arc)
-                    stack.append((w, 0))
-            else:
-                stack.pop()
-                color[v] = 2
-                if path_arcs:
-                    path_arcs.pop()
-    return None
-
-
-def ref_find_positive_cycle(graph):
-    for comp, internal in ref_cyclic_components(graph):
-        mean = ref_karp_max_mean(comp, internal)
-        if mean <= 0:
-            continue
-        a, b = mean.numerator, mean.denominator
-        shifted = [(u, v, w * b - a) for u, v, w in internal]
-        pot, _ = ref_relax(comp, shifted, comp[0], max(len(comp) - 1, 1))
-        tight = [
-            arc for arc, (u, v, w) in zip(internal, shifted) if pot[v] == pot[u] + w
-        ]
-        cycle = ref_any_cycle(comp, tight)
-        if cycle:
-            return tuple(cycle)
-    return None
-
-
-def ref_longest_walk_potentials(graph, source):
-    succ = {v: [] for v in graph.vertices}
-    for u, v, _ in graph.arcs:
-        succ[u].append(v)
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        for y in succ[frontier.pop()]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    missing = [v for v in graph.vertices if v not in seen]
-    if missing:
-        raise InputError(f"vertex {missing[0]!r} is not reachable from {source!r}")
-    dist, changed = ref_relax(graph.vertices, graph.arcs, source, len(graph.vertices))
-    if changed:
-        return LongestWalks(None, ref_find_positive_cycle(graph))
-    return LongestWalks(dist, None)
-
-
 def assert_matches_reference(g, sources):
-    cyclic = ref_cyclic_components(g)
-    for got, expected in (
-        (min_cycle_mean(g), min((ref_karp_min_mean(*c) for c in cyclic), default=None)),
-        (max_cycle_mean(g), max((ref_karp_max_mean(*c) for c in cyclic), default=None)),
-    ):
-        assert got == expected
-        assert type(got) is (Fraction if cyclic else type(None))
-    assert find_positive_cycle(g) == ref_find_positive_cycle(g)
-    whole = all(w.denominator == 1 for _, _, w in g.arcs)
+    cyclic = ref_cyclic_components(g.vertices, g.arcs)
+    assert g.cycle_mean(1) == min((ref_karp_min_mean(*c) for c in cyclic), default=None)
+    assert g.cycle_mean(-1) == max((ref_karp_max_mean(*c) for c in cyclic), default=None)
+    assert g.positive_cycle() == ref_find_positive_cycle(g.vertices, g.arcs)
     for source in sources:
-        try:
-            expected = ref_longest_walk_potentials(g, source)
-        except InputError as err:
-            with pytest.raises(InputError, match=re.escape(str(err))):
-                longest_walk_potentials(g, source)
-            continue
-        got = longest_walk_potentials(g, source)
-        assert got == expected
-        if got.bounded:
-            # potentials are ints exactly when every weight is integral
-            kinds = {type(x) for x in got.potentials.values()}
-            assert kinds == {int if whole else Fraction}
+        dist, changed = ref_relax(g.vertices, g.arcs, source, len(g.vertices))
+        assert g.potentials(source) == (None if changed else dist)
 
 
 def test_kernels_match_the_name_keyed_fraction_reference():
@@ -553,9 +415,8 @@ def test_kernels_match_the_name_keyed_fraction_reference():
         assert_matches_reference(g, g.vertices)
         g = random_weighted(rng, max_vertices=7, weights=(-3, -1, 0, 1, 2))
         assert_matches_reference(g, g.vertices)
-    # a Fraction weight with denominator 1 gives int potentials
-    assert_matches_reference(WeightedDigraph("ab", [("a", "b", Fraction(4))]), "ab")
-    assert_matches_reference(WeightedDigraph("a", [("a", "a", Fraction(4))]), "a")
+    assert_matches_reference(NamedRows("ab", [("a", "b", Fraction(4))]), "ab")
+    assert_matches_reference(NamedRows("a", [("a", "a", Fraction(4))]), "a")
 
 
 def test_balance_digraphs_match_the_name_keyed_fraction_reference():
@@ -574,15 +435,15 @@ def test_balance_digraphs_match_the_name_keyed_fraction_reference():
             for forward, backward in weightings:
                 arcs = [(a, b, forward) for a, b in graph.edges]
                 arcs += [(b, a, backward) for a, b in graph.edges]
-                g = WeightedDigraph(graph.vertices, arcs)
+                g = NamedRows(graph.vertices, arcs)
                 assert_matches_reference(g, graph.vertices[:1])
-                positive += find_positive_cycle(g) is not None
+                positive += g.positive_cycle() is not None
             for component in weak_components(graph):
                 members = set(component)
                 arcs = []
                 for a, b in graph.edges:
                     if a in members:
                         arcs += [(a, b, 1), (b, a, -ceiling)]
-                part = WeightedDigraph(component, arcs)
+                part = NamedRows(component, arcs)
                 assert_matches_reference(part, component[:1])
     assert positive >= 1000

@@ -1,6 +1,7 @@
 """Module boundaries: the deciders never load the reference oracles, the
 alternating-cycle check never loads the deciders, the machine model loads
-nothing but the errors, no module imports a name it never uses, and no
+nothing but the errors, the digraph kernel keeps one name-keyed graph class
+and no ``fractions``, no module imports a name it never uses, and no
 private function, class or method goes unused.
 
 Each boundary check imports one module in a fresh interpreter under an
@@ -62,6 +63,22 @@ def test_machine_loads_nothing_but_the_errors():
     # relations imports machine and stays off the graph kernel, so the
     # machine's live-atom view closes over its state graph itself
     assert loaded_by("badcycle.machine") == {"badcycle.machine", "badcycle.errors"}
+
+
+def test_digraph_has_one_name_keyed_class_and_no_fractions():
+    # the kernels run on int rows; Digraph is the unweighted name-keyed view
+    # build_auxiliary builds, and SCCResult the components strong_components
+    # reads off it
+    tree = ast.parse((Path(badcycle.__file__).parent / "digraph.py").read_text("utf-8"))
+    modules = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in modules
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
+        "Digraph",
+        "SCCResult",
+    ]
 
 
 def unused_imports(path):

@@ -12,7 +12,6 @@ from badcycle.corpus import (
     random_cycling_machine,
     random_machine,
 )
-from badcycle.digraph import WeightedDigraph, max_cycle_mean, min_cycle_mean
 from badcycle.errors import Budget, BudgetError, InputError
 from badcycle.generators import gen_counter_machine, gen_unbalanced_machine
 from badcycle.goodness import check_paths_good, validate_witness
@@ -33,6 +32,7 @@ from badcycle.orders import (
 )
 from badcycle.relations import gen_alternating_machine
 from badcycle.sat import CnfInstance, evaluate_cnf, order_to_assignment, sat_to_machine
+from named_rows import NamedRows
 
 
 def counter_machine(n):
@@ -459,12 +459,12 @@ def test_decide2_counter_and_self_loop_examples():
     assert not decide_cycling_2machine(swing)
     # the reduction digraph for the 2-counter: up arcs weigh +1, the lone
     # down arc weighs -1; cycle means range from 1/3 (the long loop) to 1
-    graph = WeightedDigraph(
+    graph = NamedRows(
         ["0", "1", "2"],
         [("0", "1", 1), ("1", "2", 1), ("2", "2", 1), ("2", "0", -1)],
     )
-    assert min_cycle_mean(graph) == Fraction(1, 3)
-    assert max_cycle_mean(graph) == Fraction(1)
+    assert graph.cycle_mean(1) == Fraction(1, 3)
+    assert graph.cycle_mean(-1) == Fraction(1)
 
 
 def test_decide2_requires_cycling_k2():
