@@ -7,9 +7,11 @@ and the tight-cycle search run on each component's local numbering.
 ``balance`` and ``orders`` build their rows and call the kernels directly.
 ``tarjan_from`` runs from the given roots in order and hands control back
 after each, so a caller can stop at its answer; ``tarjan`` runs it from
-every node.  They, ``bfs`` and ``least_first_order`` (Kahn) also serve
-``goodness`` and ``orders``.  ``Digraph`` is an unweighted name-keyed view
-that exists only for ``goodness.build_auxiliary`` and ``strong_components``.
+every node.  They, ``bfs`` and Kahn's (1962) in-degree peel, as the
+least-key topological order or as ``unpeeled``, the nodes it cannot remove,
+also serve ``goodness`` and ``orders``.  ``Digraph`` is an unweighted
+name-keyed view that exists only for ``goodness.build_auxiliary`` and
+``strong_components``.
 """
 from __future__ import annotations
 
@@ -154,16 +156,35 @@ def bfs(succ, source, found):
     return parent, []
 
 
+def _indegrees(succ):
+    """In-degree of each node of successor lists, every arc counted."""
+    indeg = [0] * len(succ)
+    for targets in succ:
+        for w in targets:
+            indeg[w] += 1
+    return indeg
+
+
+def unpeeled(succ):
+    """Nodes, ascending, that Kahn's in-degree peel leaves in the digraph on
+    0..n-1 with successor lists: those some cycle reaches, none when acyclic."""
+    indeg = _indegrees(succ)
+    peeled = [v for v, d in enumerate(indeg) if not d]
+    for v in peeled:
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                peeled.append(w)
+    return [v for v, d in enumerate(indeg) if d]
+
+
 def least_first_order(succ, key=None):
     """Topological order of the DAG on nodes 0..n-1 with successor lists:
     Kahn (1962), taking the ready node of least (key[node], node) each
     time; the key defaults to the node number itself."""
     if key is None:
         key = range(len(succ))
-    indeg = [0] * len(succ)
-    for targets in succ:
-        for w in targets:
-            indeg[w] += 1
+    indeg = _indegrees(succ)
     ready = [(key[v], v) for v, d in enumerate(indeg) if not d]
     heapq.heapify(ready)
     order = []

@@ -12,7 +12,10 @@ The decision asks its queries in order, (v, s) reaching (v, t) per vertex
 v and bad pair (s, t), or each node lying on a cycle, and answers them with
 ``digraph.tarjan_from`` rooted at each query's node in turn, ORing in reach
 bitsets as components close.  It stops at the first query that hits, so
-it never visits a node that no earlier query reaches.
+it never visits a node that no earlier query reaches.  Cycling queries are
+only the nodes that Kahn's in-degree peel, ``digraph.unpeeled``, leaves, a
+set closed under successors that holds every node on a cycle: an acyclic
+product, a good one, asks none and never starts the search.
 
 ``is_good`` builds the product only on the machine's ``live_atoms``, the
 atoms that can lie on a bad walk, and on the states they touch.  Every bad
@@ -29,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .digraph import Digraph, bfs, least_first_order, tarjan_from
+from .digraph import Digraph, bfs, least_first_order, tarjan_from, unpeeled
 from .errors import InputError, NotGoodError
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
@@ -193,8 +196,9 @@ def _decide(graph, machine, states, groups, bad, reach=False):
     resumed, with reach bitsets under general semantics or with ``reach``."""
     width = len(states)
     succ = _product(graph, width, groups)
-    # cycling bad pairs are the diagonal, so there the queries are the nodes in order
-    queries = [(v * width + s, v * width + t) for v in range(len(graph.vertices)) for s, t in bad]
+    # cycling bad pairs are the diagonal: nodes on a cycle qualify, and the peel leaves each
+    queries = ([(u, u) for u in unpeeled(succ)] if machine.is_cycling else
+               [(v * width + s, v * width + t) for v in range(len(graph.vertices)) for s, t in bad])
     roots = chain([source for source, _ in queries], range(len(succ)))
     search = (_closing if reach or not machine.is_cycling else tarjan_from)(succ, roots)
     walk = _bad_walk(graph, machine, states, succ, queries, search)
@@ -209,7 +213,9 @@ def is_good(graph, machine):
     of length at least 1.  General semantics: bad iff some (v,s) reaches
     (v,t) for a bad pair (s,t); reachability is reflexive, which is
     harmless because bad pairs are off the diagonal.  Witnesses are the
-    shortest ones through the first qualifying product vertex.
+    shortest ones through the first qualifying product vertex.  A cycling
+    decision asks only about the nodes an in-degree peel leaves, so a good
+    cycling product is decided by the peel alone.
 
     The product holds only the machine's ``live_atoms`` and ``live_states``:
     a bad walk projects onto a machine walk from a bad pair's first state to
@@ -298,7 +304,8 @@ def induced_order_system_coloring(graph, machine):
     only this coloring reads (least product vertex first among the ready
     components), gives the linear order.  Requires the hypergraph to be good.
     It builds the whole product, every state and atom, decides on it, and
-    then runs the search on from every node.
+    then runs the search on from every node; on a good cycling product the
+    peel has asked no query, so the search starts there, from node 0.
     """
     _require_decidable(graph, machine)
     width = len(machine.states)

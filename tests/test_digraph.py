@@ -11,6 +11,7 @@ from badcycle.digraph import (
     strong_components,
     tarjan,
     tarjan_from,
+    unpeeled,
 )
 from badcycle.corpus import default_rng, random_cycling_machine, random_hypergraph, random_machine
 from badcycle.errors import InputError
@@ -238,6 +239,50 @@ def test_least_first_order_matches_networkx():
         assert least_first_order(succ, key) == list(
             nx.lexicographical_topological_sort(dag, key=lambda v: (key[v], v))
         )
+
+
+def test_unpeeled_keeps_what_a_cycle_reaches_as_networkx_finds():
+    # on graphs with parallel arcs and self-loops, the peel leaves exactly the
+    # nodes reachable from a nontrivial strong component or a self-loop
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    cyclic = 0
+    for trial in range(400):
+        n = rng.randint(1, 14)
+        succ = random_succ(rng, n, out=(1, 2, 3)[trial % 3])
+        if trial % 5 == 0:
+            succ[rng.randrange(n)].extend([rng.randrange(n)] * 2)
+        graph = nx.MultiDiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from((u, w) for u, targets in enumerate(succ) for w in targets)
+        sources = {v for c in nx.strongly_connected_components(graph) if len(c) > 1 for v in c}
+        sources |= {v for v in range(n) if v in succ[v]}
+        reached = set(sources)
+        for v in sources:
+            reached |= nx.descendants(graph, v)
+        assert unpeeled(succ) == sorted(reached)
+        assert (not reached) == nx.is_directed_acyclic_graph(graph)
+        cyclic += bool(reached)
+    assert 100 <= cyclic < 400
+
+
+def test_unpeeled_leaves_nothing_of_a_dag():
+    rng = random.Random(22)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        # arcs, parallel ones too, run forward in a hidden shuffled order
+        hidden = list(range(n))
+        rng.shuffle(hidden)
+        succ = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                for _ in range(rng.choice((0, 0, 0, 1, 2))):
+                    succ[hidden[a]].append(hidden[b])
+        assert unpeeled(succ) == []
+        if n:
+            # a self-loop on the last node in that order leaves it alone
+            succ[hidden[-1]].append(hidden[-1])
+            assert unpeeled(succ) == [hidden[-1]]
 
 
 def test_reachable_matches_closure_oracle():

@@ -978,3 +978,61 @@ def test_brute_force_needs_neither_the_product_nor_the_graph_searches(monkeypatc
     assert bad >= 25
     with pytest.raises(AssertionError):
         is_good(path_digraph(1), hasse_machine())
+
+
+def peel_free_cycling_decide(graph, machine):
+    # the cycling decision as it ran before the peel: every node of the live
+    # product, in order, is a query
+    states = machine.live_states
+    groups, bad = machine.live_local
+    width = len(states)
+    succ = goodness._product(graph, width, groups)
+    queries = [(v * width + s, v * width + t) for v in range(len(graph.vertices)) for s, t in bad]
+    roots = chain([source for source, _ in queries], range(len(succ)))
+    search = digraph.tarjan_from(succ, roots)
+    walk = goodness._bad_walk(graph, machine, states, succ, queries, search)
+    return GoodnessVerdict(walk is None, walk and goodness._witness(graph, machine, states, walk))
+
+
+def peel_corpus():
+    # seeded cycling pairs, 2- and 3-uniform, the counter machines on shift
+    # digraphs, and the counter-machine constructions
+    rng = default_rng(4501)
+    for trial in range(700):
+        k = 2 + trial % 2
+        graph = random_hypergraph(rng, k=k, max_vertices=6, max_edges=8)
+        yield graph, random_cycling_machine(rng, k=k, max_states=4)
+    rng = default_rng(4502)
+    for _ in range(100):
+        yield random_digraph(rng, max_vertices=10), random_cycling_machine(rng, max_states=4)
+    for n in (1, 2, 3):
+        for m in range(6, 14):
+            yield gen_shift_digraph(m), gen_counter_machine(n)
+    for n, m in ((1, 6), (1, 10), (2, 6), (2, 8), (3, 8)):
+        machine = gen_counter_machine(n)
+        yield gen_cycling_construction(machine, counter_machine_order(n), m), machine
+
+
+def test_peel_keeps_the_cycling_verdicts_and_witnesses():
+    counts = {True: 0, False: 0}
+    for graph, machine in peel_corpus():
+        verdict = is_good(graph, machine)
+        assert comparable(verdict) == comparable(peel_free_cycling_decide(graph, machine))
+        counts[verdict.good] += 1
+    assert counts[False] >= 300
+    assert counts[True] >= 100
+
+
+def test_good_cycling_products_run_no_search(monkeypatch):
+    # an acyclic product is peeled bare, so no query is asked and the rooted
+    # search never starts
+    def refused(succ, roots):
+        raise AssertionError("the rooted search ran on a good cycling product")
+        yield
+
+    monkeypatch.setattr(goodness, "tarjan_from", refused)
+    for n in (1, 2):
+        machine = gen_counter_machine(n)
+        for m in range(6, 11):
+            graph = gen_cycling_construction(machine, counter_machine_order(n), m)
+            assert is_good(graph, machine).good

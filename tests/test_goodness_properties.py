@@ -4,7 +4,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from badcycle.goodness import is_good, validate_witness  # noqa: E402
+from badcycle.goodness import _product, is_good, validate_witness  # noqa: E402
 from badcycle.hypergraph import DirectedHypergraph  # noqa: E402
 from badcycle.machine import Machine  # noqa: E402
 from badcycle.orders import (  # noqa: E402
@@ -100,6 +100,20 @@ def test_every_bad_witness_replays(instance):
     verdict = is_good(graph, machine)
     if not verdict.good:
         assert validate_witness(graph, machine, verdict.witness).ok
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_cycling_goodness_is_an_acyclic_whole_product(data):
+    nx = pytest.importorskip("networkx")
+    k = data.draw(st.sampled_from((2, 3)))
+    graph = data.draw(hypergraphs(k))
+    machine = data.draw(machines(k, cycling=True, max_states=4))
+    succ = _product(graph, len(machine.states), machine.atom_groups)
+    product = nx.MultiDiGraph()
+    product.add_nodes_from(range(len(succ)))
+    product.add_edges_from((u, w) for u, targets in enumerate(succ) for w in targets)
+    assert is_good(graph, machine).good == nx.is_directed_acyclic_graph(product)
 
 
 @SETTINGS
