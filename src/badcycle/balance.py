@@ -5,7 +5,11 @@ graph uses strictly fewer than alpha times as many backward edges as
 forward ones.  Recognition reduces to cycle means on a doubled weighted
 digraph; balanced graphs get a proper coloring with at most ceil(alpha)+1
 colors from longest-walk potentials.  Both run ``digraph``'s row kernels
-directly on each weak component's doubled int rows.
+directly on each weak component's doubled int rows, read from the weak
+components the graph keeps.  Recognition searches only components with
+at least as many edges as vertices: the only simple cycles of a
+forest's doubled digraph are its 2-cycles, each of negative weight, so a
+forest holds no positive cycle and is balanced for every alpha > 1.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from fractions import Fraction
 
 from .digraph import _positive_cycle, _relax
 from .errors import InputError, UnbalancedError
-from .hypergraph import _components
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,17 @@ def is_alpha_balanced(graph, alpha):
     """
     alpha = _as_alpha(alpha)
     _require_digraph(graph)
-    return _balance(graph, alpha, _components(graph))
-
-
-def _balance(graph, alpha, components):
-    """``is_alpha_balanced`` on the graph's weak ``components``."""
     scale = len(graph.vertices) + 1
     forward = 1 - alpha.numerator * scale
     backward = 1 + alpha.denominator * scale
     # every doubled arc has its reverse, so the strong components are the
     # weak ones; they are searched in Tarjan's order, greatest least vertex first
-    for vertices, edges in sorted(components, reverse=True):
-        rows = _doubled(graph, vertices, edges, forward, backward)
-        cycle = edges and _positive_cycle(len(vertices), rows)
+    for vertices, edges in sorted(graph.components, reverse=True):
+        # a forest: its doubled digraph's only simple cycles are 2-cycles, of
+        # weight forward + backward = 2 - (p - q) * scale < 0 (p > q, scale >= 3)
+        if len(edges) < len(vertices):
+            continue
+        cycle = _positive_cycle(len(vertices), _doubled(graph, vertices, edges, forward, backward))
         if cycle:
             steps = ((graph.edges[edges[p >> 1]], "backward" if p & 1 else "forward")
                      for p in cycle)
@@ -111,15 +112,13 @@ def balanced_coloring(graph, alpha):
     (a, b) then satisfies l(a)+1 <= l(b) <= l(a)+ceil(alpha), which makes
     the coloring proper.
     """
-    alpha = _as_alpha(alpha)
-    _require_digraph(graph)
-    components = _components(graph)
-    verdict = _balance(graph, alpha, components)
+    verdict = is_alpha_balanced(graph, alpha)
     if not verdict.balanced:
         raise UnbalancedError("the digraph is not alpha-balanced", verdict)
+    alpha = verdict.alpha
     ceiling = -(-alpha.numerator // alpha.denominator)
     potentials = {}
-    for vertices, edges in components:
+    for vertices, edges in graph.components:
         n = len(vertices)
         dist, changed = _relax(n, _doubled(graph, vertices, edges, 1, -ceiling), 0, n)
         if changed:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from badcycle import digraph
+from badcycle import balance, digraph
 from badcycle.balance import balanced_coloring, is_alpha_balanced
 from badcycle.corpus import default_rng, random_digraph
 from badcycle.errors import InputError, UnbalancedError
@@ -328,6 +328,50 @@ def test_witness_comes_from_the_component_with_the_greatest_least_vertex():
     with pytest.raises(UnbalancedError) as caught:
         balanced_coloring(graph, 2)
     assert caught.value.verdict == verdict
+
+
+def seeded_forest(rng, size):
+    # each vertex after the first hangs from an earlier one with probability
+    # 3/4, by an edge in either direction; names and edges are shuffled
+    names = [f"v{i}" for i in range(size)]
+    edges = []
+    for i in range(1, size):
+        if rng.random() < 0.75:
+            a, b = names[rng.randrange(i)], names[i]
+            edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    rng.shuffle(names)
+    rng.shuffle(edges)
+    return DirectedHypergraph(2, names, edges)
+
+
+def test_no_cycle_search_runs_on_a_forest_component(monkeypatch):
+    # a weak component with fewer edges than vertices is a tree, balanced
+    # for every alpha > 1, so Karp never sees one; in the union the tree is
+    # declared after the directed triangle, so it has the greater least
+    # vertex and is passed over before the triangle answers
+    searched = []
+    search = balance._positive_cycle
+
+    def spy(n, rows):
+        searched.append((n, len(rows) // 2))
+        return search(n, rows)
+
+    monkeypatch.setattr(balance, "_positive_cycle", spy)
+    rng = default_rng(2024)
+    forests = [path_digraph(n) for n in range(1, 7)]
+    forests += [seeded_forest(rng, rng.randint(1, 9)) for _ in range(40)]
+    union = DirectedHypergraph(
+        2, "abcwxyz", [("x", "y"), ("z", "y"), ("a", "b"), ("y", "w"), ("b", "c"), ("c", "a")]
+    )
+    for graph in forests + [union]:
+        for alpha in ALPHAS:
+            verdict = is_alpha_balanced(graph, alpha)
+            assert verdict.witness == reference_balance(graph, alpha)[0]
+            if verdict.balanced:
+                balanced_coloring(graph, alpha)
+            else:
+                assert graph is union
+    assert searched == [(3, 3)] * len(ALPHAS)
 
 
 def test_no_decider_builds_a_name_keyed_digraph(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from badcycle.corpus import random_digraph, random_hypergraph
 from badcycle import hypergraph as hypergraph_module
-from badcycle.balance import balanced_coloring
+from badcycle.balance import balanced_coloring, is_alpha_balanced
 from badcycle.errors import Budget, BudgetError, InputError
 from badcycle.generators import (
     counter_machine_order,
@@ -204,6 +204,31 @@ def test_components_build_no_graph(monkeypatch):
     assert chromatic_number_exact(graph).number == 3
     assert is_proper_coloring(paths, balanced_coloring(paths, 2).colors)
     assert built == []
+
+
+def test_weak_components_are_found_once_per_graph(monkeypatch):
+    # balance at four alphas, the balanced coloring, chi and weak_components
+    # all read the components the graph keeps; an equal graph finds its own
+    found = []
+    union_find = hypergraph_module._components
+
+    def counting(graph):
+        found.append(graph)
+        return union_find(graph)
+
+    monkeypatch.setattr(hypergraph_module, "_components", counting)
+    vertices, edges = "12345", [("1", "2"), ("2", "3"), ("1", "3"), ("4", "5")]
+    graph, twin = DirectedHypergraph(2, vertices, edges), DirectedHypergraph(2, vertices, edges)
+    for alpha in ("3/2", 2, "5/2", 3):
+        is_alpha_balanced(graph, alpha)
+    balanced_coloring(graph, 3)
+    assert chromatic_number_exact(graph).number == 3
+    assert weak_components(graph) == (("1", "2", "3"), ("4", "5"))
+    assert len(found) == 1 and found[0] is graph
+    assert weak_components(twin) == weak_components(graph)
+    assert len(found) == 2 and found[1] is twin
+    # tuples all the way down: a list never equals a tuple
+    assert graph.components == (((0, 1, 2), (0, 1, 2)), ((3, 4), (3,)))
 
 
 def test_chromatic_budget_exhaustion():
