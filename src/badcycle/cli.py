@@ -210,6 +210,8 @@ def _cmd_paths_good(args):
 
 
 def _cmd_chromatic(args):
+    if args.greedy and args.output:
+        raise InputError("--greedy gives a bound and no coloring, so it takes no -o")
     graph = load_hypergraph(args.graph)
     if args.greedy:
         upper = chromatic_upper_greedy(graph)

@@ -8,15 +8,17 @@ and keeps its edges' vertex numbers (``members``, read through
 first use keeps its weak components from one union-find pass
 (``components``), which balance reads too; the exact solver reads only
 these and runs iterative deepening on each component's color count.
-For each count t, vertices on fewer than t edges are peeled and
-reinserted greedily afterwards; the core left is searched by an iterative
-DSATUR branch and bound with int bitsets for the colors present on each
-edge and for the uncolored vertices at each saturation level.  The search
-backtracks by conflict-directed backjumping: a vertex with no color left
-jumps back to the deepest vertex whose color helped forbid it, skipping
-levels that have nothing to do with the dead end.  Only subtrees without
-a coloring are skipped, so the first coloring found, and chi, are those
-of plain chronological backtracking; only the node count falls.
+One greedy kernel, a forbidden-color bitmask per vertex over each edge's
+colored count and common color, gives the upper bound and, for each
+count t, reinserts the vertices on fewer than t edges, peeled before the
+search.  The core left is searched by an iterative DSATUR branch and
+bound with int bitsets for the colors present on each edge and for the
+uncolored vertices at each saturation level.  The search backtracks by
+conflict-directed backjumping: a vertex with no color left jumps back to
+the deepest vertex whose color helped forbid it, skipping levels that
+have nothing to do with the dead end.  Only subtrees without a coloring
+are skipped, so the first coloring found, and chi, are those of plain
+chronological backtracking; only the node count falls.
 """
 from __future__ import annotations
 
@@ -185,25 +187,26 @@ def path_digraph(n):
 def _components(graph):
     """Weak components as ascending (vertex numbers, edge numbers) tuples,
     in the order of their union-find roots."""
+    members = graph.members
     parent = list(range(len(graph.vertices)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    edges = list(zip(*[iter(graph.members)] * graph.k))
-    for edge in edges:
-        root = find(edge[0])
+    for edge in zip(*[iter(members)] * graph.k):
+        # finds by path halving: each coordinate's root joins the first's
+        root = edge[0]
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
         for v in edge[1:]:
-            parent[find(v)] = root
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            parent[v] = root
     groups = {}
-    for v in range(len(parent)):
-        groups.setdefault(find(v), ([], []))[0].append(v)
-    for e, edge in enumerate(edges):
-        groups[find(edge[0])][1].append(e)
-    return tuple((tuple(groups[root][0]), tuple(groups[root][1])) for root in sorted(groups))
+    for v, root in enumerate(parent):
+        while parent[root] != root:
+            root = parent[root]
+        parent[v] = root
+        groups.setdefault(root, ([], []))[0].append(v)
+    for e, root in enumerate(map(parent.__getitem__, members[:: graph.k])):
+        groups[root][1].append(e)
+    return tuple((tuple(part), tuple(edges)) for _, (part, edges) in sorted(groups.items()))
 
 
 def weak_components(graph):
@@ -235,27 +238,32 @@ def chromatic_upper_greedy(graph, order=None):
     order = range(n) if order is None else [graph.index_of(v) for v in order]
     if sorted(order) != list(range(n)):
         raise InputError("order must list every vertex exactly once")
-    return max(_greedy(graph, order), default=0)
+    color = [0] * n
+    _greedy(graph, color, order, [0] * len(graph.edges), [0] * len(graph.edges))
+    return max(color, default=0)
 
 
-def _greedy(graph, order):
-    color = [0] * len(graph.vertices)
+def _greedy(graph, color, order, filled, common):
+    """Walk ``order`` in ``color``: an uncolored vertex (0) takes the least
+    color that no edge at it has on all other coordinates; a colored one
+    keeps its color and must come before the uncolored ones on its edges.
+    Each edge counts its walked coordinates (``filled``) and keeps their
+    common color (``common``: 0 for none, -1 once two differ)."""
+    last = graph.k - 1
+    incidence = graph.incidence
     for v in order:
-        color[v] = _least_free_color(graph, color, v)
-    return color
-
-
-def _least_free_color(graph, color, v):
-    """Least color no edge at v has on all its other coordinates (0: uncolored)."""
-    forbidden = set()
-    for e in graph.incidence[v]:
-        others = {color[u] for u in graph.members_of(e) if u != v}
-        if len(others) == 1:
-            forbidden |= others
-    c = 1
-    while c in forbidden:
-        c += 1
-    return c
+        c = color[v]
+        if not c:
+            forbidden = 1
+            for e in incidence[v]:
+                if filled[e] == last and common[e] > 0:
+                    forbidden |= 1 << common[e]
+            c = (~forbidden & (forbidden + 1)).bit_length() - 1
+            color[v] = c
+        for e in incidence[v]:
+            filled[e] += 1
+            if common[e] != c:
+                common[e] = -1 if common[e] else c
 
 
 def chromatic_number_exact(graph, budget=None):
@@ -266,8 +274,9 @@ def chromatic_number_exact(graph, budget=None):
     """
     counter = Budget(budget, "chromatic search budget exhausted")
     parts = graph.components
-    greedy = _greedy(graph, range(len(graph.vertices)))
-    uppers = [max(greedy[v] for v in part) for part, _ in parts]
+    greedy = [0] * len(graph.vertices)
+    _greedy(graph, greedy, range(len(greedy)), [0] * len(graph.edges), [0] * len(graph.edges))
+    uppers = [max(map(greedy.__getitem__, part)) for part, _ in parts]
     best = 0
     color = [0] * len(graph.vertices)
     order = []
@@ -305,9 +314,9 @@ def _descent_upper(graph, part, greedy):
     that many nodes stops the search at the first backtrack.
     """
     vertices, edges = part
-    members = [graph.members_of(e) for e in edges]
+    members = chain.from_iterable(map(graph.members_of, edges))
     try:
-        colors = _search_core(vertices, members, greedy - 1, Budget(len(vertices), ""))
+        colors = _search_core(vertices, members, graph.k, greedy - 1, Budget(len(vertices), ""))
     except BudgetError:
         return greedy
     if colors is None:
@@ -322,19 +331,22 @@ def _clique_lower_bound(graph, part):
         return 1
     if graph.k != 2:
         return 2
-    neighbors = {v: set() for v in vertices}
+    members = graph.members
+    local = dict(zip(vertices, range(len(vertices))))
+    neighbors = [0] * len(vertices)
     for e in edges:
-        a, b = graph.members_of(e)
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    by_degree = sorted(vertices, key=lambda v: -len(neighbors[v]))
+        a, b = map(local.__getitem__, members[2 * e : 2 * e + 2])
+        neighbors[a] |= 1 << b
+        neighbors[b] |= 1 << a
+    minus_degree = [-bits.bit_count() for bits in neighbors]
+    by_degree = sorted(range(len(vertices)), key=minus_degree.__getitem__)
     best = 2
     for seed in by_degree[:8]:
-        clique = {seed}
+        clique = 1 << seed
         for u in by_degree:
-            if clique <= neighbors[u]:  # u is not its own neighbor
-                clique.add(u)
-        best = max(best, len(clique))
+            if neighbors[u] & clique == clique:  # u is not its own neighbor
+                clique |= 1 << u
+        best = max(best, clique.bit_count())
     return best
 
 
@@ -349,61 +361,63 @@ def _peel(graph, part, t):
     an uncolored vertex.
     """
     vertices, edges = part
-    alive_vertices = set(vertices)
-    alive_edges = set(edges)
-    degree = {v: len(graph.incidence[v]) for v in vertices}
+    incidence = graph.incidence
+    # a peeled vertex has degree -1 and no alive edge
+    degree = dict(zip(vertices, map(len, map(incidence.__getitem__, vertices))))
+    alive = set(edges)
     queue = [v for v in vertices if degree[v] < t]
     order = []
     while queue:
         v = queue.pop()
-        if v not in alive_vertices:
+        if degree[v] < 0:
             continue
-        alive_vertices.remove(v)
-        for e in graph.incidence[v]:
-            if e not in alive_edges:
-                continue
-            alive_edges.remove(e)
-            for u in graph.members_of(e):
-                if u == v or u not in alive_vertices:
-                    continue
-                degree[u] -= 1
-                if degree[u] < t:
-                    queue.append(u)
+        degree[v] = -1
         order.append(v)
+        for e in incidence[v]:
+            if e in alive:
+                alive.remove(e)
+                for u in graph.members_of(e):
+                    if u != v:
+                        degree[u] -= 1
+                        if degree[u] < t:
+                            queue.append(u)
     return order
 
 
 def _color_with(graph, part, t, color, counter):
     """Write a proper t-coloring of part into color and return its vertex
     numbers in coloring order, or return None when none exists."""
+    vertices, edges = part
+    k = graph.k
+    members = graph.members
     order = _peel(graph, part, t)
     peeled = set(order)
-    core = [v for v in part[0] if v not in peeled]
-    edges = [graph.members_of(e) for e in part[1]]
-    colors = _search_core(core, [e for e in edges if peeled.isdisjoint(e)], t, counter)
+    core = [v for v in vertices if v not in peeled]
+    outer = set(chain.from_iterable(map(graph.incidence.__getitem__, order)))
+    inner = [members[k * e : k * e + k] for e in edges if e not in outer]
+    colors = _search_core(core, chain.from_iterable(inner), k, t, counter)
     if colors is None:
         return None
     for v, c in zip(core, colors):
         color[v] = c
     order.reverse()
-    for v in order:
-        color[v] = _least_free_color(graph, color, v)
+    _greedy(graph, color, core + order, dict.fromkeys(edges, 0), dict.fromkeys(edges, 0))
     return core + order
 
 
-def _search_core(vertices, edges, t, counter):
+def _search_core(vertices, members, k, t, counter):
     """Branch-and-bound t-coloring (DSATUR) of a peeled core, on vertex numbers.
 
     ``vertices`` lists the core's vertex numbers in ascending order and
-    ``edges`` its edges' member tuples; the colors come back as a list
-    aligned with ``vertices``, or None.  The search renumbers the core:
-    vertex i is ``vertices[i]``.  Each edge keeps its number of
-    uncolored coordinates, the sum of their vertex numbers (which names
-    the last one) and its present colors as a bitmask, bit c for color
-    c.  An edge with one uncolored coordinate and one present color
-    forbids that color there, so a fully colored edge is never
-    monochromatic.  A vertex's saturation is its number of forbidden
-    colors.
+    ``members`` its edges' vertex numbers, k per edge in one iterable;
+    the colors come back as a list aligned with ``vertices``, or None.
+    The search renumbers the core: vertex i is ``vertices[i]``.  Each
+    edge keeps its number of uncolored coordinates, the sum of their
+    vertex numbers (which names the last one) and its present colors as
+    a bitmask, bit c for color c.  An edge with one uncolored coordinate
+    and one present color forbids that color there, so a fully colored
+    edge is never monochromatic.  A vertex's saturation is its number of
+    forbidden colors.
 
     The pick is the uncolored vertex of greatest (saturation, degree,
     -i).  Each vertex has a fixed position by (degree descending, i
@@ -442,19 +456,18 @@ def _search_core(vertices, edges, t, counter):
     n = len(vertices)
     if not n:
         return []
-    local = {v: i for i, v in enumerate(vertices)}
-    members = [[local[u] for u in edge] for edge in edges]
+    local = dict(zip(vertices, range(n)))
+    members = list(zip(*[iter(map(local.__getitem__, members))] * k))
     incident = [[] for _ in range(n)]
     for e, edge in enumerate(members):
         for u in edge:
             incident[u].append(e)
-    ranked = sorted(range(n), key=lambda v: (-len(incident[v]), v))
-    bit = [0] * n
-    for position, v in enumerate(ranked):
-        bit[v] = 1 << position
+    minus_degree = [-len(at) for at in incident]
+    ranked = sorted(range(n), key=minus_degree.__getitem__)
+    bit = [1 << position for position in sorted(range(n), key=ranked.__getitem__)]
     color = [0] * n
-    uncolored_in = [len(edge) for edge in members]
-    rest = [sum(edge) for edge in members]
+    uncolored_in = list(map(len, members))
+    rest = list(map(sum, members))
     present = [0] * len(members)
     forbid_count = [[0] * (t + 1) for _ in range(n)]
     forbidden = [0] * n

@@ -239,6 +239,17 @@ def test_chromatic_exact_greedy_budget(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert int(out.strip()) >= 3
 
+    # the greedy bound has no coloring to write
+    written = tmp_path / "greedy.json"
+    for form in ("text", "json"):
+        code, out = run(
+            capsys, "chromatic", "-g", str(graph), "--greedy", "-o", str(written),
+            "--format", form,
+        )
+        assert code == 2
+        assert "--greedy" in out and "-o" in out
+        assert not written.exists()
+
     code, out = run(
         capsys, "chromatic", "-g", str(graph), "--budget", "2", "--format", "json"
     )

@@ -174,6 +174,125 @@ def test_greedy_upper_bounds_exact():
         chromatic_upper_greedy(triangle(), ["1", "2"])
 
 
+def reference_least_free_color(graph, color, v):
+    """The per-vertex rule the greedy kernel replaced: the least color that no
+    edge at v has on all of its other coordinates, read from color (0:
+    uncolored) by one set per edge."""
+    forbidden = set()
+    for e in graph.incidence[v]:
+        others = {color[u] for u in graph.members_of(e) if u != v}
+        if len(others) == 1:
+            forbidden |= others
+    c = 1
+    while c in forbidden:
+        c += 1
+    return c
+
+
+def greedy_corpus():
+    rng = random.Random(2718)
+    for k in (2, 3, 4):
+        for _ in range(60):
+            yield random_hypergraph(rng, k=k, max_vertices=14, max_edges=40)
+    for m in range(2, 10):
+        yield gen_shift_digraph(m)
+    for n, m in ((1, 6), (2, 8), (3, 9)):
+        yield gen_cycling_construction(gen_counter_machine(n), counter_machine_order(n), m)
+
+
+def test_greedy_kernel_matches_the_per_vertex_rule():
+    # the greedy bound along the vertex order and along shuffled orders,
+    # and the reinsertion case: a partial coloring, not necessarily proper,
+    # walked first, then the uncolored vertices in a shuffled order
+    rng = random.Random(31)
+    for graph in greedy_corpus():
+        n = len(graph.vertices)
+        for trial in range(4):
+            order = list(range(n))
+            if trial:
+                rng.shuffle(order)
+            color = [0] * n
+            for v in order[: rng.randint(0, n) if trial > 1 else 0]:
+                color[v] = rng.randint(1, 3)
+            order.sort(key=lambda v: not color[v])
+            expected = list(color)
+            for v in order:
+                if not expected[v]:
+                    expected[v] = reference_least_free_color(graph, expected, v)
+            if trial < 2:
+                names = [graph.vertices[v] for v in order]
+                assert chromatic_upper_greedy(graph, names) == max(expected, default=0)
+            state = dict.fromkeys(range(len(graph.edges)), 0)
+            hypergraph_module._greedy(graph, color, order, state, dict(state))
+            assert color == expected
+
+
+def reference_peel(graph, part, t):
+    """The set-based peel that the degree dict replaced, with its LIFO pops."""
+    vertices, edges = part
+    alive_vertices = set(vertices)
+    alive_edges = set(edges)
+    degree = {v: len(graph.incidence[v]) for v in vertices}
+    queue = [v for v in vertices if degree[v] < t]
+    order = []
+    while queue:
+        v = queue.pop()
+        if v not in alive_vertices:
+            continue
+        alive_vertices.remove(v)
+        for e in graph.incidence[v]:
+            if e not in alive_edges:
+                continue
+            alive_edges.remove(e)
+            for u in graph.members_of(e):
+                if u == v or u not in alive_vertices:
+                    continue
+                degree[u] -= 1
+                if degree[u] < t:
+                    queue.append(u)
+        order.append(v)
+    return order
+
+
+def test_peel_keeps_the_set_based_order():
+    # the peel order is the reinsertion order, read back reversed
+    for graph in chromatic_reference_corpus():
+        top = max(map(len, graph.incidence), default=0) + 1
+        for part in graph.components:
+            for t in range(1, top + 1):
+                assert hypergraph_module._peel(graph, part, t) == reference_peel(graph, part, t)
+
+
+class CountingIncidence(tuple):
+    """Incidence lists that count every read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        CountingIncidence.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def test_chromatic_work_stays_linear_over_many_components(monkeypatch):
+    # 2,000 paths a->b->c->d declared a, d, b, c: the greedy bound needs 3
+    # colors, so every component runs a t = 2 search, peels all four
+    # vertices and reinserts them; the reinsertion reads its own part only
+    vertices = []
+    edges = []
+    for i in range(2000):
+        a, b, c, d = (f"{name}{i}" for name in "abcd")
+        vertices += [a, d, b, c]
+        edges += [(a, b), (b, c), (c, d)]
+    graph = DirectedHypergraph(2, vertices, edges)
+    assert chromatic_upper_greedy(graph) == 3
+    monkeypatch.setattr(CountingIncidence, "reads", 0)
+    graph.incidence = CountingIncidence(graph.incidence)
+    result = chromatic_number_exact(graph)
+    assert result.number == 2
+    assert is_proper_coloring(graph, result.coloring)
+    assert CountingIncidence.reads < 20 * (len(vertices) + len(edges))
+
+
 def test_names_that_do_not_compare():
     graph = DirectedHypergraph(2, [1, "a"], [(1, "a")])
     assert chromatic_number_exact(graph) == ChromaticResult(2, {1: 1, "a": 2})

@@ -2,8 +2,9 @@
 
 The trace calls ``build_auxiliary``, ``digraph.strong_components`` and the
 sizes of their results, which no decider uses; the traced test guards them
-until the trace times the deciders' own phases.  The ``coloring`` answers
-are pinned by the run's fingerprint, a hash of every instance's answer.
+until the trace times the deciders' own phases.  The answers of every
+workload are pinned by the run's fingerprint, a hash of every instance's
+answer.
 Each run works on a copy of the benchmark and the sources, so what it
 writes stays out of the checkout.
 """
@@ -53,6 +54,19 @@ def test_coloring_answers_keep_their_fingerprints(tmp_path):
         report, result = run_bench(
             tmp_path, "--workload", "coloring", "--seed", str(seed), "--seconds", "1",
             "--trace", "0",
+        )
+        assert result["correct"] and not result["failed"]
+        assert report["fingerprint"] == fingerprint
+
+
+def test_goodness_and_orders_answers_keep_their_fingerprints(tmp_path):
+    pinned = {
+        "goodness": "0d2cf1f4c1ca3aedbfeccd1a2f30f10b4ad3795b483b37a0d70833c35cbaf388",
+        "orders": "ae1512025e69c99964cba0d9004abc4baa71a3ea122bec0aa060e2dc5175046e",
+    }
+    for workload, fingerprint in pinned.items():
+        report, result = run_bench(
+            tmp_path, "--workload", workload, "--seed", "7", "--seconds", "1", "--trace", "0",
         )
         assert result["correct"] and not result["failed"]
         assert report["fingerprint"] == fingerprint
