@@ -199,7 +199,7 @@ def gen_cycling_construction(machine, order, m):
     name = names.__getitem__
     blocks = []
     for i in machine.positions:
-        slots = [n for n, (_, p) in enumerate(order) if int(p) == i]
+        slots = [n for n, (_, p) in enumerate(order) if p == i]
         if size == 1:
             # itemgetter(n) alone reads a bare element; a slice reads a 1-tuple
             slots = [slice(slots[0], slots[0] + 1)]

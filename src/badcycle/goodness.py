@@ -92,8 +92,8 @@ def _product_arcs(graph, machine):
     """Each edge's product arcs as (u, w) node-number pairs, edge by edge.
 
     Node (v, s) is numbered index(v) * |S| + index(s), its place in the
-    product's node order, and an edge's n-th arc comes from the n-th
-    transition atom; this is the one definition of the product's arc order.
+    product's node order, and an edge's n-th arc comes from the n-th atom of
+    ``numbered_atoms``; this is the one definition of the product's arc order.
     """
     width = len(machine.states)
     atoms = [(s, i - 1, j - 1, t) for s, i, j, t in machine.numbered_atoms]
@@ -130,7 +130,7 @@ def build_auxiliary(graph, machine):
     nodes = [(v, s) for v in graph.vertices for s in machine.states]
     tags = {}
     for edge_index, arcs in enumerate(_product_arcs(graph, machine)):
-        for arc, (_, i, j, _) in zip(arcs, machine.transition_atoms()):
+        for arc, (_, i, j, _) in zip(arcs, machine.numbered_atoms):
             tags.setdefault(arc, []).append((edge_index, i, j))
     product = Digraph(nodes, [(nodes[u], nodes[w]) for u, w in tags])
     provenance = {

@@ -4,12 +4,13 @@ A k-machine has a finite state set S, a sparse transition table
 f : S x [k]^2 -> P(S) (absent keys denote the empty set) and a set B of
 bad state pairs.  Two validation semantics exist: "cycling" machines
 must have B equal to the diagonal of S, "general" machines must have B
-disjoint from the diagonal.  A machine is immutable, so it sorts its
-canonical views once and numbers their states once, on first use, and
-keeps ``require_valid``'s report per semantics.  It also keeps, once, the
-atoms that can lie on a bad walk (``live_atoms``).  Goodness builds its
+disjoint from the diagonal.  A machine is immutable, so it numbers and
+sorts its table once, on first use (``numbered_atoms``, ``numbered_bad``),
+and keeps ``require_valid``'s report per semantics.  It also keeps, once,
+the atoms that can lie on a bad walk (``live_atoms``).  Goodness builds its
 products from ``atom_groups`` and ``live_local``: all atoms, and the live
-ones on the live states' places, grouped by position pair.
+ones on the live states' places, grouped by position pair.  The name-keyed
+rows are built on each call, for the file writer and ``verify_order_system``.
 """
 from __future__ import annotations
 
@@ -64,42 +65,34 @@ class Machine:
         except KeyError:
             return build(lambda s: (self._index.get(s, len(self.states)), str(s)))
 
-    @cached_property
-    def _rows(self):
-        # (transition rows, transition atoms), sorted once
+    def transition_rows(self):
+        """Transitions as sorted (state, i, j, sorted-target-tuple) rows, built per call."""
         def build(key):
             rows = [(s, i, j, tuple(sorted(ts, key=key))) for (s, i, j), ts in self._table.items()]
             return tuple(sorted(rows, key=lambda r: (key(r[0]), r[1], r[2])))
-        rows = self._by_state(build)
-        return rows, tuple((s, i, j, t) for s, i, j, ts in rows for t in ts)
+        return self._by_state(build)
 
-    @cached_property
-    def _bad_rows(self):
+    def bad_rows(self):
+        """Bad pairs sorted by their states' numbers, built per call."""
         return self._by_state(
             lambda key: tuple(sorted(self.bad, key=lambda p: (key(p[0]), key(p[1]))))
         )
 
-    def transition_rows(self):
-        """Transitions as sorted (state, i, j, sorted-target-tuple) rows."""
-        return self._rows[0]
-
-    def bad_rows(self):
-        return self._bad_rows
-
     def transition_atoms(self):
         """Flattened (s, i, j, t) tuples, one per target, in canonical order."""
-        return self._rows[1]
+        return tuple((s, i, j, t) for s, i, j, ts in self.transition_rows() for t in ts)
 
     @cached_property
     def numbered_atoms(self):
-        """``transition_atoms`` on state numbers; read only once validated."""
+        """The table's (s, i, j, t) atoms on state numbers, sorted; read only once validated."""
         index = self._index
-        return tuple((index[s], i, j, index[t]) for s, i, j, t in self.transition_atoms())
+        return tuple(sorted((index[s], i, j, index[t])
+                            for (s, i, j), ts in self._table.items() for t in ts))
 
     @cached_property
     def numbered_bad(self):
-        """``bad_rows`` on state numbers; read only once validated."""
-        return tuple((self._index[s], self._index[t]) for s, t in self.bad_rows())
+        """The bad pairs on state numbers, sorted; read only once validated."""
+        return tuple(sorted((self._index[a], self._index[b]) for a, b in self.bad))
 
     @cached_property
     def live_atoms(self):

@@ -205,7 +205,9 @@ def _as_pairs(order):
             s, i = entry
         except (TypeError, ValueError):
             raise InputError(f"order entry {entry!r} is not a (state, position) pair")
-        listed.append((s, int(i)))
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise InputError(f"order entry {entry!r} has a position that is not an integer")
+        listed.append((s, i))
     return listed
 
 
@@ -221,10 +223,14 @@ def verify_compatible_order(machine, order):
     carrier = {(s, i) for s in machine.states for i in machine.positions}
     if len(listed) != len(set(listed)) or set(listed) != carrier:
         raise InputError("order is not a total order on the state-position pairs")
-    pos = {x: n for n, x in enumerate(listed)}
+    names, k = machine.states, machine.k
+    number = {s: n for n, s in enumerate(names)}
+    # pos[s*k + i - 1] is the place of (state number s, position i)
+    pos = [0] * len(listed)
     violations = []
     restrictions = {i: [] for i in machine.positions}
-    for s, i in listed:
+    for n, (s, i) in enumerate(listed):
+        pos[number[s] * k + i - 1] = n
         restrictions[i].append(s)
     first = restrictions[1]
     for copy in machine.positions[1:]:
@@ -234,11 +240,11 @@ def verify_compatible_order(machine, order):
                 f"restriction to position {copy} orders the states {restriction}"
                 f" but position 1 orders them {first}"
             )
-    for s, i, j, t in machine.transition_atoms():
-        if pos[(s, i)] >= pos[(t, j)]:
+    for s, i, j, t in machine.numbered_atoms:
+        if pos[s * k + i - 1] >= pos[t * k + j - 1]:
             violations.append(
-                f"transition {s},({i},{j})->{t} needs ({s},{i}) strictly"
-                f" below ({t},{j})"
+                f"transition {names[s]},({i},{j})->{names[t]} needs ({names[s]},{i}) strictly"
+                f" below ({names[t]},{j})"
             )
     return CheckResult(not violations, tuple(violations))
 

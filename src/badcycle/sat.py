@@ -129,9 +129,7 @@ def order_to_assignment(order, cnf):
             "the order is not compatible with the clause machine: "
             + result.violations[0]
         )
-    rank = {}
-    for n, (s, i) in enumerate((s, int(i)) for s, i in order):
-        rank[(s, i)] = n
+    rank = {(s, i): n for n, (s, i) in enumerate(order)}
     return {
         v: rank[(_literal_state(v, True), 1)] < rank[(_literal_state(v, False), 1)]
         for v in cnf.variables

@@ -1,14 +1,37 @@
+import hashlib
 import json
 
 import pytest
 
 from badcycle import machine as machine_module
+from badcycle.corpus import default_rng, random_cycling_machine, random_machine
 from badcycle.errors import InputError
 from badcycle.fileio import save_machine
-from badcycle.generators import gen_counter_machine, gen_hasse_machine
+from badcycle.generators import (
+    counter_machine_order,
+    gen_counter_machine,
+    gen_cycling_construction,
+    gen_example3_machine,
+    gen_hasse_machine,
+    gen_unbalanced_machine,
+)
+from badcycle.goodness import (
+    build_auxiliary,
+    check_paths_good,
+    induced_order_system_coloring,
+    is_good,
+    validate_witness,
+)
+from badcycle.hypergraph import DirectedHypergraph, path_digraph
 from badcycle.machine import Machine, require_valid, step, validate_machine
-from badcycle.orders import decide_cycling_2machine, find_compatible_order
+from badcycle.orders import (
+    decide_cycling_2machine,
+    find_compatible_order,
+    find_order_system,
+    verify_compatible_order,
+)
 from badcycle.relations import gen_alternating_machine
+from badcycle.sat import CnfInstance, order_to_assignment, sat_to_machine
 
 
 def hasse_machine():
@@ -73,17 +96,18 @@ def test_canonical_rows_follow_declaration_order():
         ("z", 1, 2, "a"),
         ("a", 1, 2, "z"),
     ]
+    # the numbered views sort by state number, not by name
+    assert m.numbered_atoms == ((0, 1, 1, 1), (0, 1, 2, 0), (0, 1, 2, 1), (1, 1, 2, 0))
+    assert m.numbered_bad == ((0, 1), (1, 0))
 
 
-def test_canonical_views_are_sorted_once(tmp_path):
+def test_undeclared_states_sort_last_in_every_view(tmp_path):
     # "q" is undeclared: it sorts after the declared states in every view
     def made():
         rows = [("a", 1, 2, ["q"]), ("z", 1, 2, ["a", "z"]), ("q", 2, 1, ["z"])]
         return Machine(2, ["z", "a"], rows, bad=[("q", "z"), ("z", "a"), ("a", "q")])
 
     m = made()
-    for view in (m.transition_rows, m.bad_rows, m.transition_atoms):
-        assert view() is view()
     assert m.transition_rows() == (
         ("z", 1, 2, ("z", "a")),
         ("a", 1, 2, ("q",)),
@@ -102,6 +126,76 @@ def test_canonical_views_are_sorted_once(tmp_path):
     written = (tmp_path / "read.json").read_bytes()
     assert written == (tmp_path / "fresh.json").read_bytes()
     assert json.loads(written)["transitions"][2] == {"from": "q", "i": 2, "j": 1, "to": ["z"]}
+
+
+# sha256 over the reprs of (numbered_atoms, numbered_bad, transition_rows(),
+# bad_rows(), transition_atoms()) of canonical_machines(): a change to any
+# view's order or content changes it
+CANONICAL_VIEWS_DIGEST = "eae14ba3f30f99ba867bbc27b23302d1a60f6a13d75cbd1645c36e1d7f0b8a22"
+
+
+def canonical_machines():
+    yield from (gen_hasse_machine(), gen_example3_machine(), gen_alternating_machine().machine)
+    yield from (gen_counter_machine(n) for n in range(1, 5))
+    yield from (gen_unbalanced_machine(k) for k in (2, 3))
+    # every third draw has up to 11 states, named s1..s11, so that name
+    # order and declaration order differ
+    rng = default_rng(2026)
+    for n in range(2000):
+        draw = random_machine if n % 4 < 2 else random_cycling_machine
+        yield draw(rng, k=2 + n % 2, max_states=11 if n % 3 == 0 else 3)
+
+
+def test_canonical_views_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for m in canonical_machines():
+        views = (m.numbered_atoms, m.numbered_bad, m.transition_rows(), m.bad_rows(),
+                 m.transition_atoms())
+        digest.update(repr(views).encode())
+    assert digest.hexdigest() == CANONICAL_VIEWS_DIGEST
+
+
+def test_no_decider_or_checker_reads_the_name_keyed_views(monkeypatch):
+    # the deciders and checkers read numbered_atoms and numbered_bad; the
+    # name-keyed rows serve the file writer and verify_order_system only
+    counter = gen_counter_machine(2)
+    alternating = gen_alternating_machine().machine
+    triangle = DirectedHypergraph(2, ["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
+    cnf = CnfInstance(["x", "y", "z"], [("x", "y", "~z"), ("~x", "y", "z")])
+    clauses = sat_to_machine(cnf)
+
+    def answers():
+        bad = is_good(triangle, alternating)
+        assert validate_witness(triangle, alternating, bad.witness).ok
+        order = find_compatible_order(counter)
+        clause_order = find_compatible_order(clauses)
+        return (
+            is_good(path_digraph(3), alternating),
+            bad,
+            is_good(path_digraph(3), counter),
+            is_good(path_digraph(3), gen_hasse_machine()),
+            check_paths_good(counter, 6),
+            induced_order_system_coloring(path_digraph(3), alternating),
+            order,
+            decide_cycling_2machine(counter),
+            verify_compatible_order(counter, counter_machine_order(2)),
+            order_to_assignment(clause_order, cnf),
+            gen_cycling_construction(counter, order, 6),
+            find_order_system(gen_hasse_machine()),
+            build_auxiliary(path_digraph(2), counter).provenance,
+        )
+
+    expected = answers()
+
+    def refuse(self):
+        raise AssertionError("a name-keyed view was read")
+
+    for view in ("transition_rows", "transition_atoms", "bad_rows"):
+        monkeypatch.setattr(Machine, view, refuse)
+    assert answers() == expected
+    good, bad, counter_good, hasse_good, paths, _, order, decided, verified = expected[:9]
+    assert good and not bad and counter_good and hasse_good and paths is None
+    assert order is not None and decided and verified.ok
 
 
 def test_deterministic_and_cycling_tags():

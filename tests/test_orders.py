@@ -231,6 +231,14 @@ def test_verify_compatible_order_input_errors():
     general = two_state_example()
     with pytest.raises(InputError):
         verify_compatible_order(general, [("0", 1), ("1", 1), ("0", 2), ("1", 2)])
+    # a position must be an int: 1.7 no longer truncates to 1, and True is no 1
+    forced = Machine(2, ["s"], [("s", 1, 2, ["s"])], bad=[("s", "s")])
+    assert verify_compatible_order(forced, [("s", 1), ("s", 2)]).ok
+    for position in (1.7, 1.0, True, "x", None):
+        with pytest.raises(InputError, match="not an integer"):
+            verify_compatible_order(forced, [("s", position), ("s", 2)])
+        with pytest.raises(InputError, match="not an integer"):
+            compatible_order_to_order_system([("s", position), ("s", 2)])
 
 
 def test_find_compatible_order_on_counter_machines():
@@ -554,6 +562,22 @@ def test_verify_order_system_input_errors():
         verify_order_system(machine, [("0", 1)])
     with pytest.raises(InputError):
         verify_order_system(machine, OrderSystem([{("0", 1)}]))
+
+
+def test_verify_order_system_on_machines_it_does_not_validate():
+    # the verifier checks the system against any machine: a transition off
+    # the carrier is an input error, a cycling machine a violation
+    system = OrderSystem([{("a", 1)}, {("a", 2)}])
+    undeclared = Machine(2, ["a"], [("a", 1, 2, ["q"])])
+    with pytest.raises(InputError):
+        verify_order_system(undeclared, system)
+    wide = Machine(2, ["a"], [("a", 1, 5, ["a"])])
+    with pytest.raises(InputError):
+        verify_order_system(wide, system)
+    cycling = Machine(2, ["a"], [], bad=[("a", "a")])
+    assert verify_order_system(cycling, system).violations == (
+        "bad pair (a,a) is ordered upward by the induced system",
+    )
 
 
 def test_find_order_system_unique_on_the_two_state_example():
