@@ -244,10 +244,24 @@ def _negated(rows):
 
 def has_zero_mean_span(n, rows):
     """Whether some strong component of the digraph on nodes 0..n-1 with int
-    ``rows`` has cycles of mean <= 0 and >= 0."""
+    ``rows`` has cycles of mean <= 0 and >= 0.  One sweep fills the least
+    k-arc walk weights d_k(v) from 0 of the rows and of their negation; by
+    Karp, the least mean is <= 0 iff some finite d_n(v) is <= every finite d_k(v)."""
     for size, part, _ in _cyclic_components(n, rows):
-        scale = lcm(*range(1, size + 1))
-        if _karp(size, part, scale) <= 0 and _karp(size, _negated(part), scale) <= 0:
+        low = [[None] * size for _ in range(size + 1)]
+        neg = [[None] * size for _ in range(size + 1)]
+        low[0][0] = neg[0][0] = 0
+        for k in range(size):
+            a, b, c, d = low[k], neg[k], low[k + 1], neg[k + 1]
+            for u, v, w in part:
+                if a[u] is not None:
+                    x, y = a[u] + w, b[u] - w
+                    if c[v] is None or x < c[v]:
+                        c[v] = x
+                    if d[v] is None or y < d[v]:
+                        d[v] = y
+        if all(any(x is not None and all(row[v] is None or x <= row[v] for row in table[:size])
+                   for v, x in enumerate(table[size])) for table in (low, neg)):
             return True
     return False
 

@@ -31,7 +31,7 @@ from .errors import InputError
 from .goodness import BadCycleWitness
 from .hypergraph import DirectedHypergraph, HyperCycle
 from .machine import Machine
-from .orders import OrderSystem
+from .orders import OrderSystem, _as_pairs
 from .relations import Relation
 
 
@@ -171,7 +171,7 @@ def load_hypergraph(path):
 
 
 def order_to_obj(order):
-    return [[s, int(i)] for s, i in order]
+    return [[s, i] for s, i in _as_pairs(order)]
 
 
 def order_from_obj(obj):

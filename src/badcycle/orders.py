@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .digraph import has_zero_mean_span, least_first_order
+from .digraph import has_zero_mean_span
 from .errors import Budget, InputError
 from .machine import require_valid
 
@@ -199,7 +199,7 @@ def count_order_systems(n):
 
 
 def _as_pairs(order):
-    listed = []
+    # the order's (state, position) entries, each checked as it is reached
     for entry in order:
         try:
             s, i = entry
@@ -207,8 +207,7 @@ def _as_pairs(order):
             raise InputError(f"order entry {entry!r} is not a (state, position) pair")
         if isinstance(i, bool) or not isinstance(i, int):
             raise InputError(f"order entry {entry!r} has a position that is not an integer")
-        listed.append((s, i))
-    return listed
+        yield s, i
 
 
 def verify_compatible_order(machine, order):
@@ -219,22 +218,28 @@ def verify_compatible_order(machine, order):
     transitions that fail to go strictly upward.
     """
     require_valid(machine, "cycling")
-    listed = _as_pairs(order)
-    carrier = {(s, i) for s in machine.states for i in machine.positions}
-    if len(listed) != len(set(listed)) or set(listed) != carrier:
+    names, k, index = machine.states, machine.k, machine._index
+    # one walk: pos[s*k + i - 1] is the place of (state number s, position
+    # i); the order is total when it has one entry per place and they fill
+    # every place, and a shape error anywhere wins over an unhashable state
+    pos = [None] * (len(names) * k)
+    restrictions = [[] for _ in range(k)]
+    walked, unhashable = 0, None
+    for walked, (s, i) in enumerate(_as_pairs(order), 1):
+        try:
+            number = index.get(s)
+        except TypeError as error:
+            number, unhashable = None, unhashable or error
+        if number is not None and 0 < i <= k:
+            pos[number * k + i - 1] = walked - 1
+            restrictions[i - 1].append(s)
+    if unhashable is not None:
+        raise unhashable
+    if walked != len(pos) or None in pos:
         raise InputError("order is not a total order on the state-position pairs")
-    names, k = machine.states, machine.k
-    number = {s: n for n, s in enumerate(names)}
-    # pos[s*k + i - 1] is the place of (state number s, position i)
-    pos = [0] * len(listed)
     violations = []
-    restrictions = {i: [] for i in machine.positions}
-    for n, (s, i) in enumerate(listed):
-        pos[number[s] * k + i - 1] = n
-        restrictions[i].append(s)
-    first = restrictions[1]
-    for copy in machine.positions[1:]:
-        restriction = restrictions[copy]
+    first = restrictions[0]
+    for copy, restriction in enumerate(restrictions[1:], 2):
         if restriction != first:
             violations.append(
                 f"restriction to position {copy} orders the states {restriction}"
@@ -270,10 +275,12 @@ def find_compatible_order(machine, budget=None):
     atoms, which miss the states no atom leaves, and fails at once when
     its key recurs.  Only failures are kept, so the answer is unchanged.
 
-    Returns the first order in canonical enumeration order (states tried
-    in declaration order, position chains interleaved lowest position
-    first) or None when the space is exhausted.  The budget counts prefix
-    nodes, and so bounds the memo: it keeps at most one key per node.
+    Returns the first order in canonical enumeration order, or None when
+    the space is exhausted.  States are tried in declaration order; a leaf
+    merges its position chains, each in prefix order, emitting each time
+    the head of the lowest position whose atom in-arcs all leave emitted
+    pairs.  The budget counts prefix nodes, and so bounds the memo: it
+    keeps at most one key per node.
     """
     require_valid(machine, "cycling")
     states = machine.states
@@ -311,16 +318,34 @@ def find_compatible_order(machine, budget=None):
         return reach
 
     def interleave(prefix):
-        # the transition and chain arcs on node (i - 1) * p + prefix rank,
-        # so the least ready node has the least (position, prefix rank)
-        p = len(prefix)
+        # Kahn's least-first order on node (i - 1) * p + prefix rank: only a
+        # chain's head can be ready, so the least ready node heads the lowest
+        # position in the ready bitmask
+        p, k = len(prefix), machine.k
         rank = [0] * p
         for r, s in enumerate(prefix):
             rank[s] = r
-        succ = [[x + 1] if (x + 1) % p else [] for x in range(machine.k * p)]
+        out = [[] for _ in range(k * p)]
+        unmet = [0] * (k * p)  # each node's atom in-arcs from nodes not yet emitted
         for s, i, j, t in atoms:
-            succ[(i - 1) * p + rank[s]].append((j - 1) * p + rank[t])
-        return tuple((states[prefix[x % p]], x // p + 1) for x in least_first_order(succ))
+            y = (j - 1) * p + rank[t]
+            out[(i - 1) * p + rank[s]].append(y)
+            unmet[y] += 1
+        head = [i * p for i in range(k)]
+        ready = sum(1 << i for i, x in enumerate(head) if p and not unmet[x])
+        order = []
+        while ready:
+            i = (ready & -ready).bit_length() - 1
+            x = head[i]
+            order.append((states[prefix[x - i * p]], i + 1))
+            for y in out[x]:
+                unmet[y] -= 1
+                if not unmet[y] and head[y // p] == y:
+                    ready |= 1 << y // p
+            head[i] = x = x + 1
+            if x == (i + 1) * p or unmet[x]:
+                ready ^= 1 << i
+        return tuple(order)
 
     dead = set()  # (placed bitmask, reach) of every subtree that failed
 
@@ -522,7 +547,7 @@ def compatible_order_to_order_system(order):
     the induced relation on the underlying states is the full order read
     off any one position.
     """
-    listed = _as_pairs(order)
+    listed = list(_as_pairs(order))
     if len(listed) != len(set(listed)):
         raise InputError("order lists an element twice")
     classes = [frozenset([x]) for x in listed]

@@ -129,9 +129,9 @@ def order_to_assignment(order, cnf):
             "the order is not compatible with the clause machine: "
             + result.violations[0]
         )
-    rank = {(s, i): n for n, (s, i) in enumerate(order)}
+    rank = {s: n for n, (s, i) in enumerate(order) if i == 1}
     return {
-        v: rank[(_literal_state(v, True), 1)] < rank[(_literal_state(v, False), 1)]
+        v: rank[_literal_state(v, True)] < rank[_literal_state(v, False)]
         for v in cnf.variables
     }
 

@@ -4,7 +4,9 @@
 the ``Fraction`` weights to ints by the lcm of their denominators, and reads
 cycle means, positive cycles and longest-walk potentials off
 ``_cyclic_components``, ``_karp``, ``_positive_cycle`` and ``_relax``,
-divided back to ``Fraction`` values and named arcs.
+divided back to ``Fraction`` values and named arcs; ``zero_mean_span``
+reads the same scaled ``_karp`` means by sign, as ``has_zero_mean_span``
+did before it read its walk tables by sign alone.
 
 The ``ref_*`` functions are the references the adapter is compared with:
 the name-keyed implementation the library ran before its kernels moved to
@@ -39,6 +41,15 @@ class NamedRows:
             signed = [(u, v, sign * w) for u, v, w in rows]
             means.append(sign * Fraction(_karp(n, signed, scale), scale * self.scale))
         return (min if sign > 0 else max)(means, default=None)
+
+    def zero_mean_span(self):
+        """Whether some strong component has cycles of mean <= 0 and >= 0,
+        by the signs of its scaled least and greatest Karp means."""
+        for n, rows, _ in _cyclic_components(len(self.vertices), self.rows):
+            scale = lcm(*range(1, n + 1))
+            if _karp(n, rows, scale) <= 0 and _karp(n, [(u, v, -w) for u, v, w in rows], scale) <= 0:
+                return True
+        return False
 
     def positive_cycle(self):
         """A directed cycle of positive weight as a tuple of arcs, or None."""

@@ -7,6 +7,7 @@ import pytest
 from badcycle.digraph import (
     Digraph,
     bfs,
+    has_zero_mean_span,
     least_first_order,
     strong_components,
     tarjan,
@@ -342,6 +343,62 @@ def test_cycle_mean_matches_oracle():
         assert g.cycle_mean(1) == min(means)
         assert g.cycle_mean(-1) == max(means)
     assert seen_cyclic >= 20
+
+
+def span_oracle(g):
+    """Oracle: some strong component holds simple cycles of mean <= 0 and of
+    mean >= 0 (a closed walk's mean lies between its simple cycles')."""
+    rank = {v: n for n, v in enumerate(g.vertices)}
+    _, owner = tarjan(unweighted(g)._succ)
+    signs = {}
+    for cycle in all_simple_cycles(g):
+        total = sum(w for _, _, w in cycle)
+        signs.setdefault(owner[rank[cycle[0][0]]], set()).add((total > 0) - (total < 0))
+    return any(0 in seen or seen == {-1, 1} for seen in signs.values())
+
+
+def test_zero_mean_span_small_cases():
+    def span(vertices, arcs):
+        g = NamedRows(vertices, arcs)
+        assert g.zero_mean_span() == span_oracle(g)
+        return has_zero_mean_span(len(g.vertices), g.rows)
+
+    assert span("ab", [("a", "b", 1), ("b", "a", -1)])  # a zero-weight cycle
+    assert span("a", [("a", "a", 0)])
+    assert not span("a", [("a", "a", 1)])
+    assert not span("a", [("a", "a", -2)])
+    assert not span("ab", [("a", "b", 3)])
+    assert not span("", [])
+    # parallel arcs close cycles of means 1/2 and -1/2
+    assert span("ab", [("a", "b", 1), ("a", "b", -1), ("b", "a", 0)])
+    assert not span("ab", [("a", "b", 1), ("a", "b", 2), ("b", "a", 0)])
+    # all-positive and all-negative components, with and without self-loops
+    assert not span("abc", [("a", "b", 1), ("b", "c", 2), ("c", "a", 1), ("b", "b", 5)])
+    assert not span("abc", [("a", "b", -1), ("b", "a", -2), ("c", "c", -1)])
+    # a negative and a positive component, joined one way: no one component
+    # spans zero, though the digraph holds cycles of both signs
+    opposite = [("a", "b", -1), ("b", "a", -1), ("b", "c", 7), ("c", "d", 1), ("d", "c", 2)]
+    assert not span("abcd", opposite)
+    assert span("abcd", opposite + [("d", "a", 0)])
+
+
+def test_zero_mean_span_matches_the_scaled_karp_signs():
+    rng = random.Random(17)
+    spans = {True: 0, False: 0}
+    for n in range(600):
+        weights = (MIXED_WEIGHTS, (0, 1, 2), (-2, -1, 0), (-1, 1), (1, 3), (-3, -1))[n % 6]
+        g = random_weighted(rng, max_vertices=6, arc_factor=(0.8, 1.5, 2.5)[n // 6 % 3],
+                            weights=weights)
+        if n % 5 == 0 and g.arcs:  # a parallel copy of an arc and a self-loop
+            u, v, w = rng.choice(g.arcs)
+            loop = rng.choice(g.vertices)
+            g = NamedRows(g.vertices, g.arcs + ((u, v, w + rng.choice((-1, 1))), (loop, loop, w)))
+        expected = g.zero_mean_span()
+        assert has_zero_mean_span(len(g.vertices), g.rows) == expected
+        if n < 200:
+            assert span_oracle(g) == expected
+        spans[expected] += 1
+    assert min(spans.values()) >= 150
 
 
 def test_find_positive_cycle_replays():

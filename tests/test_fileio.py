@@ -138,6 +138,20 @@ def test_order_round_trip(tmp_path):
     assert load_order(path) == tuple((s, i) for s, i in order)
 
 
+def test_order_writer_keeps_positions_and_rejects_non_integers(tmp_path):
+    # the writer checks entries as the order verifier does, so it never
+    # saves an order other than the one it was given
+    order = find_compatible_order(gen_counter_machine(2))
+    assert order_to_obj(order) == [[s, i] for s, i in order]
+    path = tmp_path / "order.json"
+    for position in (1.7, True, 1.0, "1", None):
+        with pytest.raises(InputError, match="not an integer"):
+            save_order([("s", position), ("s", 2)], path)
+    with pytest.raises(InputError, match=r"not a \(state, position\) pair"):
+        save_order([("s", 1, 2)], path)
+    assert not path.exists()
+
+
 def test_order_rejects_malformed_objects():
     with pytest.raises(InputError, match="JSON array"):
         order_from_obj({"order": []})

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from badcycle.corpus import (
     random_cycling_machine,
     random_machine,
 )
+from badcycle.digraph import least_first_order
 from badcycle.errors import Budget, BudgetError, InputError
 from badcycle.generators import gen_counter_machine, gen_unbalanced_machine
 from badcycle.goodness import check_paths_good, validate_witness
@@ -241,6 +243,41 @@ def test_verify_compatible_order_input_errors():
             compatible_order_to_order_system([("s", position), ("s", 2)])
 
 
+def test_verify_compatible_order_error_paths_and_messages():
+    # one walk over the order: a shape error anywhere wins over a pair the
+    # carrier does not hold, and an unhashable state raises TypeError once
+    # every entry's shape passed
+    machine = counter_machine(1)
+    good = [("0", 1), ("1", 1), ("0", 2), ("1", 2)]
+    assert verify_compatible_order(machine, good).ok
+    assert verify_compatible_order(machine, iter(good)).ok
+    not_total = "order is not a total order on the state-position pairs"
+    for order in (
+        good[:3] + [("0", 1)],  # a duplicate pair
+        good[:3],  # a missing pair
+        good + [("0", 1)],  # a duplicate beyond the carrier's size
+        good[:3] + [("z", 2)],  # an unknown state
+        [("0", 0)] + good[1:],  # position 0
+        good[:3] + [("1", 3)],  # position k + 1
+        [],
+    ):
+        with pytest.raises(InputError) as info:
+            verify_compatible_order(machine, order)
+        assert str(info.value) == not_total
+    for tail, message in (
+        (["bad"], "order entry 'bad' is not a (state, position) pair"),
+        ([("1", 2, 3)], "order entry ('1', 2, 3) is not a (state, position) pair"),
+        ([("1", 2.0)], "order entry ('1', 2.0) has a position that is not an integer"),
+    ):
+        for head in (good[:1] + good[:2], [("z", 1), (["x"], 1)]):  # duplicate; unknown, unhashable
+            with pytest.raises(InputError) as info:
+                verify_compatible_order(machine, head + tail)
+            assert str(info.value) == message
+    for order in ([(["0"], 1)] + good[1:], good + [({}, 1)], [("z", 1), (["0"], 1)] + good):
+        with pytest.raises(TypeError, match="unhashable type"):
+            verify_compatible_order(machine, order)
+
+
 def test_find_compatible_order_on_counter_machines():
     for n in range(1, 5):
         machine = counter_machine(n)
@@ -424,6 +461,64 @@ def test_find_compatible_order_passes_the_3sat_wall():
         assert evaluate_cnf(cnf, order_to_assignment(order, cnf))
         with pytest.raises(BudgetError):
             find_compatible_order(machine, budget=1)
+
+
+def least_first_interleave(machine, prefix):
+    # the leaf as least_first_order's heap merged it: node (i - 1) * p +
+    # prefix rank, with the chain arcs x -> x + 1 and the transition arcs
+    p = len(prefix)
+    rank = {s: r for r, s in enumerate(prefix)}
+    succ = [[x + 1] if (x + 1) % p else [] for x in range(machine.k * p)]
+    for s, i, j, t in machine.numbered_atoms:
+        succ[(i - 1) * p + rank[s]].append((j - 1) * p + rank[t])
+    return tuple((machine.states[prefix[x % p]], x // p + 1) for x in least_first_order(succ))
+
+
+def test_leaf_chain_merge_is_the_least_first_order():
+    # a leaf's chain merge emits the head of the lowest ready position,
+    # which is least_first_order's least ready node; taking the highest
+    # ready position instead fails this test
+    rng = default_rng(27)
+    cases = [
+        (k, random_cycling_machine(rng, k=k, max_states=5, density=(0.1, 0.2)[n % 2]))
+        for n in range(150) for k in (2, 3, 4)
+    ]
+    rng = default_rng(1806)
+    cases += [("sat", sat_to_machine(CnfInstance(*random_cnf(rng)))) for _ in range(20)]
+    found = dict.fromkeys((2, 3, 4, "sat"), 0)
+    for kind, machine in cases:
+        order = find_compatible_order(machine)
+        if order is not None:
+            prefix = [machine._index[s] for s, i in order if i == 1]
+            assert order == least_first_interleave(machine, prefix)
+            found[kind] += 1
+    assert min(found.values()) >= 20
+
+
+ORDERS_ANSWERS_DIGEST = "fc90b24754d85c070c9d07659df443cf494b549cc9a5a21796de893587ed26f4"
+
+
+def test_orders_answers_match_their_pinned_digest():
+    # pinned before the leaf became a chain merge, the verifier one walk and
+    # the 2-machine decision a sign-only Karp
+    digest = hashlib.sha256()
+    rng = default_rng(2027)
+    for n in range(1500):
+        machine = random_cycling_machine(rng, k=2 + n % 3, max_states=4, density=0.1 + n % 4 / 10)
+        answers = (find_compatible_order(machine),)
+        if machine.k == 2:
+            answers += (decide_cycling_2machine(machine),)
+        digest.update(repr(answers).encode())
+    patterns = [[(v, sign) for v, sign in zip("xyz", signs)]
+                for signs in itertools.product((True, False), repeat=3)]
+    cnfs = [CnfInstance("xyz", patterns[:n] + patterns[n + 1:]) for n in range(9)]
+    for cnf in cnfs + [CnfInstance(*random_cnf(rng)) for _ in range(80)]:
+        order = find_compatible_order(sat_to_machine(cnf))
+        answers = (order, order and sorted(order_to_assignment(order, cnf).items()))
+        digest.update(repr(answers).encode())
+    for n in range(300):
+        digest.update(repr(find_order_system(random_machine(rng, k=2, max_states=3))).encode())
+    assert digest.hexdigest() == ORDERS_ANSWERS_DIGEST
 
 
 def all_one_state_cycling_machines():
