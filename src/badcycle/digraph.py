@@ -199,24 +199,24 @@ def least_first_order(succ, key=None):
 
 
 def _cyclic_components(n, rows):
-    """(size, rows, positions) of each strong component with a cycle of the
-    digraph on nodes 0..n-1 with (u, v, w) ``rows``: its rows renumbered by
-    place in the component, and their places in ``rows``."""
+    """(size, rows) of each strong component with a cycle of the digraph on
+    nodes 0..n-1 with (u, v, w) ``rows``, its rows renumbered by place in the
+    component, in ``tarjan_from``'s closing order."""
     succ = [[] for _ in range(n)]
     for u, v, _ in rows:
         succ[u].append(v)
-    raw, owner = tarjan(succ)
+    closed, owner = [], []
+    for closed, owner in tarjan_from(succ, range(n)):
+        pass
     local = [0] * n
-    for comp in raw:
+    for comp in closed:
         for place, v in enumerate(comp):
             local[v] = place
-    inner = [[] for _ in raw]
-    positions = [[] for _ in raw]
-    for p, (u, v, w) in enumerate(rows):
+    inner = [[] for _ in closed]
+    for u, v, w in rows:
         if owner[u] == owner[v]:
             inner[owner[u]].append((local[u], local[v], w))
-            positions[owner[u]].append(p)
-    return [(len(c), r, p) for c, r, p in zip(raw, inner, positions) if r]
+    return [(len(c), r) for c, r in zip(closed, inner) if r]
 
 
 def _karp(n, rows, scale):
@@ -247,7 +247,7 @@ def has_zero_mean_span(n, rows):
     ``rows`` has cycles of mean <= 0 and >= 0.  One sweep fills the least
     k-arc walk weights d_k(v) from 0 of the rows and of their negation; by
     Karp, the least mean is <= 0 iff some finite d_n(v) is <= every finite d_k(v)."""
-    for size, part, _ in _cyclic_components(n, rows):
+    for size, part in _cyclic_components(n, rows):
         low = [[None] * size for _ in range(size + 1)]
         neg = [[None] * size for _ in range(size + 1)]
         low[0][0] = neg[0][0] = 0

@@ -4,18 +4,19 @@ A k-machine has a finite state set S, a sparse transition table
 f : S x [k]^2 -> P(S) (absent keys denote the empty set) and a set B of
 bad state pairs.  Two validation semantics exist: "cycling" machines
 must have B equal to the diagonal of S, "general" machines must have B
-disjoint from the diagonal.  A machine is immutable, so it numbers and
-sorts its table once, on first use (``numbered_atoms``, ``numbered_bad``),
-and keeps ``require_valid``'s report per semantics.  It also keeps, once,
-the atoms that can lie on a bad walk (``live_atoms``).  Goodness builds its
-products from ``atom_groups`` and ``live_local``: all atoms, and the live
-ones on the live states' places, grouped by position pair.  The name-keyed
-rows are built on each call, for the file writer and ``verify_order_system``.
+disjoint from the diagonal.  A machine is immutable, so its first use is one
+walk of its table and bad pairs: it numbers and sorts them (``numbered_atoms``,
+``numbered_bad``), sets the tags and lists the problems ``validate_machine``
+reports; ``require_valid`` keeps the report per semantics.  It also keeps,
+once, the atoms that can lie on a bad walk (``live_atoms``).  Goodness builds
+its products from ``atom_groups`` and ``live_local``: all atoms, and the live
+ones on the live states' places, grouped by position pair.  Each view is an
+attribute filled on first read.  The name-keyed rows are built on each call,
+for the file writer and ``verify_order_system``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -54,6 +55,8 @@ class Machine:
         self._table = table
         self.bad = frozenset((a, b) for a, b in bad)
         self._reports = {}
+        # views filled on first read, as DirectedHypergraph.components is
+        self._walked = self._live = self._groups = None
 
     # -- canonical views -------------------------------------------------
 
@@ -82,28 +85,67 @@ class Machine:
         """Flattened (s, i, j, t) tuples, one per target, in canonical order."""
         return tuple((s, i, j, t) for s, i, j, ts in self.transition_rows() for t in ts)
 
-    @cached_property
-    def numbered_atoms(self):
-        """The table's (s, i, j, t) atoms on state numbers, sorted; read only once validated."""
-        index = self._index
-        return tuple(sorted((index[s], i, j, index[t])
-                            for (s, i, j), ts in self._table.items() for t in ts))
+    def _walk(self):
+        """The one walk of the table and the bad pairs, on first use: the sorted
+        ``numbered_atoms`` and ``numbered_bad`` (None over an undeclared state),
+        the deterministic and cycling tags, and the table and bad-pair problems
+        as ``validate_machine`` lists them, (sort key, message) each."""
+        index, k = self._index, self.k
+        atoms, pairs, problems = [], [], []
+        named = paired = deterministic = diagonal = True
+        for n, ((s, i, j), targets) in enumerate(self._table.items()):
+            u = index.get(s)
+            if u is None:
+                named = False
+                problems.append(((1, str(s), i, j, n, 0),
+                                 f"transition source {s!r} is not a declared state"))
+            if not (0 < i <= k and 0 < j <= k):
+                problems.extend(((1, str(s), i, j, n, 0), f"transition position {name}={pos}"
+                                 f" out of range for ({s!r},{i},{j})")
+                                for pos, name in ((i, "i"), (j, "j")) if not 0 < pos <= k)
+            if i == j or len(targets) > 1:
+                deterministic = False
+            for t in targets:
+                v = index.get(t)
+                if v is None:
+                    named = False
+                    problems.append(((1, str(s), i, j, n, 1, str(t)),
+                                     f"transition target {t!r} is not a declared state"))
+                atoms.append((u, i, j, v))
+        for a, b in self.bad:
+            x, y = index.get(a), index.get(b)
+            if x is None or y is None:
+                paired = False
+                problems.extend(((2, str(a), str(b)), f"bad pair references unknown state {z!r}")
+                                for z in (a, b) if z not in index)
+            elif x != y:
+                diagonal = False
+            pairs.append((x, y))
+        self._walked = (tuple(sorted(atoms)) if named else None,
+                        tuple(sorted(pairs)) if paired else None, deterministic,
+                        paired and diagonal and len(pairs) == len(index), tuple(problems))
+        return self._walked
 
-    @cached_property
+    @property
+    def numbered_atoms(self):
+        """The table's (s, i, j, t) atoms on state numbers, sorted; read only once
+        validated: a state the table names but does not declare raises KeyError."""
+        atoms = (self._walked or self._walk())[0]
+        if atoms is None:
+            raise KeyError(next(x for (s, _, _), ts in self._table.items()
+                                for x in (s, *ts) if x not in self._index))
+        return atoms
+
+    @property
     def numbered_bad(self):
         """The bad pairs on state numbers, sorted; read only once validated."""
-        return tuple(sorted((self._index[a], self._index[b]) for a, b in self.bad))
+        pairs = (self._walked or self._walk())[1]
+        if pairs is None:
+            raise KeyError(next(x for pair in self.bad for x in pair if x not in self._index))
+        return pairs
 
-    @cached_property
-    def live_atoms(self):
-        """The ``numbered_atoms`` that can lie on a bad walk; read only once validated.
-
-        A bad walk runs from a bad pair's first state a to its second b, so an
-        atom (s, i, j, t) is kept when some bad pair (a, b) has a reaching s and
-        t reaching b in the state graph, an arc s -> t per atom with positions
-        ignored.  On a cycling machine, whose bad pairs are the diagonal, that
-        is when t reaches s: s and t share a strong component.
-        """
+    def _find_live(self):
+        """``live_atoms``, ``live_states`` and ``live_local``, found together."""
         atoms = self.numbered_atoms
         succ = [set() for _ in self.states]
         pred = [set() for _ in self.states]
@@ -114,39 +156,55 @@ class Machine:
         for a, b in self.numbered_bad:
             seconds.setdefault(a, []).append(b)
         spans = [(_closure([a], succ), _closure(bs, pred)) for a, bs in seconds.items()]
-        return tuple(
-            atom for atom in atoms
-            if any(atom[0] in after and atom[3] in before for after, before in spans)
-        )
+        live = tuple(atom for atom in atoms
+                     if any(atom[0] in after and atom[3] in before for after, before in spans))
+        states = tuple(sorted({s for atom in live for s in (atom[0], atom[3])}))
+        local = {s: m for m, s in enumerate(states)}
+        groups = _groups([(local[s], i, j, local[t]) for s, i, j, t in live])
+        pairs = tuple((local[s], local[t]) for s, t in self.numbered_bad
+                      if s in local and t in local)
+        self._live = (live, states, (groups, pairs))
+        return self._live
 
-    @cached_property
+    @property
+    def live_atoms(self):
+        """The ``numbered_atoms`` that can lie on a bad walk; read only once validated.
+
+        A bad walk runs from a bad pair's first state a to its second b, so an
+        atom (s, i, j, t) is kept when some bad pair (a, b) has a reaching s and
+        t reaching b in the state graph, an arc s -> t per atom with positions
+        ignored.  On a cycling machine, whose bad pairs are the diagonal, that
+        is when t reaches s: s and t share a strong component.
+        """
+        return (self._live or self._find_live())[0]
+
+    @property
     def live_states(self):
         """The state numbers on ``live_atoms``, ascending."""
-        return tuple(sorted({s for atom in self.live_atoms for s in (atom[0], atom[3])}))
+        return (self._live or self._find_live())[1]
 
-    @cached_property
+    @property
     def live_local(self):
         """``live_atoms`` grouped as ``atom_groups`` are, and the bad pairs with
         both states live, on each state's place in ``live_states``."""
-        local = {s: m for m, s in enumerate(self.live_states)}
-        atoms = [(local[s], i, j, local[t]) for s, i, j, t in self.live_atoms]
-        return _groups(atoms), tuple((local[s], local[t]) for s, t in self.numbered_bad
-                                     if s in local and t in local)
+        return (self._live or self._find_live())[2]
 
-    @cached_property
+    @property
     def atom_groups(self):
         """``numbered_atoms`` grouped by position pair (see ``_groups``)."""
-        return _groups(self.numbered_atoms)
+        if self._groups is None:
+            self._groups = _groups(self.numbered_atoms)
+        return self._groups
 
     # -- derived tags ----------------------------------------------------
 
     @property
     def is_deterministic(self):
-        return all(len(ts) == 1 and i != j for (_, i, j), ts in self._table.items())
+        return (self._walked or self._walk())[2]
 
-    @cached_property
+    @property
     def is_cycling(self):
-        return self.bad == frozenset((s, s) for s in self.states)
+        return (self._walked or self._walk())[3]
 
     @property
     def positions(self):
@@ -221,37 +279,19 @@ def validate_machine(machine, semantics, expect_deterministic=False):
         raise InputError(f"unknown semantics {semantics!r}")
     # (sort key, message) in listing order; only the problems get sorted:
     # rows by (str(source), i, j), pairs and states by name, ties as listed
-    problems = []
+    _, _, deterministic, cycling, walked = machine._walked or machine._walk()
+    problems = list(walked)
     if machine.k < 2:
         problems.append(((0,), f"uniformity k must be at least 2, got {machine.k}"))
-    known = set(machine.states)
-    for n, ((s, i, j), targets) in enumerate(machine._table.items()):
-        if s not in known:
-            message = f"transition source {s!r} is not a declared state"
-            problems.append(((1, str(s), i, j, n, 0), message))
-        for pos, name in ((i, "i"), (j, "j")):
-            if not 1 <= pos <= machine.k:
-                message = f"transition position {name}={pos} out of range for ({s!r},{i},{j})"
-                problems.append(((1, str(s), i, j, n, 0), message))
-        for t in targets:
-            if t not in known:
-                message = f"transition target {t!r} is not a declared state"
-                problems.append(((1, str(s), i, j, n, 1, str(t)), message))
-        if expect_deterministic and len(targets) > 1:
-            message = (
-                f"nondeterministic value of size {len(targets)} at ({s!r},{i},{j}) "
-                "in deterministic machine"
-            )
-            problems.append(((1, str(s), i, j, n, 2), message))
-        if expect_deterministic and i == j:
-            message = f"diagonal position pair ({i},{j}) in deterministic machine"
-            problems.append(((1, str(s), i, j, n, 2), message))
-    for a, b in machine.bad:
-        for x in (a, b):
-            if x not in known:
-                problems.append(((2, str(a), str(b)), f"bad pair references unknown state {x!r}"))
-    diagonal = frozenset((s, s) for s in machine.states)
-    if semantics == "cycling" and machine.bad != diagonal:
+    if expect_deterministic and not deterministic:
+        for n, ((s, i, j), targets) in enumerate(machine._table.items()):
+            key = (1, str(s), i, j, n, 2)
+            if len(targets) > 1:
+                problems.append((key, f"nondeterministic value of size {len(targets)}"
+                                      f" at ({s!r},{i},{j}) in deterministic machine"))
+            if i == j:
+                problems.append((key, f"diagonal position pair ({i},{j}) in deterministic machine"))
+    if semantics == "cycling" and not cycling:
         problems.append(((3,), "cycling semantics requires the bad set to equal the diagonal"))
     if semantics == "general":
         for s in machine.states:
@@ -262,8 +302,8 @@ def validate_machine(machine, semantics, expect_deterministic=False):
     return ValidationReport(
         semantics=semantics,
         violations=tuple(message for _, message in problems),
-        deterministic=machine.is_deterministic,
-        cycling=machine.is_cycling,
+        deterministic=deterministic,
+        cycling=cycling,
     )
 
 

@@ -210,6 +210,10 @@ def _as_pairs(order):
         yield s, i
 
 
+def _unhashable(pair):
+    return InputError(f"order entry {pair!r} has a state that is not hashable")
+
+
 def verify_compatible_order(machine, order):
     """Check a claimed compatible order for a cycling machine.
 
@@ -228,13 +232,13 @@ def verify_compatible_order(machine, order):
     for walked, (s, i) in enumerate(_as_pairs(order), 1):
         try:
             number = index.get(s)
-        except TypeError as error:
-            number, unhashable = None, unhashable or error
+        except TypeError:
+            number, unhashable = None, unhashable or (s, i)
         if number is not None and 0 < i <= k:
             pos[number * k + i - 1] = walked - 1
             restrictions[i - 1].append(s)
     if unhashable is not None:
-        raise unhashable
+        raise _unhashable(unhashable)
     if walked != len(pos) or None in pos:
         raise InputError("order is not a total order on the state-position pairs")
     violations = []
@@ -547,8 +551,13 @@ def compatible_order_to_order_system(order):
     the induced relation on the underlying states is the full order read
     off any one position.
     """
-    listed = list(_as_pairs(order))
-    if len(listed) != len(set(listed)):
+    listed, seen = list(_as_pairs(order)), set()
+    for pair in listed:
+        try:
+            seen.add(pair)
+        except TypeError:
+            raise _unhashable(pair) from None
+    if len(listed) != len(seen):
         raise InputError("order lists an element twice")
     classes = [frozenset([x]) for x in listed]
     pairs = {(a, b) for a in range(len(listed)) for b in range(a + 1, len(listed))}

@@ -2,9 +2,10 @@
 
 ``NamedRows`` is the one adapter: it numbers the vertices in order, scales
 the ``Fraction`` weights to ints by the lcm of their denominators, and reads
-cycle means, positive cycles and longest-walk potentials off
-``_cyclic_components``, ``_karp``, ``_positive_cycle`` and ``_relax``,
-divided back to ``Fraction`` values and named arcs; ``zero_mean_span``
+cycle means off ``_cyclic_components`` and ``_karp``, positive cycles off
+``_positive_cycle`` on ``tarjan``'s components, whose row positions name the
+arcs, and longest-walk potentials off ``_relax``, divided back to
+``Fraction`` values and named arcs; ``zero_mean_span``
 reads the same scaled ``_karp`` means by sign, as ``has_zero_mean_span``
 did before it read its walk tables by sign alone.
 
@@ -36,7 +37,7 @@ class NamedRows:
     def cycle_mean(self, sign):
         """The least (sign 1) or greatest (sign -1) cycle mean; None when acyclic."""
         means = []
-        for n, rows, _ in _cyclic_components(len(self.vertices), self.rows):
+        for n, rows in _cyclic_components(len(self.vertices), self.rows):
             scale = lcm(*range(1, n + 1))
             signed = [(u, v, sign * w) for u, v, w in rows]
             means.append(sign * Fraction(_karp(n, signed, scale), scale * self.scale))
@@ -45,7 +46,7 @@ class NamedRows:
     def zero_mean_span(self):
         """Whether some strong component has cycles of mean <= 0 and >= 0,
         by the signs of its scaled least and greatest Karp means."""
-        for n, rows, _ in _cyclic_components(len(self.vertices), self.rows):
+        for n, rows in _cyclic_components(len(self.vertices), self.rows):
             scale = lcm(*range(1, n + 1))
             if _karp(n, rows, scale) <= 0 and _karp(n, [(u, v, -w) for u, v, w in rows], scale) <= 0:
                 return True
@@ -53,8 +54,15 @@ class NamedRows:
 
     def positive_cycle(self):
         """A directed cycle of positive weight as a tuple of arcs, or None."""
-        for n, rows, positions in _cyclic_components(len(self.vertices), self.rows):
-            cycle = _positive_cycle(n, rows)
+        succ = [[] for _ in self.vertices]
+        for u, v, _ in self.rows:
+            succ[u].append(v)
+        raw, owner = tarjan(succ)
+        for c, comp in enumerate(raw):
+            local = {v: place for place, v in enumerate(comp)}
+            positions = [p for p, (u, v, _) in enumerate(self.rows) if owner[u] == owner[v] == c]
+            rows = [(local[u], local[v], w) for u, v, w in (self.rows[p] for p in positions)]
+            cycle = rows and _positive_cycle(len(comp), rows)
             if cycle:
                 return tuple(self.arcs[positions[p]] for p in cycle)
         return None

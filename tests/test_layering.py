@@ -1,8 +1,8 @@
 """Module boundaries: the deciders never load the reference oracles, the
 alternating-cycle check never loads the deciders, the machine model loads
-nothing but the errors, the digraph kernel keeps one name-keyed graph class
-and no ``fractions``, no module imports a name it never uses, and no
-private function, class or method goes unused.
+nothing but the errors and keeps no ``cached_property``, the digraph kernel
+keeps one name-keyed graph class and no ``fractions``, no module imports a
+name it never uses, and no private function, class or method goes unused.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -14,9 +14,11 @@ import ast
 import json
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import badcycle
+from badcycle.machine import Machine
 
 LOADER = """
 import importlib, json, sys, types
@@ -65,16 +67,32 @@ def test_machine_loads_nothing_but_the_errors():
     assert loaded_by("badcycle.machine") == {"badcycle.machine", "badcycle.errors"}
 
 
+def parsed(module_file):
+    return ast.parse((Path(badcycle.__file__).parent / module_file).read_text("utf-8"))
+
+
+def imported_modules(tree):
+    return {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def test_machine_keeps_its_views_without_cached_property():
+    # functools.cached_property reads the instance __dict__, which makes
+    # CPython 3.11 build it for every machine; the views are plain attributes
+    # filled on first read
+    assert [name for name, value in vars(Machine).items()
+            if isinstance(value, cached_property)] == []
+    assert "functools" not in imported_modules(parsed("machine.py"))
+
+
 def test_digraph_has_one_name_keyed_class_and_no_fractions():
     # the kernels run on int rows; Digraph is the unweighted name-keyed view
     # build_auxiliary builds, and SCCResult the components strong_components
     # reads off it
-    tree = ast.parse((Path(badcycle.__file__).parent / "digraph.py").read_text("utf-8"))
-    modules = {
-        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-        for alias in node.names
-    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "fractions" not in modules
+    tree = parsed("digraph.py")
+    assert "fractions" not in imported_modules(tree)
     assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
         "Digraph",
         "SCCResult",

@@ -23,7 +23,7 @@ from badcycle.goodness import (
     validate_witness,
 )
 from badcycle.hypergraph import DirectedHypergraph, path_digraph
-from badcycle.machine import Machine, require_valid, step, validate_machine
+from badcycle.machine import SEMANTICS, Machine, require_valid, step, validate_machine
 from badcycle.orders import (
     decide_cycling_2machine,
     find_compatible_order,
@@ -355,20 +355,143 @@ def test_validate_pins_every_message_and_its_place():
     )
 
 
+def mutated(m, n):
+    """An invalid variant of m, the n-th of a seeded run: by n % 6 an undeclared
+    source or target, position 0 or k + 1, an unknown bad-pair state, k = 1,
+    names that do not compare (odd-numbered states renamed to ints), or a
+    diagonal position pair with two targets and a diagonal bad pair."""
+    k, states = m.k, list(m.states)
+    rows, bad = [list(row) for row in m.transition_rows()], list(m.bad_rows())
+    s, t = states[n % len(states)], states[-1 - n % len(states)]
+    kind = n % 6
+    if kind == 0:
+        rows.append(("ghost", 1, k, [t]) if n % 12 < 6 else (s, k, 1, ["ghost", t]))
+    elif kind == 1:
+        rows.append((s, 0, 1 + n % k, [t]) if n % 12 < 6 else (s, 1 + n % k, k + 1, [t]))
+    elif kind == 2:
+        bad.append((s, "ghost") if n % 12 < 6 else ("ghost", "ghost"))
+    elif kind == 3:
+        k = 1
+    elif kind == 4:
+        names = {x: p if p % 2 else x for p, x in enumerate(states)}
+        states = [names[x] for x in states]
+        rows = [(names[a], i, j, [names[b] for b in ts] + [len(states)] * (n % 12 < 6))
+                for a, i, j, ts in rows]
+        bad = [(names[a], names[b]) for a, b in bad] + [(names[s], names[s])]
+    else:
+        rows.append((t, 2, 2, [s, t]))
+        bad.append((s, s))
+    return Machine(k, states, rows, bad)
+
+
+def validation_cases():
+    """canonical_machines(), then a seeded invalid variant of every one."""
+    machines = list(canonical_machines())
+    yield from machines
+    rng = default_rng(2028)
+    for n, m in enumerate(machines):
+        yield mutated(m, rng.randrange(1200) * 6 + n % 6)
+
+
+# sha256 over the reprs of (violations, deterministic, cycling) of the
+# validate_machine reports of validation_cases(), under both semantics with
+# and without expect_deterministic; pinned before validation became one walk
+VALIDATION_DIGEST = "075a6f476c5512711dd1d2aed170715ab9fc9af311c51e05d70167762b44c067"
+
+
+def test_validation_reports_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for m in validation_cases():
+        for semantics in SEMANTICS:
+            for expect in (False, True):
+                report = validate_machine(m, semantics, expect_deterministic=expect)
+                digest.update(repr((report.violations, report.deterministic,
+                                    report.cycling)).encode())
+    assert digest.hexdigest() == VALIDATION_DIGEST
+
+
+VIEWS = ("numbered_atoms", "numbered_bad", "live_atoms", "live_states", "live_local",
+         "atom_groups", "is_cycling", "is_deterministic")
+
+
+def read_views(m):
+    """Every view of m, a KeyError as its type and key."""
+    views = []
+    for name in VIEWS:
+        try:
+            views.append(getattr(m, name))
+        except KeyError as error:
+            views.append(("KeyError", error.args))
+    return views
+
+
+def test_views_read_before_validation_equal_those_read_after():
+    for read_first, validated_first in zip(validation_cases(), validation_cases()):
+        before = read_views(read_first)
+        reports = [validate_machine(m, semantics) for m in (read_first, validated_first)
+                   for semantics in SEMANTICS]
+        assert reports[:2] == reports[2:]
+        assert read_views(validated_first) == before == read_views(read_first)
+    # a state the table names but does not declare raises, it drops no atom
+    undeclared = Machine(2, ["a"], [("a", 1, 2, ["a", "q"])], bad=[("a", "a")])
+    with pytest.raises(KeyError):
+        undeclared.numbered_atoms
+    assert not validate_machine(undeclared, "cycling").ok
+    with pytest.raises(KeyError):
+        undeclared.numbered_atoms
+    with pytest.raises(KeyError):
+        build_auxiliary(path_digraph(2), undeclared)
+
+
 def test_machine_is_validated_once(monkeypatch):
-    calls = []
+    calls, walked = [], []
     validate = machine_module.validate_machine
 
     def counting(*args, **kwargs):
         calls.append(args)
         return validate(*args, **kwargs)
 
+    def counted(method):
+        def run(machine):
+            walked.append((method.__name__, machine))
+            return method(machine)
+        return run
+
     monkeypatch.setattr(machine_module, "validate_machine", counting)
+    for method in (Machine._walk, Machine._find_live):
+        monkeypatch.setattr(Machine, method.__name__, counted(method))
     machine = gen_counter_machine(2)
     for _ in range(100):
         assert decide_cycling_2machine(machine)
         assert find_compatible_order(machine) is not None
     assert len(calls) == 1
+    assert walked == [("_walk", machine)]
+    # the table is walked once per machine, and the live views found once,
+    # whichever decider, checker or view reads them first and in whatever
+    # order the rest follow
+    views = [lambda m, name=name: getattr(m, name) for name in VIEWS]
+    views += [
+        lambda m: is_good(path_digraph(3), m),
+        lambda m: build_auxiliary(path_digraph(2), m),
+        lambda m: validate_machine(m, "general", expect_deterministic=True),
+        lambda m: validate_machine(m, "cycling"),
+    ]
+    cycling = views + [
+        decide_cycling_2machine,
+        lambda m: verify_compatible_order(m, find_compatible_order(m)),
+        lambda m: check_paths_good(m, 4),
+    ]
+    general = views + [find_order_system, lambda m: require_valid(m, "general")]
+    rng = default_rng(2028)
+    for n in range(60):
+        machine = gen_counter_machine(1 + n % 3) if n % 2 else gen_hasse_machine()
+        readers = list(cycling if n % 2 else general)
+        rng.shuffle(readers)
+        walked.clear()
+        for read in readers:
+            read(machine)
+        assert sorted(name for name, _ in walked) == ["_find_live", "_walk"]
+        assert all(seen is machine for _, seen in walked)
 
 
 def test_validation_cache_hides_nothing():

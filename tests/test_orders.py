@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -245,8 +246,8 @@ def test_verify_compatible_order_input_errors():
 
 def test_verify_compatible_order_error_paths_and_messages():
     # one walk over the order: a shape error anywhere wins over a pair the
-    # carrier does not hold, and an unhashable state raises TypeError once
-    # every entry's shape passed
+    # carrier does not hold, and the first unhashable state raises InputError
+    # once every entry's shape passed
     machine = counter_machine(1)
     good = [("0", 1), ("1", 1), ("0", 2), ("1", 2)]
     assert verify_compatible_order(machine, good).ok
@@ -273,9 +274,12 @@ def test_verify_compatible_order_error_paths_and_messages():
             with pytest.raises(InputError) as info:
                 verify_compatible_order(machine, head + tail)
             assert str(info.value) == message
-    for order in ([(["0"], 1)] + good[1:], good + [({}, 1)], [("z", 1), (["0"], 1)] + good):
-        with pytest.raises(TypeError, match="unhashable type"):
-            verify_compatible_order(machine, order)
+    for order, state in (([(["0"], 1)] + good[1:], "['0']"), (good + [({}, 1)], "{}"),
+                         ([("z", 1), (["0"], 1), ({}, 2)] + good, "['0']")):
+        for check in (partial(verify_compatible_order, machine), compatible_order_to_order_system):
+            with pytest.raises(InputError) as info:
+                check(order)
+            assert str(info.value) == f"order entry ({state}, 1) has a state that is not hashable"
 
 
 def test_find_compatible_order_on_counter_machines():
