@@ -72,6 +72,15 @@ def _doubled(graph, vertices, edges, forward, backward):
     return [row for a, b in ends for row in ((a, b, forward), (b, a, backward))]
 
 
+def _weights(graph, alpha):
+    """alpha, read exactly, and the doubled arc weights (forward, backward)
+    under which the digraph is alpha-balanced iff it has no positive cycle."""
+    alpha = _as_alpha(alpha)
+    _require_digraph(graph)
+    scale = len(graph.vertices) + 1
+    return alpha, 1 - alpha.numerator * scale, 1 + alpha.denominator * scale
+
+
 def is_alpha_balanced(graph, alpha):
     """Decide alpha-balance; unbalanced verdicts carry a traversal witness.
 
@@ -83,11 +92,7 @@ def is_alpha_balanced(graph, alpha):
     positive cycle search; scaled by |V|+1, the weights are the integers
     1 - p(|V|+1) and 1 + q(|V|+1).
     """
-    alpha = _as_alpha(alpha)
-    _require_digraph(graph)
-    scale = len(graph.vertices) + 1
-    forward = 1 - alpha.numerator * scale
-    backward = 1 + alpha.denominator * scale
+    alpha, forward, backward = _weights(graph, alpha)
     # every doubled arc has its reverse, so the strong components are the
     # weak ones; they are searched in Tarjan's order, greatest least vertex first
     for vertices, edges in sorted(graph.components, reverse=True):
@@ -110,16 +115,17 @@ def balanced_coloring(graph, alpha):
     component in the doubled digraph weighted +1 forward and -ceil(alpha)
     backward; colors are the potentials mod ceil(alpha)+1.  Every edge
     (a, b) then satisfies l(a)+1 <= l(b) <= l(a)+ceil(alpha), which makes
-    the coloring proper.
+    the coloring proper.  Balance is confirmed on ``_weights`` with no Karp:
+    a doubled weak component is strongly connected, so its n-th sweep raises
+    a value iff it holds a positive cycle, and only then is it decided again.
     """
-    verdict = is_alpha_balanced(graph, alpha)
-    if not verdict.balanced:
-        raise UnbalancedError("the digraph is not alpha-balanced", verdict)
-    alpha = verdict.alpha
+    alpha, forward, backward = _weights(graph, alpha)
     ceiling = -(-alpha.numerator // alpha.denominator)
     potentials = {}
     for vertices, edges in graph.components:
         n = len(vertices)
+        if n <= len(edges) and _relax(n, _doubled(graph, vertices, edges, forward, backward), 0, n)[1]:
+            raise UnbalancedError("the digraph is not alpha-balanced", is_alpha_balanced(graph, alpha))
         dist, changed = _relax(n, _doubled(graph, vertices, edges, 1, -ceiling), 0, n)
         if changed:
             # reversed, a positive cycle here has over alpha backward edges per forward one

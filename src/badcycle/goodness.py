@@ -9,13 +9,15 @@ edge behind an arc only for a witness.  Witness walks and induced linear
 orders come from ``digraph.bfs`` and ``least_first_order``.
 
 The decision asks its queries in order, (v, s) reaching (v, t) per vertex
-v and bad pair (s, t), or each node lying on a cycle, and answers them with
-``digraph.tarjan_from`` rooted at each query's node in turn, ORing in reach
-bitsets as components close.  It stops at the first query that hits, so
-it never visits a node that no earlier query reaches.  Cycling queries are
-only the nodes that Kahn's in-degree peel, ``digraph.unpeeled``, leaves, a
-set closed under successors that holds every node on a cycle: an acyclic
-product, a good one, asks none and never starts the search.
+v and bad pair (s, t), or each node lying on a cycle.  The general first
+source's queries come first, and one full ``bfs`` from it answers them by
+tree membership, with the witness a BFS stopped at the target gives.  When
+they all miss, ``digraph.tarjan_from`` runs rooted at each remaining
+query's node in turn, ORing in reach bitsets as components close, and stops
+at the first query that hits.  Cycling queries are only the nodes that
+Kahn's in-degree peel, ``digraph.unpeeled``, leaves, a set closed under
+successors that holds every node on a cycle: an acyclic product, a good
+one, asks none and never starts the search.
 
 ``is_good`` builds the product only on the machine's ``live_atoms``, the
 atoms that can lie on a bad walk, and on the states they touch.  Every bad
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, takewhile
 
 from .digraph import Digraph, bfs, least_first_order, tarjan_from, unpeeled
 from .errors import InputError, NotGoodError
@@ -192,16 +194,14 @@ def _closing(succ, roots):
 def _decide(graph, machine, states, groups, bad, reach=False):
     """The product on ``states``, ascending state numbers, from position-pair
     ``groups``, with ``bad`` pairs on places there; the verdict on it; and the
-    search rooted at its queries' sources, which goes on from every node when
-    resumed, with reach bitsets under general semantics or with ``reach``."""
+    search of ``_bad_walk``, which goes on from every node when resumed, with
+    reach bitsets under general semantics or with ``reach``."""
     width = len(states)
     succ = _product(graph, width, groups)
     # cycling bad pairs are the diagonal: nodes on a cycle qualify, and the peel leaves each
     queries = ([(u, u) for u in unpeeled(succ)] if machine.is_cycling else
                [(v * width + s, v * width + t) for v in range(len(graph.vertices)) for s, t in bad])
-    roots = chain([source for source, _ in queries], range(len(succ)))
-    search = (_closing if reach or not machine.is_cycling else tarjan_from)(succ, roots)
-    walk = _bad_walk(graph, machine, states, succ, queries, search)
+    walk, search = _bad_walk(graph, machine, states, succ, queries, reach)
     witness = walk and _witness(graph, machine, states, walk)
     return succ, GoodnessVerdict(walk is None, witness), search
 
@@ -213,9 +213,10 @@ def is_good(graph, machine):
     of length at least 1.  General semantics: bad iff some (v,s) reaches
     (v,t) for a bad pair (s,t); reachability is reflexive, which is
     harmless because bad pairs are off the diagonal.  Witnesses are the
-    shortest ones through the first qualifying product vertex.  A cycling
-    decision asks only about the nodes an in-degree peel leaves, so a good
-    cycling product is decided by the peel alone.
+    shortest ones through the first qualifying product vertex.  One BFS
+    answers the first general source; the rooted search starts only if it
+    misses.  A cycling decision asks only about the nodes an in-degree peel
+    leaves, so a good cycling product is decided by the peel alone.
 
     The product holds only the machine's ``live_atoms`` and ``live_states``:
     a bad walk projects onto a machine walk from a bad pair's first state to
@@ -242,10 +243,23 @@ def check_paths_good(machine, n_max):
     return None
 
 
-def _bad_walk(graph, machine, states, succ, queries, search):
+def _bad_walk(graph, machine, states, succ, queries, reach):
     """Shortest bad walk of the product on ``states`` through the first
-    qualifying node, or None; ``search`` is resumed once per query and left
-    at the first that hits."""
+    qualifying node, or None, and the search.  One full BFS answers a general
+    first source's queries, which come first; the search is rooted at the
+    other queries' sources, each yield answering one, and then at every node,
+    and is left at the first that hits, or unstarted when the BFS answered."""
+    first = []
+    if not machine.is_cycling and queries:
+        # run to its end, the BFS keeps the parents of one stopped at the target
+        parent, _ = bfs(succ, queries[0][0], lambda u: False)
+        first = list(takewhile(lambda query: query[0] == queries[0][0], queries))
+        queries = queries[len(first):]
+    roots = chain((source for source, _ in queries), range(len(succ)))
+    search = (_closing if reach or not machine.is_cycling else tarjan_from)(succ, roots)
+    for source, target in first:
+        if target in parent:
+            return _walk_to(parent, source, target), search
     if machine.is_cycling:
         for (node, _), (closed, owner, *_) in zip(queries, search):
             if len(closed[owner[node]]) == 1 and node not in succ[node]:
@@ -255,14 +269,14 @@ def _bad_walk(graph, machine, states, succ, queries, search):
             # and ties go to the arc that comes first in the product
             parent, nearest = bfs(succ, node, lambda u: node in succ[u])
             last = min(nearest, key=lambda u: _first_arc(graph, machine, states, u, node))
-            return _walk_to(parent, node, last) + [node]
-        return None
-    for (source, target), (_, owner, reach) in zip(queries, search):
+            return _walk_to(parent, node, last) + [node], search
+        return None, search
+    for (source, target), (_, owner, bits) in zip(queries, search):
         # a target the search has not reached is not reached from source
-        if owner[target] >= 0 and reach[owner[source]] >> owner[target] & 1:
+        if owner[target] >= 0 and bits[owner[source]] >> owner[target] & 1:
             parent, _ = bfs(succ, source, lambda u: u == target)
-            return _walk_to(parent, source, target)
-    return None
+            return _walk_to(parent, source, target), search
+    return None, search
 
 
 def validate_witness(graph, machine, witness):

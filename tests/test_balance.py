@@ -374,6 +374,44 @@ def test_no_cycle_search_runs_on_a_forest_component(monkeypatch):
     assert searched == [(3, 3)] * len(ALPHAS)
 
 
+def test_a_balanced_coloring_runs_no_karp_search(monkeypatch):
+    # balance is confirmed by relaxation, so only an unbalanced graph, decided
+    # again for its verdict, reaches Karp; the answers are those of the
+    # decision.  Arcs that each go up one level of three vertices close no
+    # traversal with more backward steps than forward ones: balanced, cyclic
+    rng = default_rng(2031)
+    graphs = [random_digraph(rng, max_vertices=8, edge_prob=0.2) for _ in range(200)]
+    for _ in range(50):
+        names = [str(v) for v in range(rng.randint(4, 12))]
+        arcs = [(a, b) for a in names for b in names
+                if int(b) // 3 == int(a) // 3 + 1 and rng.random() < 0.5]
+        graphs.append(DirectedHypergraph(2, names, arcs))
+    expected = [[is_alpha_balanced(graph, alpha) for alpha in ALPHAS] for graph in graphs]
+    karp = digraph._karp
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return karp(*args)
+
+    monkeypatch.setattr(digraph, "_karp", counted)
+    cyclic = 0
+    for graph, verdicts in zip(graphs, expected):
+        for alpha, verdict in zip(ALPHAS, verdicts):
+            searches.clear()
+            if verdict.balanced:
+                assert balanced_coloring(graph, alpha).alpha == alpha
+                assert not searches
+                cyclic += any(len(edges) >= len(vertices) for vertices, edges in graph.components)
+            else:
+                with pytest.raises(UnbalancedError) as caught:
+                    balanced_coloring(graph, alpha)
+                assert caught.value.verdict == verdict
+                assert searches
+    assert cyclic >= 100
+    assert sum(not v.balanced for verdicts in expected for v in verdicts) >= 100
+
+
 def test_no_decider_builds_a_name_keyed_digraph(monkeypatch):
     # goodness, the induced coloring, balance and the order searches all
     # decide on int rows; the name-keyed Digraph serves build_auxiliary only

@@ -1,4 +1,6 @@
+import hashlib
 import heapq
+import json
 from itertools import chain
 
 import pytest
@@ -13,6 +15,7 @@ from badcycle.corpus import (
     random_machine,
 )
 from badcycle.errors import BudgetError, InputError, NotGoodError
+from badcycle.fileio import witness_to_obj
 from badcycle.generators import (
     counter_machine_order,
     gen_counter_machine,
@@ -988,9 +991,7 @@ def peel_free_cycling_decide(graph, machine):
     width = len(states)
     succ = goodness._product(graph, width, groups)
     queries = [(v * width + s, v * width + t) for v in range(len(graph.vertices)) for s, t in bad]
-    roots = chain([source for source, _ in queries], range(len(succ)))
-    search = digraph.tarjan_from(succ, roots)
-    walk = goodness._bad_walk(graph, machine, states, succ, queries, search)
+    walk, _ = goodness._bad_walk(graph, machine, states, succ, queries, False)
     return GoodnessVerdict(walk is None, walk and goodness._witness(graph, machine, states, walk))
 
 
@@ -1036,3 +1037,104 @@ def test_good_cycling_products_run_no_search(monkeypatch):
         for m in range(6, 11):
             graph = gen_cycling_construction(machine, counter_machine_order(n), m)
             assert is_good(graph, machine).good
+
+
+def drawn_digraphs(seed, sizes, count):
+    # random_digraph draws its own size; keep the first count of the wanted sizes
+    rng = default_rng(seed)
+    drawn = 0
+    while drawn < count:
+        graph = random_digraph(rng, max_vertices=max(sizes))
+        if len(graph.vertices) in sizes:
+            drawn += 1
+            yield graph
+
+
+GOODNESS_ANSWERS_DIGEST = "c13c651b0360215f6e417b09799af1e76f307adee8733ddfd28d20ae0a4f8419"
+
+
+def test_goodness_answers_match_their_pinned_digest():
+    # pinned before the first source was answered by one BFS: verdicts,
+    # witnesses as written to file, and the induced colorings of the good
+    # oracle-corpus pairs
+    digest = hashlib.sha256()
+    alternating = gen_alternating_machine().machine
+    pairs = chain(
+        goodness_corpus(5101, 500),
+        goodness_corpus(5102, 500),
+        ((graph, alternating) for graph in drawn_digraphs(5103, range(10, 15), 300)),
+        ((gen_shift_digraph(m), alternating) for m in range(2, 21)),
+    )
+    for n, (graph, machine) in enumerate(pairs):
+        verdict = is_good(graph, machine)
+        answer = verdict.witness and witness_to_obj(verdict.witness)
+        if verdict.good and n < 1000:
+            coloring = induced_order_system_coloring(graph, machine)
+            answer = [(v, [sorted(block) for block in c.classes], sorted(c.partial))
+                      for v, c in coloring.items()]
+        digest.update(json.dumps([verdict.good, answer]).encode())
+    assert digest.hexdigest() == GOODNESS_ANSWERS_DIGEST
+
+
+def test_bad_general_decisions_at_the_first_source_run_no_search(monkeypatch):
+    # the first source's queries are answered by one BFS, so a verdict whose
+    # witness starts there never starts the rooted search, and every other
+    # verdict does; the answers are those decided with the search in place
+    def refused(succ, roots):
+        raise AssertionError("the rooted search ran")
+        yield
+
+    alternating = gen_alternating_machine().machine
+    _, bad = alternating.live_local
+    first_state = alternating.states[alternating.live_states[bad[0][0]]]
+    graphs = list(drawn_digraphs(2901, (12,), 150))
+    verdicts = [is_good(graph, alternating) for graph in graphs]
+    monkeypatch.setattr(goodness, "tarjan_from", refused)
+    hits = 0
+    for graph, verdict in zip(graphs, verdicts):
+        witness = verdict.witness
+        if witness and (witness.cycle.base, witness.states[0]) == (graph.vertices[0], first_state):
+            assert comparable(is_good(graph, alternating)) == comparable(verdict)
+            hits += 1
+        else:
+            with pytest.raises(AssertionError, match="the rooted search ran"):
+                is_good(graph, alternating)
+    assert hits >= 100
+
+
+def test_a_good_first_part_leaves_the_answer_to_the_fallback_search(monkeypatch):
+    # a good part declared first, so that every query of vertex 0 misses, and
+    # a bad part after it: the union's verdict is the bad part's, its witness
+    # the bad part's with edge numbers shifted past the good part's, and the
+    # rooted search ran
+    rng = default_rng(2902)
+    alternating = gen_alternating_machine().machine
+    cases = [(graph, alternating) for graph in drawn_digraphs(2903, range(6, 13), 60)]
+    cases += [(random_digraph(rng, max_vertices=8), random_machine(rng, k=2, max_states=4, density=0.3))
+              for _ in range(300)]
+    rooted = goodness.tarjan_from
+    started = []
+
+    def recording(succ, roots):
+        started.append(len(succ))
+        yield from rooted(succ, roots)
+
+    monkeypatch.setattr(goodness, "tarjan_from", recording)
+    checked = 0
+    for n, (part, machine) in enumerate(cases):
+        verdict = is_good(part, machine)
+        if verdict.good:
+            continue
+        good = path_digraph(1 + n % 5) if machine is alternating else DirectedHypergraph(2, "xy", [])
+        assert is_good(good, machine).good
+        union = DirectedHypergraph(2, [f"g{v}" for v in good.vertices] + list(part.vertices),
+                                   [(f"g{a}", f"g{b}") for a, b in good.edges] + list(part.edges))
+        started.clear()
+        whole = is_good(union, machine)
+        assert started
+        assert not whole.good and validate_witness(union, machine, whole.witness).ok
+        shifted = witness_to_obj(verdict.witness)
+        shifted["steps"] = [[e + len(good.edges), v] for e, v in shifted["steps"]]
+        assert witness_to_obj(whole.witness) == shifted
+        checked += 1
+    assert checked >= 100
