@@ -136,16 +136,18 @@ def strong_components(graph):
     )
 
 
-def bfs(succ, source, found):
+def bfs(succ, source, found=None):
     """BFS parents from source, stopped at the first layer holding a node
     that satisfies ``found``; returns the parents and those nodes in
-    queue order (empty when no reachable node does)."""
+    queue order (empty when no reachable node does).  With ``found`` None
+    the BFS runs to its end and calls nothing per node."""
     parent = {source: source}
     layer = [source]
     while layer:
-        hits = [u for u in layer if found(u)]
-        if hits:
-            return parent, hits
+        if found is not None:
+            hits = [u for u in layer if found(u)]
+            if hits:
+                return parent, hits
         following = []
         for u in layer:
             for w in succ[u]:

@@ -252,7 +252,7 @@ def _bad_walk(graph, machine, states, succ, queries, reach):
     first = []
     if not machine.is_cycling and queries:
         # run to its end, the BFS keeps the parents of one stopped at the target
-        parent, _ = bfs(succ, queries[0][0], lambda u: False)
+        parent, _ = bfs(succ, queries[0][0])
         first = list(takewhile(lambda query: query[0] == queries[0][0], queries))
         queries = queries[len(first):]
     roots = chain((source for source, _ in queries), range(len(succ)))

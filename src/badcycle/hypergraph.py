@@ -12,13 +12,17 @@ One greedy kernel, a forbidden-color bitmask per vertex over each edge's
 colored count and common color, gives the upper bound and, for each
 count t, reinserts the vertices on fewer than t edges, peeled before the
 search.  The core left is searched by an iterative DSATUR branch and
-bound with int bitsets for the colors present on each edge and for the
-uncolored vertices at each saturation level.  The search backtracks by
-conflict-directed backjumping: a vertex with no color left jumps back to
-the deepest vertex whose color helped forbid it, skipping levels that
-have nothing to do with the dead end.  Only subtrees without a coloring
-are skipped, so the first coloring found, and chi, are those of plain
-chronological backtracking; only the node count falls.
+bound with an int bitset for the uncolored vertices at each saturation
+level, in one of two kernels chosen by k in ``_search``: for k >= 3,
+``_search_core`` keeps per-edge counters and the colors present on each
+edge; for digraphs, ``_search_pairs`` keeps a neighbour bitset per vertex
+and, per color, the vertices next to one of that color, and makes the
+same decisions.  The search backtracks by conflict-directed backjumping:
+a vertex with no color left jumps back to the deepest vertex whose color
+helped forbid it, skipping levels that have nothing to do with the dead
+end.  Only subtrees without a coloring are skipped, so the first coloring
+found, and chi, are those of plain chronological backtracking; only the
+node count falls.
 """
 from __future__ import annotations
 
@@ -318,7 +322,7 @@ def _descent_upper(graph, part, greedy):
     vertices, edges = part
     members = chain.from_iterable(map(graph.members_of, edges))
     try:
-        colors = _search_core(vertices, members, graph.k, greedy - 1, Budget(len(vertices), ""))
+        colors = _search(vertices, members, graph.k, greedy - 1, Budget(len(vertices), ""))
     except BudgetError:
         return greedy
     if colors is None:
@@ -397,7 +401,7 @@ def _color_with(graph, part, t, color, counter):
     core = [v for v in vertices if v not in peeled]
     outer = set(chain.from_iterable(map(graph.incidence.__getitem__, order)))
     inner = [members[k * e : k * e + k] for e in edges if e not in outer]
-    colors = _search_core(core, chain.from_iterable(inner), k, t, counter)
+    colors = _search(core, chain.from_iterable(inner), k, t, counter)
     if colors is None:
         return None
     for v, c in zip(core, colors):
@@ -407,8 +411,110 @@ def _color_with(graph, part, t, color, counter):
     return core + order
 
 
+def _search(vertices, members, k, t, counter):
+    """The t-coloring search of a core, by the kernel for its uniformity."""
+    if k == 2:
+        return _search_pairs(vertices, members, t, counter)
+    return _search_core(vertices, members, k, t, counter)
+
+
+def _search_pairs(vertices, members, t, counter):
+    """``_search_core``'s decisions on a 2-uniform core, over bitsets.
+
+    Takes what ``_search_core`` takes, less k, and returns what it
+    returns, so it finds the same coloring, or none, for the same budget
+    units.  Vertices sit at their positions by (degree descending, i
+    ascending), the degree counting an antiparallel pair twice, so the
+    lowest bit of the highest non-empty saturation level is the same pick.
+    At k = 2 an edge forbids c at its one uncolored coordinate exactly
+    when the other is colored c.  So with ``near[v]`` the neighbours of v
+    and ``beside[c]`` the positions next to a vertex colored c, v's
+    forbidden colors are the c with v in ``beside[c]``, and coloring v
+    with c raises v's uncolored neighbours outside ``beside[c]`` one
+    level, then adds ``near[v]`` to it.  The per-edge conflict scan at a
+    dead end adds the depth of the colored coordinate of each edge whose
+    one uncolored coordinate is the vertex: the depths of its colored
+    neighbours.  The colors tried and their cap are the same.  Each frame
+    keeps the uncolored set, the levels and ``beside`` from before its
+    vertex was colored, and coloring writes fresh lists, so a backjump
+    restores them by assignment.
+    """
+    n = len(vertices)
+    if not n:
+        return []
+    local = dict(zip(vertices, range(n)))
+    ends = list(map(local.__getitem__, members))
+    minus_degree = [0] * n
+    for u in ends:
+        minus_degree[u] -= 1
+    ranked = sorted(range(n), key=minus_degree.__getitem__)
+    position = sorted(range(n), key=ranked.__getitem__)
+    near = [0] * n
+    for a, b in zip(*[map(position.__getitem__, ends)] * 2):
+        near[a] |= 1 << b
+        near[b] |= 1 << a
+    color = [0] * n
+    depth_bit = [0] * n
+    free = (1 << n) - 1
+    level = [free] + [0] * t
+    beside = [0] * (t + 1)
+    stack = []
+    used = 0
+    while free:
+        counter.spend()
+        s = t
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        v = low.bit_length() - 1
+        level[s] ^= low
+        free ^= low
+        choices = 0
+        for c in range(1, min(used + 1, t) + 1):
+            if not beside[c] & low:
+                choices |= 1 << c
+        conflict = 0
+        while not choices:
+            # v has no color left: add the depths of its colored
+            # neighbours and jump back to the deepest of them
+            colored = near[v] & ~free
+            while colored:
+                u = colored & -colored
+                conflict |= depth_bit[u.bit_length() - 1]
+                colored ^= u
+            if not conflict:
+                return None
+            h = conflict.bit_length() - 1
+            v, choices, used, gathered, free, level, beside = stack[h]
+            del stack[h:]
+            conflict = gathered | (conflict ^ (1 << h))
+        # give v its least remaining color
+        cb = choices & -choices
+        choices ^= cb
+        c = cb.bit_length() - 1
+        color[v] = c
+        depth_bit[v] = 1 << len(stack)
+        stack.append((v, choices, used, conflict, free, level, beside))
+        used = max(used, c)
+        up = near[v] & free & ~beside[c]
+        beside = beside[:]
+        beside[c] |= near[v]
+        level = level[:]
+        s = 0
+        carry = 0
+        while up:
+            moved = level[s] & up
+            level[s] ^= moved | carry
+            up ^= moved
+            carry = moved
+            s += 1
+        level[s] |= carry
+    return list(map(color.__getitem__, position))
+
+
 def _search_core(vertices, members, k, t, counter):
-    """Branch-and-bound t-coloring (DSATUR) of a peeled core, on vertex numbers.
+    """Branch-and-bound t-coloring (DSATUR) of a peeled core, on vertex
+    numbers, for k >= 3; ``_search_pairs`` makes its decisions at k = 2.
 
     ``vertices`` lists the core's vertex numbers in ascending order and
     ``members`` its edges' vertex numbers, k per edge in one iterable;

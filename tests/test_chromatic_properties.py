@@ -1,9 +1,13 @@
 """Metamorphic properties of the exact chromatic number, on random hypergraphs."""
+import random
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from badcycle import hypergraph as hypergraph_module  # noqa: E402
+from badcycle.errors import Budget  # noqa: E402
 from badcycle.hypergraph import (  # noqa: E402
     DirectedHypergraph,
     chromatic_number_exact,
@@ -63,3 +67,24 @@ def test_every_coloring_is_proper_with_at_most_chi_colors(graph):
     result = chromatic_number_exact(graph)
     assert is_proper_coloring(graph, result.coloring)
     assert set(result.coloring.values()) <= set(range(1, result.number + 1))
+
+
+@hypothesis.settings(SETTINGS, max_examples=300)
+@hypothesis.given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_both_kernels_make_the_same_decisions_on_digraphs(seed):
+    # the bitset kernel and the per-edge one find the same t-coloring, or
+    # none, and charge the same units, at every color count up to 5; the
+    # digraph is drawn from the seed because backjumps over several levels
+    # need more vertices than shrinking keeps
+    rng = random.Random(seed)
+    n, p = rng.randint(12, 30), rng.choice((0.1, 0.2, 0.3, 0.5))
+    members = [u for a in range(n) for b in range(n) if a != b and rng.random() < p for u in (a, b)]
+    for t in range(6):
+        answers = []
+        for search in (
+            lambda counter: hypergraph_module._search_pairs(range(n), members, t, counter),
+            lambda counter: hypergraph_module._search_core(range(n), members, 2, t, counter),
+        ):
+            counter = Budget(10**9, "")
+            answers.append((search(counter), counter.left))
+        assert answers[0] == answers[1]

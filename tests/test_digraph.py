@@ -299,6 +299,9 @@ def test_reachable_matches_closure_oracle():
         for source, u in enumerate(g.vertices):
             parent, hits = bfs(succ, source, lambda x: False)
             assert hits == []
+            # with no predicate the BFS runs to its end with the same parents
+            unstopped, hits = bfs(succ, source)
+            assert hits == [] and list(unstopped.items()) == list(parent.items())
             assert {g.vertices[w] for w in parent} == {v for a, v in reach if a == u}
             for target, v in enumerate(g.vertices):
                 hits = bfs(succ, source, lambda x: x == target)[1]

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import sys
 
@@ -735,3 +737,126 @@ def test_backjumping_node_counts_on_shift_digraphs(node_charges):
         result = chromatic_number_exact(gen_shift_digraph(m), budget=100_000)
         assert result.number == 4
         assert len(node_charges) == nodes
+
+
+# the coloring workload's eight constructions, as (counter machine n, ground set m)
+COLORING_CONSTRUCTIONS = ((1, 10), (2, 10), (2, 11), (2, 12), (2, 13), (3, 11), (3, 12), (3, 13))
+CHROMATIC_ANSWERS_DIGEST = "d3a016d0cf0f957f5630ec036fc82138fec3b457966b0b3b48b2b7600a0580ec"
+
+
+def chromatic_digest_corpus():
+    yield from chromatic_reference_corpus()
+    for m in range(2, 16):
+        yield gen_shift_digraph(m)
+    for n, m in COLORING_CONSTRUCTIONS:
+        yield gen_cycling_construction(gen_counter_machine(n), counter_machine_order(n), m)
+
+
+def test_chromatic_answers_match_their_pinned_digest(node_charges):
+    # pinned before the 2-uniform kernel landed: chi, the coloring, the
+    # greedy bound, and the bounds a budget one node short raises
+    digest = hashlib.sha256()
+    for graph in chromatic_digest_corpus():
+        node_charges.clear()
+        result = chromatic_number_exact(graph)
+        bounds = None
+        if node_charges:
+            with pytest.raises(BudgetError) as short:
+                chromatic_number_exact(graph, budget=len(node_charges) - 1)
+            bounds = [short.value.lower, short.value.upper]
+        answer = [result.number, list(result.coloring.items()), chromatic_upper_greedy(graph)]
+        digest.update(json.dumps([*answer, bounds]).encode())
+    assert digest.hexdigest() == CHROMATIC_ANSWERS_DIGEST
+
+
+def kernel_run(search, budget=10**9):
+    """What a kernel call returns, or "budget" when it runs out, with the
+    units it charged."""
+    counter = Budget(budget, "budget exhausted")
+    try:
+        answer = search(counter)
+    except BudgetError:
+        answer = "budget"
+    return answer, budget - counter.left
+
+
+def two_uniform_cores(graph):
+    """Each component's core at every color count up to the greedy bound,
+    and the whole component at one below it with the descent's budget, as
+    (vertex numbers, edge members, t, budget)."""
+    top = chromatic_upper_greedy(graph)
+    for part in graph.components:
+        vertices, edges = part
+        for t in range(top + 1):
+            peeled = set(hypergraph_module._peel(graph, part, t))
+            kept = [e for e in edges if peeled.isdisjoint(graph.members_of(e))]
+            core = [v for v in vertices if v not in peeled]
+            yield core, [v for e in kept for v in graph.members_of(e)], t, 10**9
+        whole = [v for e in edges for v in graph.members_of(e)]
+        yield list(vertices), whole, top - 1, len(vertices)
+
+
+def has_antiparallel_pair(graph):
+    edges = set(graph.edges)
+    return any((b, a) in edges for a, b in graph.edges)
+
+
+def test_both_kernels_agree_on_two_uniform_cores():
+    # the neighbour-bitset kernel makes the per-edge kernel's decisions:
+    # the same colors, or None, for the same budget units
+    rng = random.Random(1979)
+    graphs = [gen_shift_digraph(m) for m in range(2, 16)]
+    graphs += [
+        gen_cycling_construction(gen_counter_machine(n), counter_machine_order(n), m)
+        for n, m in COLORING_CONSTRUCTIONS
+    ]
+    drawn = [
+        random_digraph(rng, max_vertices=30, edge_prob=rng.choice((0.1, 0.2, 0.3, 0.5)))
+        for _ in range(150)
+    ]
+    assert sum(map(has_antiparallel_pair, drawn)) >= 100
+    searches = colored = 0
+    for graph in graphs + drawn:
+        for vertices, members, t, budget in two_uniform_cores(graph):
+            pairs = kernel_run(
+                lambda counter: hypergraph_module._search_pairs(vertices, members, t, counter),
+                budget,
+            )
+            edges = kernel_run(
+                lambda counter: hypergraph_module._search_core(vertices, members, 2, t, counter),
+                budget,
+            )
+            assert pairs == edges
+            searches += 1
+            colored += isinstance(pairs[0], list) and pairs[1] > 0
+    assert searches >= 2000
+    assert colored >= 500
+
+
+def test_chi_runs_one_kernel_per_uniformity(monkeypatch):
+    # chi and the descent behind a budget's bounds search a 2-uniform graph
+    # with the bitset kernel only, and a 3-uniform one with the per-edge one
+    entered = []
+
+    def entering(name):
+        kernel = getattr(hypergraph_module, name)
+
+        def counted(*args):
+            entered.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(hypergraph_module, name, counted)
+
+    entering("_search_pairs")
+    entering("_search_core")
+    rng = random.Random(3)
+    for graph, kernel in (
+        (gen_shift_digraph(12), "_search_pairs"),
+        (threshold_hypergraph(rng, 40), "_search_core"),
+    ):
+        entered.clear()
+        chromatic_number_exact(graph)
+        with pytest.raises(BudgetError):
+            chromatic_number_exact(graph, budget=10)
+        assert len(entered) >= 3
+        assert set(entered) == {kernel}

@@ -1,8 +1,9 @@
 """Module boundaries: the deciders never load the reference oracles, the
-alternating-cycle check never loads the deciders, the machine model loads
-nothing but the errors and keeps no ``cached_property``, the digraph kernel
-keeps one name-keyed graph class and no ``fractions``, no module imports a
-name it never uses, and no private function, class or method goes unused.
+alternating-cycle check never loads the deciders, the machine model and the
+hypergraph module load nothing but the errors, the machine keeps no
+``cached_property``, the digraph kernel keeps one name-keyed graph class and
+no ``fractions``, no module imports a name it never uses, and no private
+function, class or method goes unused.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -65,6 +66,12 @@ def test_machine_loads_nothing_but_the_errors():
     # relations imports machine and stays off the graph kernel, so the
     # machine's live-atom view closes over its state graph itself
     assert loaded_by("badcycle.machine") == {"badcycle.machine", "badcycle.errors"}
+
+
+def test_hypergraph_loads_nothing_but_the_errors():
+    # both chi kernels, the per-edge one and the neighbour-bitset one for
+    # k = 2, live in the hypergraph module and share no graph kernel
+    assert loaded_by("badcycle.hypergraph") == {"badcycle.hypergraph", "badcycle.errors"}
 
 
 def parsed(module_file):
