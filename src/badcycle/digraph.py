@@ -9,9 +9,9 @@ and the tight-cycle search run on each component's local numbering.
 after each, so a caller can stop at its answer; ``tarjan`` runs it from
 every node.  They, ``bfs`` and Kahn's (1962) in-degree peel, as the
 least-key topological order or as ``unpeeled``, the nodes it cannot remove,
-also serve ``goodness`` and ``orders``.  ``Digraph`` is an unweighted
-name-keyed view that exists only for ``goodness.build_auxiliary`` and
-``strong_components``.
+also serve ``goodness`` and ``orders``.  ``Digraph``, an unweighted
+name-keyed view, ``strong_components`` and ``goodness.build_auxiliary`` stay
+only because the benchmark's traced run calls them.
 """
 from __future__ import annotations
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import InputError
 from .goodness import BadCycleWitness
 from .hypergraph import DirectedHypergraph, HyperCycle
-from .machine import Machine
+from .machine import Machine, numbered_table
 from .orders import OrderSystem, _as_pairs
 from .relations import Relation
 
@@ -88,14 +88,18 @@ def _pair(value, what):
 
 
 def machine_to_obj(machine):
+    names = machine.states
+    atoms, bad = numbered_table(machine)
+    rows = {}
+    for s, i, j, t in atoms:
+        rows.setdefault((s, i, j), []).append(names[t])
     return {
         "k": machine.k,
-        "states": list(machine.states),
+        "states": list(names),
         "transitions": [
-            {"from": s, "i": i, "j": j, "to": list(targets)}
-            for s, i, j, targets in machine.transition_rows()
+            {"from": names[s], "i": i, "j": j, "to": to} for (s, i, j), to in rows.items()
         ],
-        "bad": [list(pair) for pair in machine.bad_rows()],
+        "bad": [[names[a], names[b]] for a, b in bad],
     }
 
 

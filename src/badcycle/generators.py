@@ -7,7 +7,6 @@ underlying integer tuples so regenerated families are bit-identical.
 """
 from __future__ import annotations
 
-import warnings
 from itertools import combinations
 from operator import itemgetter
 
@@ -158,12 +157,6 @@ def gen_explicit_hasse_digraph(n):
     n = int(n)
     if not 1 <= n <= 4:
         raise InputError("supported range is 1 <= n <= 4")
-    if n == 4:
-        warnings.warn(
-            "exact chromatic checks on the n=4 family may take minutes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     # the cover pairs of this order are exactly the shift digraph's edges
     # on [2^n], in the same vertex and edge order
     return gen_shift_digraph(2**n)

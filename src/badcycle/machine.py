@@ -11,8 +11,8 @@ reports; ``require_valid`` keeps the report per semantics.  It also keeps,
 once, the atoms that can lie on a bad walk (``live_atoms``).  Goodness builds
 its products from ``atom_groups`` and ``live_local``: all atoms, and the live
 ones on the live states' places, grouped by position pair.  Each view is an
-attribute filled on first read.  The name-keyed rows are built on each call,
-for the file writer and ``verify_order_system``.
+attribute filled on first read.  The file writer and ``verify_order_system``
+read the numbered views through ``numbered_table``, naming states by ``states``.
 """
 from __future__ import annotations
 
@@ -59,31 +59,6 @@ class Machine:
         self._walked = self._live = self._groups = None
 
     # -- canonical views -------------------------------------------------
-
-    def _by_state(self, build):
-        """``build(key)``, key the state number; with a state undeclared, those
-        go last, by name, so an invalid machine sorts too."""
-        try:
-            return build(self._index.__getitem__)
-        except KeyError:
-            return build(lambda s: (self._index.get(s, len(self.states)), str(s)))
-
-    def transition_rows(self):
-        """Transitions as sorted (state, i, j, sorted-target-tuple) rows, built per call."""
-        def build(key):
-            rows = [(s, i, j, tuple(sorted(ts, key=key))) for (s, i, j), ts in self._table.items()]
-            return tuple(sorted(rows, key=lambda r: (key(r[0]), r[1], r[2])))
-        return self._by_state(build)
-
-    def bad_rows(self):
-        """Bad pairs sorted by their states' numbers, built per call."""
-        return self._by_state(
-            lambda key: tuple(sorted(self.bad, key=lambda p: (key(p[0]), key(p[1]))))
-        )
-
-    def transition_atoms(self):
-        """Flattened (s, i, j, t) tuples, one per target, in canonical order."""
-        return tuple((s, i, j, t) for s, i, j, ts in self.transition_rows() for t in ts)
 
     def _walk(self):
         """The one walk of the table and the bad pairs, on first use: the sorted
@@ -328,3 +303,12 @@ def require_valid(machine, semantics):
             + "; ".join(report.violations)
         )
     return report
+
+
+def numbered_table(machine):
+    """``numbered_atoms`` and ``numbered_bad`` of a machine read unvalidated;
+    a state they name but the machine does not declare raises InputError."""
+    try:
+        return machine.numbered_atoms, machine.numbered_bad
+    except KeyError as err:
+        raise InputError(f"machine references undeclared state {err.args[0]!r}") from None

@@ -10,7 +10,7 @@ from itertools import permutations
 
 from .digraph import has_zero_mean_span
 from .errors import Budget, InputError
-from .machine import require_valid
+from .machine import numbered_table, require_valid
 
 
 @dataclass(frozen=True)
@@ -406,17 +406,21 @@ def verify_order_system(machine, system):
     (1) every transition weakly increases on classes, (2) the systems
     induced on each position coincide, (3) no pair ordered upward by the
     induced system (including each state with itself) is a bad pair.
-    Condition (3) is read off the position-1 induced system.
+    Condition (3) is read off the position-1 induced system.  The machine is
+    read unvalidated, through ``numbered_table`` and ``machine.states``, so an
+    undeclared state or a position off the carrier raises InputError.
     """
     if not isinstance(system, OrderSystem):
         raise InputError("expected an OrderSystem")
-    expected = {(s, i) for s in machine.states for i in machine.positions}
+    names = machine.states
+    expected = {(s, i) for s in names for i in machine.positions}
     if system.carrier != expected:
         raise InputError(
             "order system carrier must be the state-position pairs of the machine"
         )
+    atoms, bad = numbered_table(machine)
     violations = []
-    for s, i, j, t in machine.transition_atoms():
+    for s, i, j, t in ((names[s], i, j, names[t]) for s, i, j, t in atoms):
         if not system.below_or_equal((s, i), (t, j)):
             violations.append(
                 f"transition {s},({i},{j})->{t} needs the class of ({s},{i})"
@@ -430,7 +434,7 @@ def verify_order_system(machine, system):
                 " than position 1"
             )
     base = induced[0]
-    for s, t in machine.bad_rows():
+    for s, t in ((names[a], names[b]) for a, b in bad):
         if base.below_or_equal(s, t):
             violations.append(
                 f"bad pair ({s},{t}) is ordered upward by the induced system"

@@ -44,6 +44,7 @@ from badcycle.orders import (
     verify_order_system,
 )
 from badcycle.relations import gen_alternating_machine, gen_alternating_relation
+from named_table import bad_rows, transition_rows
 
 
 def test_machine_round_trip(tmp_path):
@@ -57,8 +58,8 @@ def test_machine_round_trip(tmp_path):
         loaded = load_machine(path)
         assert loaded.k == machine.k
         assert loaded.states == machine.states
-        assert loaded.transition_rows() == machine.transition_rows()
-        assert loaded.bad_rows() == machine.bad_rows()
+        assert transition_rows(loaded) == transition_rows(machine)
+        assert bad_rows(loaded) == bad_rows(machine)
 
 
 def test_machine_writes_are_byte_identical(tmp_path):

@@ -36,6 +36,7 @@ from badcycle.machine import Machine
 from badcycle.oracles import brute_force_is_good, cross_check_goodness, sweep_cap
 from badcycle.orders import OrderSystem, count_order_systems, find_compatible_order, find_order_system
 from badcycle.relations import gen_alternating_machine
+from named_table import bad_rows, transition_atoms
 
 
 def hasse_machine():
@@ -419,7 +420,7 @@ def test_induced_coloring_on_good_general_corpus():
         goods += 1
         coloring = induced_order_system_coloring(graph, machine)
         for system in coloring.values():
-            for s, t in machine.bad_rows():
+            for s, t in bad_rows(machine):
                 assert not system.below_or_equal(s, t)
     assert goods >= 40
 
@@ -505,7 +506,7 @@ def reference_decide(graph, machine):
     tags = {}
     arcs = []
     for edge_index, edge in enumerate(graph.edges):
-        for s, i, j, t in machine.transition_atoms():
+        for s, i, j, t in transition_atoms(machine):
             arc = ((edge[i - 1], s), (edge[j - 1], t))
             if arc not in tags:
                 tags[arc] = []
@@ -596,7 +597,7 @@ def reference_decide(graph, machine):
                 break
     else:
         for v in graph.vertices:
-            for s, t in machine.bad_rows():
+            for s, t in bad_rows(machine):
                 if walk is None and component_of[(v, t)] in reach[component_of[(v, s)]]:
                     walk = walk_to(bfs((v, s))[1], (v, s), (v, t))
     if walk is not None:

@@ -12,6 +12,7 @@ from badcycle.orders import (  # noqa: E402
     find_compatible_order,
     find_order_system,
 )
+from named_table import transition_atoms  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=100, deadline=None, database=None, derandomize=True
@@ -53,7 +54,7 @@ def instances(draw):
 def renamed_machine(machine, order):
     """The machine with state s renamed and declared at place order[s]."""
     name = {s: f"q{order[n]}" for n, s in enumerate(machine.states)}
-    rows = [(name[s], i, j, [name[t]]) for s, i, j, t in machine.transition_atoms()]
+    rows = [(name[s], i, j, [name[t]]) for s, i, j, t in transition_atoms(machine)]
     states = sorted(name.values(), key=lambda q: int(q[1:]))
     return Machine(machine.k, states, rows, [(name[s], name[t]) for s, t in machine.bad])
 

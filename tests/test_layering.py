@@ -1,9 +1,10 @@
 """Module boundaries: the deciders never load the reference oracles, the
 alternating-cycle check never loads the deciders, the machine model and the
 hypergraph module load nothing but the errors, the machine keeps no
-``cached_property``, the digraph kernel keeps one name-keyed graph class and
-no ``fractions``, no module imports a name it never uses, and no private
-function, class or method goes unused.
+``cached_property``, no module keeps a name-keyed view of a machine's table,
+the digraph kernel keeps one name-keyed graph class and no ``fractions``, no
+module imports a name it never uses, and no private function, class or
+method goes unused.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -92,6 +93,22 @@ def test_machine_keeps_its_views_without_cached_property():
     assert [name for name, value in vars(Machine).items()
             if isinstance(value, cached_property)] == []
     assert "functools" not in imported_modules(parsed("machine.py"))
+
+
+def test_no_module_defines_or_reads_a_name_keyed_table_view():
+    # numbered_atoms and numbered_bad are a machine's one view of its table;
+    # the file writer and verify_order_system name the states through
+    # machine.states, and the tests read the old rows through named_table
+    gone = {"transition_rows", "transition_atoms", "bad_rows", "_by_state"}
+    hits = [
+        f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
+        for path in sorted(Path(badcycle.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, field, None) for field in ("name", "id", "attr", "arg"))
+        if name in gone
+    ]
+    assert hits == []
+    assert not gone & set(dir(Machine))
 
 
 def test_digraph_has_one_name_keyed_class_and_no_fractions():

@@ -6,23 +6,15 @@ import pytest
 from badcycle import machine as machine_module
 from badcycle.corpus import default_rng, random_cycling_machine, random_machine
 from badcycle.errors import InputError
-from badcycle.fileio import save_machine
+from badcycle.fileio import machine_to_obj, save_machine
 from badcycle.generators import (
-    counter_machine_order,
     gen_counter_machine,
-    gen_cycling_construction,
     gen_example3_machine,
     gen_hasse_machine,
     gen_unbalanced_machine,
 )
-from badcycle.goodness import (
-    build_auxiliary,
-    check_paths_good,
-    induced_order_system_coloring,
-    is_good,
-    validate_witness,
-)
-from badcycle.hypergraph import DirectedHypergraph, path_digraph
+from badcycle.goodness import build_auxiliary, check_paths_good, is_good
+from badcycle.hypergraph import path_digraph
 from badcycle.machine import SEMANTICS, Machine, require_valid, step, validate_machine
 from badcycle.orders import (
     decide_cycling_2machine,
@@ -31,7 +23,7 @@ from badcycle.orders import (
     verify_compatible_order,
 )
 from badcycle.relations import gen_alternating_machine
-from badcycle.sat import CnfInstance, order_to_assignment, sat_to_machine
+from named_table import bad_rows, transition_atoms, transition_rows
 
 
 def hasse_machine():
@@ -69,7 +61,7 @@ def test_empty_targets_dropped_and_duplicates_merged():
     )
     assert m.targets("a", 1, 2) == frozenset()
     assert m.targets("a", 2, 1) == {"a", "b"}
-    assert m.transition_rows() == (("a", 2, 1, ("a", "b")),)
+    assert transition_rows(m) == (("a", 2, 1, ("a", "b")),)
 
 
 def test_duplicate_state_names_rejected():
@@ -84,13 +76,13 @@ def test_canonical_rows_follow_declaration_order():
         [("a", 1, 2, ["z"]), ("z", 1, 2, ["a", "z"]), ("z", 1, 1, ["a"])],
         bad=[("a", "z"), ("z", "a")],
     )
-    assert m.transition_rows() == (
+    assert transition_rows(m) == (
         ("z", 1, 1, ("a",)),
         ("z", 1, 2, ("z", "a")),
         ("a", 1, 2, ("z",)),
     )
-    assert m.bad_rows() == (("z", "a"), ("a", "z"))
-    assert list(m.transition_atoms()) == [
+    assert bad_rows(m) == (("z", "a"), ("a", "z"))
+    assert list(transition_atoms(m)) == [
         ("z", 1, 1, "a"),
         ("z", 1, 2, "z"),
         ("z", 1, 2, "a"),
@@ -102,35 +94,44 @@ def test_canonical_rows_follow_declaration_order():
 
 
 def test_undeclared_states_sort_last_in_every_view(tmp_path):
-    # "q" is undeclared: it sorts after the declared states in every view
+    # "q" is undeclared: it sorts after the declared states in every
+    # name-keyed view, and the writer refuses the machine
     def made():
         rows = [("a", 1, 2, ["q"]), ("z", 1, 2, ["a", "z"]), ("q", 2, 1, ["z"])]
         return Machine(2, ["z", "a"], rows, bad=[("q", "z"), ("z", "a"), ("a", "q")])
 
     m = made()
-    assert m.transition_rows() == (
+    assert transition_rows(m) == (
         ("z", 1, 2, ("z", "a")),
         ("a", 1, 2, ("q",)),
         ("q", 2, 1, ("z",)),
     )
-    assert m.bad_rows() == (("z", "a"), ("a", "q"), ("q", "z"))
-    assert m.transition_atoms() == (
+    assert bad_rows(m) == (("z", "a"), ("a", "q"), ("q", "z"))
+    assert transition_atoms(m) == (
         ("z", 1, 2, "z"),
         ("z", 1, 2, "a"),
         ("a", 1, 2, "q"),
         ("q", 2, 1, "z"),
     )
-    # a machine saved before any view was read writes the same bytes
-    save_machine(m, tmp_path / "read.json")
-    save_machine(made(), tmp_path / "fresh.json")
-    written = (tmp_path / "read.json").read_bytes()
-    assert written == (tmp_path / "fresh.json").read_bytes()
-    assert json.loads(written)["transitions"][2] == {"from": "q", "i": 2, "j": 1, "to": ["z"]}
+    # load_machine would reject the file, so save_machine raises and writes
+    # none, for an undeclared state in the table or in a bad pair, whether or
+    # not a view was read first
+    cases = [
+        (m, "'q'"),
+        (made(), "'q'"),
+        (Machine(2, ["a"], [("a", 1, 2, ["q"])]), "'q'"),
+        (Machine(2, ["a"], [("a", 1, 2, ["a"])], bad=[("a", "ghost")]), "'ghost'"),
+    ]
+    for n, (machine, name) in enumerate(cases):
+        with pytest.raises(InputError, match=f"undeclared state {name}"):
+            save_machine(machine, tmp_path / f"{n}.json")
+    assert list(tmp_path.iterdir()) == []
 
 
-# sha256 over the reprs of (numbered_atoms, numbered_bad, transition_rows(),
-# bad_rows(), transition_atoms()) of canonical_machines(): a change to any
-# view's order or content changes it
+# sha256 over the reprs of (numbered_atoms, numbered_bad, transition_rows,
+# bad_rows, transition_atoms) of canonical_machines(), the last three now
+# read through the named_table adapter: a change to any view's order or
+# content changes it
 CANONICAL_VIEWS_DIGEST = "eae14ba3f30f99ba867bbc27b23302d1a60f6a13d75cbd1645c36e1d7f0b8a22"
 
 
@@ -149,53 +150,22 @@ def canonical_machines():
 def test_canonical_views_match_their_pinned_digest():
     digest = hashlib.sha256()
     for m in canonical_machines():
-        views = (m.numbered_atoms, m.numbered_bad, m.transition_rows(), m.bad_rows(),
-                 m.transition_atoms())
+        views = (m.numbered_atoms, m.numbered_bad, transition_rows(m), bad_rows(m),
+                 transition_atoms(m))
         digest.update(repr(views).encode())
     assert digest.hexdigest() == CANONICAL_VIEWS_DIGEST
 
 
-def test_no_decider_or_checker_reads_the_name_keyed_views(monkeypatch):
-    # the deciders and checkers read numbered_atoms and numbered_bad; the
-    # name-keyed rows serve the file writer and verify_order_system only
-    counter = gen_counter_machine(2)
-    alternating = gen_alternating_machine().machine
-    triangle = DirectedHypergraph(2, ["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
-    cnf = CnfInstance(["x", "y", "z"], [("x", "y", "~z"), ("~x", "y", "z")])
-    clauses = sat_to_machine(cnf)
+# sha256 over the bytes save_machine writes for each of canonical_machines();
+# pinned while the writer still read the name-keyed rows
+WRITER_DIGEST = "0a75f8f51814bfd269e6eef9872e9b86588d095aed93d493ddc3385f4b75f868"
 
-    def answers():
-        bad = is_good(triangle, alternating)
-        assert validate_witness(triangle, alternating, bad.witness).ok
-        order = find_compatible_order(counter)
-        clause_order = find_compatible_order(clauses)
-        return (
-            is_good(path_digraph(3), alternating),
-            bad,
-            is_good(path_digraph(3), counter),
-            is_good(path_digraph(3), gen_hasse_machine()),
-            check_paths_good(counter, 6),
-            induced_order_system_coloring(path_digraph(3), alternating),
-            order,
-            decide_cycling_2machine(counter),
-            verify_compatible_order(counter, counter_machine_order(2)),
-            order_to_assignment(clause_order, cnf),
-            gen_cycling_construction(counter, order, 6),
-            find_order_system(gen_hasse_machine()),
-            build_auxiliary(path_digraph(2), counter).provenance,
-        )
 
-    expected = answers()
-
-    def refuse(self):
-        raise AssertionError("a name-keyed view was read")
-
-    for view in ("transition_rows", "transition_atoms", "bad_rows"):
-        monkeypatch.setattr(Machine, view, refuse)
-    assert answers() == expected
-    good, bad, counter_good, hasse_good, paths, _, order, decided, verified = expected[:9]
-    assert good and not bad and counter_good and hasse_good and paths is None
-    assert order is not None and decided and verified.ok
+def test_written_machines_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for m in canonical_machines():
+        digest.update((json.dumps(machine_to_obj(m), indent=2, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == WRITER_DIGEST
 
 
 def test_deterministic_and_cycling_tags():
@@ -361,7 +331,7 @@ def mutated(m, n):
     names that do not compare (odd-numbered states renamed to ints), or a
     diagonal position pair with two targets and a diagonal bad pair."""
     k, states = m.k, list(m.states)
-    rows, bad = [list(row) for row in m.transition_rows()], list(m.bad_rows())
+    rows, bad = [list(row) for row in transition_rows(m)], list(bad_rows(m))
     s, t = states[n % len(states)], states[-1 - n % len(states)]
     kind = n % 6
     if kind == 0:

@@ -36,6 +36,7 @@ from badcycle.orders import (
 from badcycle.relations import gen_alternating_machine
 from badcycle.sat import CnfInstance, evaluate_cnf, order_to_assignment, sat_to_machine
 from named_rows import NamedRows
+from named_table import bad_rows, transition_atoms, transition_rows
 
 
 def counter_machine(n):
@@ -318,7 +319,7 @@ def reference_order_search(machine):
     # DFS; returns the first order and the number of prefix nodes visited
     states = machine.states
     positions = machine.positions
-    trans = [((s, i), (t, j)) for s, i, j, t in machine.transition_atoms()]
+    trans = [((s, i), (t, j)) for s, i, j, t in transition_atoms(machine)]
     nodes = 0
 
     def forced_arcs(prefix, placed):
@@ -679,6 +680,19 @@ def test_verify_order_system_on_machines_it_does_not_validate():
     )
 
 
+def test_verify_order_system_names_an_undeclared_state():
+    # the numbered views raise KeyError over an undeclared state, in the table
+    # or in a bad pair; the verifier turns it into an InputError naming it
+    system = OrderSystem([{("a", 1)}, {("a", 2)}])
+    cases = [
+        (Machine(2, ["a"], [("a", 1, 2, ["q"])]), "'q'"),
+        (Machine(2, ["a"], [("a", 1, 2, ["a"])], bad=[("a", "ghost")]), "'ghost'"),
+    ]
+    for machine, name in cases:
+        with pytest.raises(InputError, match=f"undeclared state {name}"):
+            verify_order_system(machine, system)
+
+
 def test_find_order_system_unique_on_the_two_state_example():
     machine = two_state_example()
     expected = two_state_example_system()
@@ -823,7 +837,7 @@ def test_compatible_order_to_order_system():
     relaxed = Machine(
         2,
         [str(i) for i in range(3)],
-        counter_machine(2).transition_rows(),
+        transition_rows(counter_machine(2)),
         bad=[],
     )
     assert verify_order_system(relaxed, system).ok
@@ -965,13 +979,13 @@ def reference_find_order_system(machine, enumerate_all=False, cap=None):
         if cap is not None and steps > cap:
             raise ReferenceCap
 
-    atoms = list(machine.transition_atoms())
+    atoms = list(transition_atoms(machine))
     diag = [(s, t) for s, i, j, t in atoms if i == j]
     cross = [(s, i, j, t) for s, i, j, t in atoms if i != j]
     found = []
     for theta in reference_iter_order_systems(machine.states):
         spend()
-        if any(theta.below_or_equal(s, t) for s, t in machine.bad_rows()):
+        if any(theta.below_or_equal(s, t) for s, t in bad_rows(machine)):
             continue
         if any(not theta.below_or_equal(s, t) for s, t in diag):
             continue

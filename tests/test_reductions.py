@@ -16,6 +16,7 @@ from badcycle.sat import (
     order_to_assignment,
     sat_to_machine,
 )
+from named_table import bad_rows, transition_atoms, transition_rows
 
 
 def truth_table_assignment(cnf):
@@ -76,12 +77,12 @@ def test_single_clause_machine_table():
     machine = sat_to_machine(cnf)
     assert machine.k == 3
     assert machine.states == ("x", "~x", "y", "~y", "z", "~z")
-    assert list(machine.transition_rows()) == [
+    assert list(transition_rows(machine)) == [
         ("x", 1, 2, ("~y",)),
         ("y", 2, 3, ("~z",)),
         ("z", 3, 1, ("~x",)),
     ]
-    assert list(machine.bad_rows()) == [(s, s) for s in machine.states]
+    assert list(bad_rows(machine)) == [(s, s) for s in machine.states]
     assert machine.is_cycling
     assert machine.is_deterministic
     assert validate_machine(machine, "cycling").ok
@@ -91,7 +92,7 @@ def test_two_clause_machine_positions():
     cnf = CnfInstance(["x", "y", "z"], [("x", "y", "z"), ("~x", "y", "~z")])
     machine = sat_to_machine(cnf)
     assert machine.k == 6
-    assert list(machine.transition_rows()) == [
+    assert list(transition_rows(machine)) == [
         ("x", 1, 2, ("~y",)),
         ("~x", 4, 5, ("~y",)),
         ("y", 2, 3, ("~z",)),
@@ -99,7 +100,7 @@ def test_two_clause_machine_positions():
         ("z", 3, 1, ("~x",)),
         ("~z", 6, 4, ("x",)),
     ]
-    used = {(i, j) for _, i, j, _ in machine.transition_atoms()}
+    used = {(i, j) for _, i, j, _ in transition_atoms(machine)}
     assert all(i in {1, 2, 3} and j in {1, 2, 3} for i, j in used if i <= 3)
     assert all(i in {4, 5, 6} and j in {4, 5, 6} for i, j in used if i >= 4)
 

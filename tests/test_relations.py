@@ -23,6 +23,7 @@ from badcycle.relations import (
     reverse,
     semigroup_closure,
 )
+from named_table import transition_rows
 
 SEED = gen_alternating_relation()
 
@@ -306,7 +307,7 @@ def test_alternating_machine_shape():
     assert all(a == rm.diagonal for a, _ in rm.machine.bad)
     assert rm.relations[rm.diagonal] == diagonal_relation(3)
     # deterministic: every row has a single target
-    rows = rm.machine.transition_rows()
+    rows = transition_rows(rm.machine)
     assert len(rows) == 2 * 31
     assert all(len(targets) == 1 for _, _, _, targets in rows)
     # state names decode back to the relations they track
