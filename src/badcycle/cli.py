@@ -17,6 +17,7 @@ import traceback
 from itertools import islice
 
 from .balance import balanced_coloring, is_alpha_balanced
+from .checks import verify_compatible_order, verify_order_system
 from .corpus import goodness_corpus
 from .errors import BudgetError, InputError, PreconditionError, UnbalancedError
 from .fileio import (
@@ -56,8 +57,6 @@ from .orders import (
     decide_cycling_2machine,
     find_compatible_order,
     iter_compatible_order_systems,
-    verify_compatible_order,
-    verify_order_system,
 )
 from .relations import (
     compose,
@@ -362,20 +361,18 @@ def _cmd_rel(args):
             return 0, payload, ["compatible", f"max exponent j = {top}"]
         payload = {"compatible": False, "violations": list(report.violations)}
         return 1, payload, ["not compatible:"] + [f"  {v}" for v in report.violations]
-    if op == "loop-k":
-        result = loop_lemma_exponent(load_relation(args.files[0]), args.k_max)
-        payload = {
-            "exponent": result.exponent,
-            "tail": result.tail,
-            "period": result.period,
-        }
-        if result.exponent is None:
-            return 1, payload, [f"no exponent within k_max = {args.k_max}"]
-        return 0, payload, [
-            f"exponent: {result.exponent}",
-            f"power cycle: tail {result.tail} period {result.period}",
-        ]
-    raise InputError(f"unknown rel operation {op}")  # pragma: no cover
+    result = loop_lemma_exponent(load_relation(args.files[0]), args.k_max)
+    payload = {
+        "exponent": result.exponent,
+        "tail": result.tail,
+        "period": result.period,
+    }
+    if result.exponent is None:
+        return 1, payload, [f"no exponent within k_max = {args.k_max}"]
+    return 0, payload, [
+        f"exponent: {result.exponent}",
+        f"power cycle: tail {result.tail} period {result.period}",
+    ]
 
 
 def _cmd_oracle(args):
@@ -395,24 +392,22 @@ def _cmd_oracle(args):
         if agree:
             return 0, payload, [f"routes agree (2-balanced: {balanced})"]
         return 1, payload, ["routes disagree"]
-    if mode == "corpus":
-        checks = [
-            cross_check_goodness(graph, machine)
-            for graph, machine in goodness_corpus(args.seed, args.trials)
-        ]
-        conclusive = sum(check.conclusive for check in checks)
-        disagreements = sum(bool(check.problems) for check in checks)
-        payload = {
-            "trials": args.trials,
-            "conclusive": conclusive,
-            "disagreements": disagreements,
-        }
-        lines = [
-            f"{args.trials} trials, {conclusive} brute-force conclusive,"
-            f" {disagreements} disagreements"
-        ]
-        return (0 if disagreements == 0 else 1), payload, lines
-    raise InputError(f"unknown oracle mode {mode}")  # pragma: no cover
+    checks = [
+        cross_check_goodness(graph, machine)
+        for graph, machine in goodness_corpus(args.seed, args.trials)
+    ]
+    conclusive = sum(check.conclusive for check in checks)
+    disagreements = sum(bool(check.problems) for check in checks)
+    payload = {
+        "trials": args.trials,
+        "conclusive": conclusive,
+        "disagreements": disagreements,
+    }
+    lines = [
+        f"{args.trials} trials, {conclusive} brute-force conclusive,"
+        f" {disagreements} disagreements"
+    ]
+    return (0 if disagreements == 0 else 1), payload, lines
 
 
 # -- parser -------------------------------------------------------------------

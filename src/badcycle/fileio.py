@@ -27,11 +27,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .checks import BadCycleWitness, OrderSystem, _as_pairs
 from .errors import InputError
-from .goodness import BadCycleWitness
 from .hypergraph import DirectedHypergraph, HyperCycle
 from .machine import Machine, numbered_table
-from .orders import OrderSystem, _as_pairs
 from .relations import Relation
 
 
@@ -89,6 +88,9 @@ def _pair(value, what):
 
 def machine_to_obj(machine):
     names = machine.states
+    for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"machine state {name!r} is not a string")
     atoms, bad = numbered_table(machine)
     rows = {}
     for s, i, j, t in atoms:

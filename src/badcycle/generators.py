@@ -10,10 +10,10 @@ from __future__ import annotations
 from itertools import combinations
 from operator import itemgetter
 
+from .checks import OrderSystem, verify_compatible_order
 from .errors import InputError
 from .hypergraph import DirectedHypergraph
 from .machine import Machine
-from .orders import OrderSystem, verify_compatible_order
 
 
 def gen_hasse_machine():

@@ -34,11 +34,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, takewhile
 
+from .checks import BadCycleWitness, OrderSystem
 from .digraph import Digraph, bfs, least_first_order, tarjan_from, unpeeled
 from .errors import InputError, NotGoodError
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
-from .orders import CheckResult, OrderSystem
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,6 @@ class AuxiliaryDigraph:
 
     graph: Digraph
     provenance: dict = field(compare=False)
-
-
-@dataclass(frozen=True)
-class BadCycleWitness:
-    """A cycle, a state sequence accepting it, and the bad endpoint pair."""
-
-    cycle: HyperCycle
-    states: tuple
-    bad_pair: tuple
 
 
 @dataclass(frozen=True)
@@ -277,37 +268,6 @@ def _bad_walk(graph, machine, states, succ, queries, reach):
             parent, _ = bfs(succ, source, lambda u: u == target)
             return _walk_to(parent, source, target), search
     return None, search
-
-
-def validate_witness(graph, machine, witness):
-    """Replay a claimed bad-cycle witness against the definitions."""
-    violations = []
-    cycle = witness.cycle
-    if cycle.graph != graph:
-        violations.append("witness cycle lives on a different hypergraph")
-        return CheckResult(False, tuple(violations))
-    states = tuple(witness.states)
-    if len(states) != cycle.length + 1:
-        violations.append(
-            f"state sequence has {len(states)} entries for a cycle of"
-            f" length {cycle.length}"
-        )
-        return CheckResult(False, tuple(violations))
-    for m in range(1, len(states)):
-        i, j = cycle.trace(m)
-        if states[m] not in machine.targets(states[m - 1], i, j):
-            violations.append(
-                f"step {m}: {states[m]!r} is not a ({i},{j})-successor"
-                f" of {states[m - 1]!r}"
-            )
-    pair = (states[0], states[-1])
-    if tuple(witness.bad_pair) != pair:
-        violations.append("bad pair must be the first and last states")
-    if pair not in machine.bad:
-        violations.append(f"pair {pair!r} is not a bad pair")
-    if machine.is_cycling and cycle.length == 0:
-        violations.append("cycling semantics only counts cycles of length >= 1")
-    return CheckResult(not violations, tuple(violations))
 
 
 def induced_order_system_coloring(graph, machine):

@@ -231,13 +231,6 @@ class ChromaticResult:
     coloring: dict
 
 
-def is_proper_coloring(graph, coloring):
-    """True when every vertex is colored and no edge is monochromatic."""
-    if any(v not in coloring for v in graph.vertices):
-        return False
-    return all(len({coloring[v] for v in edge}) > 1 for edge in graph.edges)
-
-
 def chromatic_upper_greedy(graph, order=None):
     """Color count of the greedy coloring along the given vertex order."""
     n = len(graph.vertices)

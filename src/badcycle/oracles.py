@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balance import _require_digraph, is_alpha_balanced
+from .checks import BadCycleWitness, validate_witness
 from .errors import BudgetError
 from .generators import gen_counter_machine
-from .goodness import BadCycleWitness, GoodnessVerdict, is_good, validate_witness
+from .goodness import GoodnessVerdict, is_good
 from .goodness import _require_same_k, _semantics
 from .hypergraph import HyperCycle
 from .machine import require_valid

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .checks import verify_compatible_order
 from .errors import InputError
 from .machine import Machine
-from .orders import verify_compatible_order
 
 
 def _literal_state(variable, positive):

@@ -5,13 +5,13 @@ import pytest
 
 from badcycle import balance, digraph
 from badcycle.balance import balanced_coloring, is_alpha_balanced
+from badcycle.checks import is_proper_coloring, validate_witness
 from badcycle.corpus import default_rng, random_digraph
 from badcycle.errors import InputError, UnbalancedError
 from badcycle.generators import gen_counter_machine, gen_explicit_hasse_digraph
-from badcycle.goodness import induced_order_system_coloring, is_good, validate_witness
+from badcycle.goodness import induced_order_system_coloring, is_good
 from badcycle.hypergraph import (
     DirectedHypergraph,
-    is_proper_coloring,
     path_digraph,
     weak_components,
 )

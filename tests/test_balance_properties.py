@@ -7,11 +7,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from badcycle.balance import balanced_coloring, is_alpha_balanced  # noqa: E402
-from badcycle.hypergraph import (  # noqa: E402
-    DirectedHypergraph,
-    is_proper_coloring,
-    weak_components,
-)
+from badcycle.checks import is_proper_coloring  # noqa: E402
+from badcycle.hypergraph import DirectedHypergraph, weak_components  # noqa: E402
 from test_balance import reference_balance  # noqa: E402
 
 SETTINGS = hypothesis.settings(

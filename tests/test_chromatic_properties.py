@@ -7,12 +7,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from badcycle import hypergraph as hypergraph_module  # noqa: E402
+from badcycle.checks import is_proper_coloring  # noqa: E402
 from badcycle.errors import Budget  # noqa: E402
-from badcycle.hypergraph import (  # noqa: E402
-    DirectedHypergraph,
-    chromatic_number_exact,
-    is_proper_coloring,
-)
+from badcycle.hypergraph import DirectedHypergraph, chromatic_number_exact  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=80, deadline=None, database=None, derandomize=True

@@ -15,6 +15,7 @@ import pytest
 
 import badcycle
 from badcycle import cli
+from badcycle.checks import validate_witness
 from badcycle.cli import main
 from badcycle.fileio import (
     load_hypergraph,
@@ -37,7 +38,6 @@ from badcycle.generators import (
     gen_shift_digraph,
     gen_unbalanced_machine,
 )
-from badcycle.goodness import validate_witness
 from badcycle.hypergraph import DirectedHypergraph
 from badcycle.machine import Machine
 from badcycle.relations import (

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from badcycle.checks import OrderSystem, validate_witness, verify_order_system
 from badcycle.errors import InputError
 from badcycle.fileio import (
     hypergraph_from_obj,
@@ -36,13 +37,9 @@ from badcycle.generators import (
     gen_unbalanced_machine,
     unbalanced_machine_order_system,
 )
-from badcycle.goodness import is_good, validate_witness
+from badcycle.goodness import is_good
 from badcycle.hypergraph import DirectedHypergraph, path_digraph
-from badcycle.orders import (
-    OrderSystem,
-    find_compatible_order,
-    verify_order_system,
-)
+from badcycle.orders import find_compatible_order
 from badcycle.relations import gen_alternating_machine, gen_alternating_relation
 from named_table import bad_rows, transition_rows
 

@@ -3,6 +3,12 @@ import warnings
 
 import pytest
 
+from badcycle.checks import (
+    OrderSystem,
+    induced_on_position,
+    verify_compatible_order,
+    verify_order_system,
+)
 from badcycle.corpus import default_rng, random_cycling_machine
 from badcycle.errors import InputError
 from badcycle.generators import (
@@ -25,14 +31,10 @@ from badcycle.hypergraph import (
 )
 from badcycle.machine import Machine, validate_machine
 from badcycle.orders import (
-    OrderSystem,
     decide_cycling_2machine,
     find_compatible_order,
     find_order_system,
-    induced_on_position,
     iter_compatible_order_systems,
-    verify_compatible_order,
-    verify_order_system,
 )
 from named_table import bad_rows, transition_rows
 

@@ -6,6 +6,7 @@ from itertools import chain
 import pytest
 
 from badcycle import digraph, goodness, oracles
+from badcycle.checks import BadCycleWitness, OrderSystem, is_proper_coloring, validate_witness
 from badcycle.corpus import (
     default_rng,
     goodness_corpus,
@@ -23,18 +24,16 @@ from badcycle.generators import (
     gen_shift_digraph,
 )
 from badcycle.goodness import (
-    BadCycleWitness,
     check_paths_good,
     GoodnessVerdict,
     build_auxiliary,
     induced_order_system_coloring,
     is_good,
-    validate_witness,
 )
-from badcycle.hypergraph import DirectedHypergraph, HyperCycle, chromatic_number_exact, is_proper_coloring, path_digraph
+from badcycle.hypergraph import DirectedHypergraph, HyperCycle, chromatic_number_exact, path_digraph
 from badcycle.machine import Machine
 from badcycle.oracles import brute_force_is_good, cross_check_goodness, sweep_cap
-from badcycle.orders import OrderSystem, count_order_systems, find_compatible_order, find_order_system
+from badcycle.orders import count_order_systems, find_compatible_order, find_order_system
 from badcycle.relations import gen_alternating_machine
 from named_table import bad_rows, transition_atoms
 

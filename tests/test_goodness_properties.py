@@ -4,7 +4,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from badcycle.goodness import _product, is_good, validate_witness  # noqa: E402
+from badcycle.checks import validate_witness  # noqa: E402
+from badcycle.goodness import _product, is_good  # noqa: E402
 from badcycle.hypergraph import DirectedHypergraph  # noqa: E402
 from badcycle.machine import Machine  # noqa: E402
 from badcycle.orders import (  # noqa: E402

@@ -9,6 +9,7 @@ import pytest
 from badcycle.corpus import random_digraph, random_hypergraph
 from badcycle import hypergraph as hypergraph_module
 from badcycle.balance import balanced_coloring, is_alpha_balanced
+from badcycle.checks import is_proper_coloring
 from badcycle.errors import Budget, BudgetError, InputError
 from badcycle.generators import (
     counter_machine_order,
@@ -22,7 +23,6 @@ from badcycle.hypergraph import (
     HyperCycle,
     chromatic_number_exact,
     chromatic_upper_greedy,
-    is_proper_coloring,
     path_digraph,
     weak_components,
 )

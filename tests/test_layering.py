@@ -1,10 +1,12 @@
 """Module boundaries: the deciders never load the reference oracles, the
 alternating-cycle check never loads the deciders, the machine model and the
-hypergraph module load nothing but the errors, the machine keeps no
-``cached_property``, no module keeps a name-keyed view of a machine's table,
-the digraph kernel keeps one name-keyed graph class and no ``fractions``, no
-module imports a name it never uses, and no private function, class or
-method goes unused.
+hypergraph module load nothing but the errors, the checkers nothing but the
+errors and the machine, ``sat``, ``generators`` and ``fileio``, which only
+verify orders and name checked types, no search, and goodness no order
+search; the machine keeps no ``cached_property``, no module keeps a
+name-keyed view of a machine's table, the digraph kernel keeps one
+name-keyed graph class and no ``fractions``, no module imports a name it
+never uses, and no private function, class or method goes unused.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -73,6 +75,30 @@ def test_hypergraph_loads_nothing_but_the_errors():
     # both chi kernels, the per-edge one and the neighbour-bitset one for
     # k = 2, live in the hypergraph module and share no graph kernel
     assert loaded_by("badcycle.hypergraph") == {"badcycle.hypergraph", "badcycle.errors"}
+
+
+def test_checks_loads_nothing_but_the_errors_and_the_machine():
+    # a checker shares no code with the search whose answer it replays
+    assert loaded_by("badcycle.checks") == {
+        "badcycle.checks",
+        "badcycle.errors",
+        "badcycle.machine",
+    }
+
+
+def test_sat_generators_and_fileio_load_no_search():
+    # they verify orders and name the checked types through checks alone
+    for module in ("badcycle.sat", "badcycle.generators", "badcycle.fileio"):
+        loaded = loaded_by(module)
+        assert module in loaded
+        assert not loaded & {"badcycle.goodness", "badcycle.orders", "badcycle.digraph"}, module
+
+
+def test_goodness_does_not_load_the_order_search():
+    # the induced coloring builds OrderSystem values from checks
+    loaded = loaded_by("badcycle.goodness")
+    assert "badcycle.goodness" in loaded
+    assert "badcycle.orders" not in loaded
 
 
 def parsed(module_file):

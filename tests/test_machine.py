@@ -4,6 +4,7 @@ import json
 import pytest
 
 from badcycle import machine as machine_module
+from badcycle.checks import verify_compatible_order
 from badcycle.corpus import default_rng, random_cycling_machine, random_machine
 from badcycle.errors import InputError
 from badcycle.fileio import machine_to_obj, save_machine
@@ -20,7 +21,6 @@ from badcycle.orders import (
     decide_cycling_2machine,
     find_compatible_order,
     find_order_system,
-    verify_compatible_order,
 )
 from badcycle.relations import gen_alternating_machine
 from named_table import bad_rows, transition_atoms, transition_rows
@@ -124,6 +124,19 @@ def test_undeclared_states_sort_last_in_every_view(tmp_path):
     ]
     for n, (machine, name) in enumerate(cases):
         with pytest.raises(InputError, match=f"undeclared state {name}"):
+            save_machine(machine, tmp_path / f"{n}.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_refuses_a_state_name_that_is_not_a_string(tmp_path):
+    # load_machine reads the states as an array of strings, so save_machine
+    # names the first state that is not one and writes no file
+    cases = [
+        (Machine(2, [1, "a"], [(1, 1, 2, ["a"])], bad=[(1, "a")]), "1"),
+        (Machine(2, ["a", ("b",)], [("a", 1, 2, [("b",)])]), r"\('b',\)"),
+    ]
+    for n, (machine, name) in enumerate(cases):
+        with pytest.raises(InputError, match=f"^machine state {name} is not a string$"):
             save_machine(machine, tmp_path / f"{n}.json")
     assert list(tmp_path.iterdir()) == []
 

@@ -8,6 +8,14 @@ from functools import partial
 import pytest
 
 from badcycle import orders as orders_module
+from badcycle.checks import (
+    OrderSystem,
+    compatible_order_to_order_system,
+    induced_on_position,
+    validate_witness,
+    verify_compatible_order,
+    verify_order_system,
+)
 from badcycle.corpus import (
     default_rng,
     random_cnf,
@@ -16,22 +24,18 @@ from badcycle.corpus import (
 )
 from badcycle.digraph import least_first_order
 from badcycle.errors import Budget, BudgetError, InputError
+from badcycle.fileio import save_order
 from badcycle.generators import gen_counter_machine, gen_unbalanced_machine
-from badcycle.goodness import check_paths_good, validate_witness
+from badcycle.goodness import check_paths_good
 from badcycle.hypergraph import path_digraph
 from badcycle.machine import Machine
 from badcycle.orders import (
-    OrderSystem,
-    compatible_order_to_order_system,
     count_order_systems,
     decide_cycling_2machine,
     find_compatible_order,
     find_order_system,
-    induced_on_position,
     iter_compatible_order_systems,
     iter_order_systems,
-    verify_compatible_order,
-    verify_order_system,
 )
 from badcycle.relations import gen_alternating_machine
 from badcycle.sat import CnfInstance, evaluate_cnf, order_to_assignment, sat_to_machine
@@ -281,6 +285,19 @@ def test_verify_compatible_order_error_paths_and_messages():
             with pytest.raises(InputError) as info:
                 check(order)
             assert str(info.value) == f"order entry ({state}, 1) has a state that is not hashable"
+
+
+def test_an_order_that_is_not_iterable_is_an_input_error(tmp_path):
+    # every malformed order is an InputError, this one too; the writer
+    # checks the order before it opens a file
+    machine = gen_counter_machine(2)
+    for check in (partial(verify_compatible_order, machine), compatible_order_to_order_system,
+                  partial(save_order, path=tmp_path / "order.json")):
+        for order in (None, 7):
+            with pytest.raises(InputError) as info:
+                check(order)
+            assert str(info.value) == f"order {order} is not an iterable of (state, position) pairs"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_find_compatible_order_on_counter_machines():

@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from badcycle import sat
+from badcycle.checks import verify_compatible_order
 from badcycle.corpus import default_rng, random_cnf
 from badcycle.errors import InputError
 from badcycle.machine import validate_machine
-from badcycle.orders import find_compatible_order, verify_compatible_order
+from badcycle.orders import find_compatible_order
 from badcycle.sat import (
     CnfInstance,
     assignment_to_order,
