@@ -4,6 +4,8 @@ The kernels take successor lists or (u, v, w) rows on node numbers: one
 iterative Tarjan search, ``tarjan_from``, splits the strong components, and
 Karp's cycle means (over a common denominator), the longest-walk relaxation
 and the tight-cycle search run on each component's local numbering.
+``has_zero_mean_span`` peels the weight-0 rows, a cycle of which answers,
+then relaxes each cyclic component under two scaled weightings.
 ``balance`` and ``orders`` build their rows and call the kernels directly.
 ``tarjan_from`` runs from the given roots in order and hands control back
 after each, so a caller can stop at its answer; ``tarjan`` runs it from
@@ -246,24 +248,21 @@ def _negated(rows):
 
 def has_zero_mean_span(n, rows):
     """Whether some strong component of the digraph on nodes 0..n-1 with int
-    ``rows`` has cycles of mean <= 0 and >= 0.  One sweep fills the least
-    k-arc walk weights d_k(v) from 0 of the rows and of their negation; by
-    Karp, the least mean is <= 0 iff some finite d_n(v) is <= every finite d_k(v)."""
+    ``rows`` has cycles of mean <= 0 and >= 0.  A cycle of weight-0 rows,
+    which Kahn's peel of them leaves, answers at once; otherwise each cyclic
+    component of size s is relaxed from its node 0, which reaches all its
+    cycles, under w*(s+1) + 1 and then 1 - w*(s+1): a simple cycle of length
+    L <= s and weight W weighs W*(s+1) + L under the first, > 0 iff W >= 0."""
+    zero = [[] for _ in range(n)]
+    for u, v, w in rows:
+        if not w:
+            zero[u].append(v)
+    if unpeeled(zero):
+        return True
     for size, part in _cyclic_components(n, rows):
-        low = [[None] * size for _ in range(size + 1)]
-        neg = [[None] * size for _ in range(size + 1)]
-        low[0][0] = neg[0][0] = 0
-        for k in range(size):
-            a, b, c, d = low[k], neg[k], low[k + 1], neg[k + 1]
-            for u, v, w in part:
-                if a[u] is not None:
-                    x, y = a[u] + w, b[u] - w
-                    if c[v] is None or x < c[v]:
-                        c[v] = x
-                    if d[v] is None or y < d[v]:
-                        d[v] = y
-        if all(any(x is not None and all(row[v] is None or x <= row[v] for row in table[:size])
-                   for v, x in enumerate(table[size])) for table in (low, neg)):
+        scale = size + 1
+        if (_relax(size, [(u, v, w * scale + 1) for u, v, w in part], 0, size)[1]
+                and _relax(size, [(u, v, 1 - w * scale) for u, v, w in part], 0, size)[1]):
             return True
     return False
 

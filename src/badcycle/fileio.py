@@ -19,7 +19,8 @@ grammars:
   hypergraph's edge list
 
 Writers emit canonical key order and a trailing newline, so identical
-objects serialize byte-identically.
+objects serialize byte-identically; a name that is not a string, which the
+reader would reject, raises ``InputError`` before anything is written.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def _str_list(value, what):
     return value
 
 
+def _name(value, what):
+    # the readers take every state and vertex name as a JSON string
+    if not isinstance(value, str):
+        raise InputError(f"{what} {value!r} is not a string")
+    return value
+
+
 def _pair(value, what):
     if not isinstance(value, list) or len(value) != 2:
         raise InputError(f"{what} must be a 2-element array")
@@ -87,17 +95,14 @@ def _pair(value, what):
 
 
 def machine_to_obj(machine):
-    names = machine.states
-    for name in names:
-        if not isinstance(name, str):
-            raise InputError(f"machine state {name!r} is not a string")
+    names = [_name(name, "machine state") for name in machine.states]
     atoms, bad = numbered_table(machine)
     rows = {}
     for s, i, j, t in atoms:
         rows.setdefault((s, i, j), []).append(names[t])
     return {
         "k": machine.k,
-        "states": list(names),
+        "states": names,
         "transitions": [
             {"from": names[s], "i": i, "j": j, "to": to} for (s, i, j), to in rows.items()
         ],
@@ -151,7 +156,7 @@ def load_machine(path):
 def hypergraph_to_obj(graph):
     return {
         "k": graph.k,
-        "vertices": list(graph.vertices),
+        "vertices": [_name(v, "hypergraph vertex") for v in graph.vertices],
         "edges": [list(edge) for edge in graph.edges],
     }
 
@@ -177,7 +182,7 @@ def load_hypergraph(path):
 
 
 def order_to_obj(order):
-    return [[s, i] for s, i in _as_pairs(order)]
+    return [[_name(s, "order entry state"), i] for s, i in _as_pairs(order)]
 
 
 def order_from_obj(obj):
@@ -209,7 +214,10 @@ def _member_from_obj(entry):
 
 def order_system_to_obj(system):
     return {
-        "classes": [[list(x) for x in sorted(block)] for block in system.classes],
+        "classes": [
+            sorted([_name(s, "class member state"), i] for s, i in _as_pairs(block))
+            for block in system.classes
+        ],
         "partial": [list(pair) for pair in sorted(system.partial)],
         "linear": list(range(len(system.classes))),
     }
@@ -282,9 +290,9 @@ def load_relation(path):
 
 def witness_to_obj(witness):
     return {
-        "base": witness.cycle.base,
-        "steps": [[index, vertex] for index, vertex in witness.cycle.steps],
-        "states": list(witness.states),
+        "base": _name(witness.cycle.base, "witness base"),
+        "steps": [[i, _name(v, "witness step vertex")] for i, v in witness.cycle.steps],
+        "states": [_name(s, "witness state") for s in witness.states],
         "bad_pair": list(witness.bad_pair),
     }
 

@@ -6,8 +6,9 @@ cycle means off ``_cyclic_components`` and ``_karp``, positive cycles off
 ``_positive_cycle`` on ``tarjan``'s components, whose row positions name the
 arcs, and longest-walk potentials off ``_relax``, divided back to
 ``Fraction`` values and named arcs; ``zero_mean_span``
-reads the same scaled ``_karp`` means by sign, as ``has_zero_mean_span``
-did before it read its walk tables by sign alone.
+reads the same scaled ``_karp`` means by sign, with no peel and no
+relaxation, so it checks ``has_zero_mean_span``'s weight-0 peel and its two
+scaled relaxations per component.
 
 The ``ref_*`` functions are the references the adapter is compared with:
 the name-keyed implementation the library ran before its kernels moved to

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from badcycle import digraph
 from badcycle.digraph import (
     Digraph,
     bfs,
@@ -402,6 +403,43 @@ def test_zero_mean_span_matches_the_scaled_karp_signs():
             assert span_oracle(g) == expected
         spans[expected] += 1
     assert min(spans.values()) >= 150
+
+
+def test_zero_mean_span_on_every_two_node_row_set():
+    # each of the 12 rows (u, v, w) with u, v in {0, 1} and w in {-1, 0, 1}
+    # present or absent: 4,096 row sets
+    pool = [(u, v, w) for u in range(2) for v in range(2) for w in (-1, 0, 1)]
+    spans = 0
+    for mask in range(1 << len(pool)):
+        rows = [row for bit, row in enumerate(pool) if mask >> bit & 1]
+        expected = NamedRows(range(2), rows).zero_mean_span()
+        assert has_zero_mean_span(2, rows) == expected
+        spans += expected
+    assert 0 < spans < 4096
+
+
+def test_a_cycle_of_zero_arcs_is_answered_by_the_peel(monkeypatch):
+    def no_components(n, rows):
+        raise AssertionError("the peel should have answered")
+
+    monkeypatch.setattr(digraph, "_cyclic_components", no_components)
+    assert has_zero_mean_span(2, [(0, 1, 5), (1, 1, 0)])
+    assert has_zero_mean_span(4, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, -4), (3, 0, 1)])
+
+
+def test_zero_arcs_without_a_zero_cycle_reach_the_relaxations():
+    def span(vertices, arcs):
+        g = NamedRows(vertices, arcs)
+        assert g.zero_mean_span() == span_oracle(g)
+        return has_zero_mean_span(len(g.vertices), g.rows)
+
+    # a 0-arc and a +1-arc close one cycle of mean 1/2
+    assert not span("ab", [("a", "b", 0), ("b", "a", 1)])
+    # with a -1-arc in parallel, the component also closes a cycle of mean -1/2
+    assert span("ab", [("a", "b", 0), ("b", "a", 1), ("b", "a", -1)])
+    opposite = [("a", "b", -1), ("b", "a", -1), ("b", "c", 7), ("c", "d", 1), ("d", "c", 2)]
+    assert not span("abcd", opposite + [("a", "c", 0)])
+    assert span("abcd", opposite + [("c", "a", 0)])
 
 
 def test_find_positive_cycle_replays():

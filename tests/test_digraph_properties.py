@@ -7,6 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from badcycle.digraph import has_zero_mean_span  # noqa: E402
 from named_rows import NamedRows  # noqa: E402
 
 SETTINGS = hypothesis.settings(
@@ -66,3 +67,30 @@ def test_renaming_vertices_changes_no_mean(graph, rng):
     renamed = NamedRows(vertices, arcs)
     assert renamed.cycle_mean(1) == graph.cycle_mean(1)
     assert renamed.cycle_mean(-1) == graph.cycle_mean(-1)
+
+
+@st.composite
+def wide_weight_rows(draw):
+    """Int rows on nodes 0..n-1, n <= 8, with weights in -50..50: a ring
+    through every node of total weight -1, 0 or 1, then random arcs."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(min_value=0, max_value=n - 1)
+    weight = st.integers(min_value=-50, max_value=50)
+    ring = draw(st.lists(weight, min_size=n, max_size=n))
+    excess = sum(ring) - draw(st.sampled_from((-1, 0, 1)))
+    for u in range(n):  # take the excess off the weights, each kept in -50..50
+        step = max(ring[u] - 50, min(ring[u] + 50, excess))
+        ring[u] -= step
+        excess -= step
+    return n, [(u, (u + 1) % n, w) for u, w in enumerate(ring)] + draw(
+        st.lists(st.tuples(node, node, weight), max_size=2 * n)
+    )
+
+
+@SETTINGS
+@hypothesis.given(wide_weight_rows())
+def test_zero_mean_span_matches_karp_on_wide_weights(case):
+    # a ring of weight -1 over all n nodes weighs n - (n + 1) < 0 under the
+    # scaled weights w*(n+1) + 1, so it must not read as a cycle of mean >= 0
+    n, rows = case
+    assert has_zero_mean_span(n, rows) == NamedRows(range(n), rows).zero_mean_span()

@@ -118,6 +118,14 @@ def test_hypergraph_round_trip(tmp_path):
         assert loaded.edges == graph.edges
 
 
+def test_hypergraph_writer_refuses_a_vertex_name_that_is_not_a_string(tmp_path):
+    # load_hypergraph reads the vertices as an array of strings
+    path = tmp_path / "g.json"
+    with pytest.raises(InputError, match="^hypergraph vertex 1 is not a string$"):
+        save_hypergraph(DirectedHypergraph(2, [1, 2], [(1, 2)]), path)
+    assert not path.exists()
+
+
 def test_hypergraph_rejects_malformed_objects():
     with pytest.raises(InputError, match="unknown fields"):
         hypergraph_from_obj({"k": 2, "vertices": [], "edges": [], "name": "x"})
@@ -150,6 +158,14 @@ def test_order_writer_keeps_positions_and_rejects_non_integers(tmp_path):
     assert not path.exists()
 
 
+def test_order_writer_refuses_a_state_name_that_is_not_a_string(tmp_path):
+    # load_order reads each entry's state as a string
+    path = tmp_path / "order.json"
+    with pytest.raises(InputError, match="^order entry state 1 is not a string$"):
+        save_order([(1, 1), (1, 2)], path)
+    assert not path.exists()
+
+
 def test_order_rejects_malformed_objects():
     with pytest.raises(InputError, match="JSON array"):
         order_from_obj({"order": []})
@@ -179,6 +195,18 @@ def test_order_system_accepts_permuted_linear():
     }
     expected = OrderSystem([[("a", 1)], [("b", 1)]], [(0, 1)])
     assert order_system_from_obj(obj) == expected
+
+
+def test_order_system_writer_refuses_a_member_its_reader_rejects(tmp_path):
+    # load_order_system reads each class member as a [string, integer] pair
+    path = tmp_path / "system.json"
+    with pytest.raises(InputError, match="^class member state 1 is not a string$"):
+        save_order_system(OrderSystem([frozenset({(1, 1)})], set()), path)
+    with pytest.raises(InputError, match="not an integer"):
+        save_order_system(OrderSystem([[("a", 1.5)]]), path)
+    with pytest.raises(InputError, match=r"not a \(state, position\) pair"):
+        save_order_system(OrderSystem([["a"]]), path)
+    assert not path.exists()
 
 
 def test_order_system_rejects_malformed_objects():
@@ -226,6 +254,15 @@ def test_witness_round_trip():
     assert rebuilt.states == verdict.witness.states
     assert tuple(rebuilt.bad_pair) == tuple(verdict.witness.bad_pair)
     assert validate_witness(graph, machine, rebuilt)
+
+
+def test_witness_writer_refuses_a_vertex_name_that_is_not_a_string():
+    # witness_from_obj reads the base and each step's vertex as strings
+    graph = DirectedHypergraph(2, range(5), [(0, 1), (2, 1), (2, 3), (4, 3), (4, 0)])
+    verdict = is_good(graph, gen_alternating_machine().machine)
+    assert not verdict.good
+    with pytest.raises(InputError, match="^witness base 0 is not a string$"):
+        witness_to_obj(verdict.witness)
 
 
 def test_witness_rejects_malformed_objects():
