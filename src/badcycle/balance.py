@@ -2,21 +2,24 @@
 
 A digraph is alpha-balanced when every closed traversal of its underlying
 graph uses strictly fewer than alpha times as many backward edges as
-forward ones.  Recognition reduces to cycle means on a doubled weighted
-digraph; balanced graphs get a proper coloring with at most ceil(alpha)+1
-colors from longest-walk potentials.  Both run ``digraph``'s row kernels
-directly on each weak component's doubled int rows, read from the weak
-components the graph keeps.  Recognition searches only components with
-at least as many edges as vertices: the only simple cycles of a
-forest's doubled digraph are its 2-cycles, each of negative weight, so a
-forest holds no positive cycle and is balanced for every alpha > 1.
+forward ones.  Whether a traversal violates alpha = p/q depends only on
+its backward share B/(F+B) >= p/(p+q), so recognition reads one critical
+share per weak component, the greatest cycle mean of its doubled digraph
+weighted 0 forward and 1 backward, with the tight cycle that attains it
+as the witness: ``digraph``'s Karp kernel runs on each weak component's
+doubled int rows once per graph object, which keeps the shares, and
+every alpha then costs one comparison per component.  A forest is never
+searched: its doubled digraph's only simple cycles are its 2-cycles, of
+share 1/2, so it is balanced for every alpha > 1.  Balanced graphs get a
+proper coloring with at most ceil(alpha)+1 colors from longest-walk
+potentials.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import _positive_cycle, _relax
+from .digraph import _greatest_mean_cycle, _relax
 from .errors import InputError, UnbalancedError
 
 
@@ -48,6 +51,8 @@ class BalancedColoring:
 
 
 def _as_alpha(alpha):
+    if type(alpha) is Fraction and alpha.numerator > alpha.denominator:
+        return alpha
     if isinstance(alpha, float):
         raise InputError("alpha must be exact; pass an int, Fraction, or string")
     try:
@@ -72,40 +77,43 @@ def _doubled(graph, vertices, edges, forward, backward):
     return [row for a, b in ends for row in ((a, b, forward), (b, a, backward))]
 
 
-def _weights(graph, alpha):
-    """alpha, read exactly, and the doubled arc weights (forward, backward)
-    under which the digraph is alpha-balanced iff it has no positive cycle."""
+def _violation(graph, alpha):
+    """alpha, read exactly, and the witness steps of the first weak component
+    whose critical share reaches alpha/(alpha+1), or None.  The shares are
+    (share, scale, steps) per component with a cycle, greatest least vertex
+    first, found on first use and kept on the graph."""
     alpha = _as_alpha(alpha)
     _require_digraph(graph)
-    scale = len(graph.vertices) + 1
-    return alpha, 1 - alpha.numerator * scale, 1 + alpha.denominator * scale
+    shares = graph._critical_shares
+    if shares is None:
+        shares = []
+        # every doubled arc has its reverse, so the strong components are the
+        # weak ones, kept in Tarjan's order: greatest least vertex first
+        for vertices, edges in sorted(graph.components, reverse=True):
+            if len(edges) >= len(vertices):
+                share, scale, cycle = _greatest_mean_cycle(
+                    len(vertices), _doubled(graph, vertices, edges, 0, 1))
+                steps = tuple((graph.edges[edges[p >> 1]], "backward" if p & 1 else "forward")
+                              for p in cycle)
+                shares.append((share, scale, steps))
+        graph._critical_shares = shares = tuple(shares)
+    p, total = alpha.numerator, alpha.numerator + alpha.denominator
+    return alpha, next((steps for share, scale, steps in shares if share * total >= p * scale), None)
 
 
 def is_alpha_balanced(graph, alpha):
     """Decide alpha-balance; unbalanced verdicts carry a traversal witness.
 
-    Each edge doubles into a forward arc of weight p and a backward arc
-    of weight -q (alpha = p/q), so the graph is balanced exactly when
-    every directed cycle of the doubled digraph has positive weight.  The
-    search perturbs every arc by eps = 1/(|V|+1), too little to flip any
-    simple cycle past an integer, turning weight <= 0 detection into a
-    positive cycle search; scaled by |V|+1, the weights are the integers
-    1 - p(|V|+1) and 1 + q(|V|+1).
+    Each edge doubles into a forward arc of weight 0 and a backward arc of
+    weight 1, so a cycle's mean is its backward share B/(F+B), and a closed
+    traversal violates alpha = p/q, B >= alpha*F, exactly when that share is
+    at least p/(p+q).  The greatest share is attained on a simple cycle, so
+    the graph is unbalanced exactly when some weak component's greatest
+    cycle mean, its critical share, reaches p/(p+q); the witness is the
+    first such component's tight cycle, the same for every such alpha.
     """
-    alpha, forward, backward = _weights(graph, alpha)
-    # every doubled arc has its reverse, so the strong components are the
-    # weak ones; they are searched in Tarjan's order, greatest least vertex first
-    for vertices, edges in sorted(graph.components, reverse=True):
-        # a forest: its doubled digraph's only simple cycles are 2-cycles, of
-        # weight forward + backward = 2 - (p - q) * scale < 0 (p > q, scale >= 3)
-        if len(edges) < len(vertices):
-            continue
-        cycle = _positive_cycle(len(vertices), _doubled(graph, vertices, edges, forward, backward))
-        if cycle:
-            steps = ((graph.edges[edges[p >> 1]], "backward" if p & 1 else "forward")
-                     for p in cycle)
-            return BalanceVerdict(False, alpha, tuple(steps))
-    return BalanceVerdict(True, alpha)
+    alpha, steps = _violation(graph, alpha)
+    return BalanceVerdict(steps is None, alpha, steps)
 
 
 def balanced_coloring(graph, alpha):
@@ -115,17 +123,16 @@ def balanced_coloring(graph, alpha):
     component in the doubled digraph weighted +1 forward and -ceil(alpha)
     backward; colors are the potentials mod ceil(alpha)+1.  Every edge
     (a, b) then satisfies l(a)+1 <= l(b) <= l(a)+ceil(alpha), which makes
-    the coloring proper.  Balance is confirmed on ``_weights`` with no Karp:
-    a doubled weak component is strongly connected, so its n-th sweep raises
-    a value iff it holds a positive cycle, and only then is it decided again.
+    the coloring proper.  Balance is confirmed on the critical shares that
+    ``is_alpha_balanced`` reads, found once per graph object.
     """
-    alpha, forward, backward = _weights(graph, alpha)
+    alpha, steps = _violation(graph, alpha)
+    if steps is not None:
+        raise UnbalancedError("the digraph is not alpha-balanced", BalanceVerdict(False, alpha, steps))
     ceiling = -(-alpha.numerator // alpha.denominator)
     potentials = {}
     for vertices, edges in graph.components:
         n = len(vertices)
-        if n <= len(edges) and _relax(n, _doubled(graph, vertices, edges, forward, backward), 0, n)[1]:
-            raise UnbalancedError("the digraph is not alpha-balanced", is_alpha_balanced(graph, alpha))
         dist, changed = _relax(n, _doubled(graph, vertices, edges, 1, -ceiling), 0, n)
         if changed:
             # reversed, a positive cycle here has over alpha backward edges per forward one

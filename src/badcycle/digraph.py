@@ -267,20 +267,18 @@ def has_zero_mean_span(n, rows):
     return False
 
 
-def _positive_cycle(n, rows):
-    """Row positions of a directed cycle of positive weight in the strong
-    component on nodes 0..n-1 with (u, v, w) int ``rows``, or None.  Uses the
-    tight subgraph of max-mean-shifted potentials, so the result is exact:
-    with max mean -a/D, the rows w*D + a are the shifted weights scaled by D."""
+def _greatest_mean_cycle(n, rows):
+    """(share, scale, cycle) for the strong component with a cycle on nodes
+    0..n-1 with (u, v, w) int ``rows``: its greatest cycle mean share/scale,
+    scale = lcm(1..n), and the row positions of a cycle of that mean.  Uses
+    the tight subgraph of max-mean-shifted potentials, so the cycle is exact:
+    the rows w*scale - share are the shifted weights scaled by scale."""
     scale = lcm(*range(1, n + 1))
-    least = _karp(n, _negated(rows), scale)
-    if least >= 0:
-        return None
-    shifted = [(u, v, w * scale + least) for u, v, w in rows]
+    share = -_karp(n, _negated(rows), scale)
+    shifted = [(u, v, w * scale - share) for u, v, w in rows]
     pot, _ = _relax(n, shifted, 0, max(n - 1, 1))
     tight = [p for p, (u, v, w) in enumerate(shifted) if pot[v] == pot[u] + w]
-    cycle = _any_cycle(n, [shifted[p] for p in tight])
-    return cycle and [tight[i] for i in cycle]
+    return share, scale, [tight[i] for i in _any_cycle(n, [shifted[p] for p in tight])]
 
 
 def _relax(n, rows, source, rounds):

@@ -6,8 +6,10 @@ all of its coordinates colored alike.  A graph numbers its vertices once
 and keeps its edges' vertex numbers (``members``, read through
 ``members_of``) and each vertex's edge numbers (``incidence``), and on
 first use keeps its weak components from one union-find pass
-(``components``), which balance reads too; the exact solver reads only
-these and runs iterative deepening on each component's color count.
+(``components``), which balance reads too; it also declares the slot
+where balance keeps its critical shares.  The exact solver reads only
+the numbers and components and runs iterative deepening on each
+component's color count.
 One greedy kernel, a forbidden-color bitmask per vertex over each edge's
 colored count and common color, gives the upper bound and, for each
 count t, reinserts the vertices on fewer than t edges, peeled before the
@@ -67,6 +69,8 @@ class DirectedHypergraph:
                 incidence[index[v]].append(n)
         self.incidence = tuple(map(tuple, incidence))
         self._weak_parts = None
+        # each cyclic weak component's critical backward share, filled by balance
+        self._critical_shares = None
 
     @property
     def components(self):

@@ -3,9 +3,10 @@
 ``NamedRows`` is the one adapter: it numbers the vertices in order, scales
 the ``Fraction`` weights to ints by the lcm of their denominators, and reads
 cycle means off ``_cyclic_components`` and ``_karp``, positive cycles off
-``_positive_cycle`` on ``tarjan``'s components, whose row positions name the
-arcs, and longest-walk potentials off ``_relax``, divided back to
-``Fraction`` values and named arcs; ``zero_mean_span``
+``_greatest_mean_cycle`` on ``tarjan``'s components (its cycle, when the
+greatest mean is positive), whose row positions name the arcs, and
+longest-walk potentials off ``_relax``, divided back to ``Fraction``
+values and named arcs; ``zero_mean_span``
 reads the same scaled ``_karp`` means by sign, with no peel and no
 relaxation, so it checks ``has_zero_mean_span``'s weight-0 peel and its two
 scaled relaxations per component.
@@ -20,7 +21,7 @@ the relaxation runs on the exact weights.
 from fractions import Fraction
 from math import lcm
 
-from badcycle.digraph import _cyclic_components, _karp, _positive_cycle, _relax, tarjan
+from badcycle.digraph import _cyclic_components, _greatest_mean_cycle, _karp, _relax, tarjan
 
 
 class NamedRows:
@@ -63,9 +64,10 @@ class NamedRows:
             local = {v: place for place, v in enumerate(comp)}
             positions = [p for p, (u, v, _) in enumerate(self.rows) if owner[u] == owner[v] == c]
             rows = [(local[u], local[v], w) for u, v, w in (self.rows[p] for p in positions)]
-            cycle = rows and _positive_cycle(len(comp), rows)
-            if cycle:
-                return tuple(self.arcs[positions[p]] for p in cycle)
+            if rows:
+                share, _, cycle = _greatest_mean_cycle(len(comp), rows)
+                if share > 0:
+                    return tuple(self.arcs[positions[p]] for p in cycle)
         return None
 
     def potentials(self, source):

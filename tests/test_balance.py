@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from badcycle import balance, digraph
-from badcycle.balance import balanced_coloring, is_alpha_balanced
+from badcycle import digraph
+from badcycle.balance import BalanceVerdict, balanced_coloring, is_alpha_balanced
 from badcycle.checks import is_proper_coloring, validate_witness
 from badcycle.corpus import default_rng, random_digraph
 from badcycle.errors import InputError, UnbalancedError
@@ -24,10 +24,9 @@ from named_rows import ref_find_positive_cycle, ref_relax
 ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
 
 
-def brute_unbalanced(graph, alpha):
-    # enumerate simple traversal cycles directly; a traversal violates
-    # balance when its backward count reaches alpha times its forward count
-    alpha = Fraction(alpha)
+def closed_traversals(graph):
+    # (start, forward count, backward count) of every simple closed
+    # traversal, each listed once from its least vertex by declaration order
     out = {}
     for a, b in graph.edges:
         out.setdefault(a, []).append((b, 1, 0))
@@ -37,14 +36,19 @@ def brute_unbalanced(graph, alpha):
     def search(start, at, seen, forward, backward):
         for v, f, bk in out.get(at, ()):
             if v == start:
-                if backward + bk >= alpha * (forward + f):
-                    return True
+                yield start, forward + f, backward + bk
             elif v not in seen and rank[v] > rank[start]:
-                if search(start, v, seen | {v}, forward + f, backward + bk):
-                    return True
-        return False
+                yield from search(start, v, seen | {v}, forward + f, backward + bk)
 
-    return any(search(s, s, {s}, 0, 0) for s in graph.vertices)
+    for s in graph.vertices:
+        yield from search(s, s, {s}, 0, 0)
+
+
+def brute_unbalanced(graph, alpha):
+    # a traversal violates balance when its backward count reaches alpha
+    # times its forward count
+    alpha = Fraction(alpha)
+    return any(backward >= alpha * forward for _, forward, backward in closed_traversals(graph))
 
 
 def assert_valid_witness(graph, verdict):
@@ -133,6 +137,17 @@ def test_alpha_validation():
         is_alpha_balanced(
             DirectedHypergraph(3, ["1", "2", "3"], [("1", "2", "3")]), 2
         )
+    # alpha is read first, then the uniformity, both before the shares are kept
+    triple = DirectedHypergraph(3, ["1", "2", "3"], [("1", "2", "3")])
+    for decide in (is_alpha_balanced, balanced_coloring):
+        with pytest.raises(InputError, match="alpha must exceed 1"):
+            decide(triple, Fraction(1))
+        with pytest.raises(InputError, match="2-uniform"):
+            decide(triple, 2)
+    cycle = DirectedHypergraph(2, "ab", [("a", "b"), ("b", "a")])
+    with pytest.raises(InputError):
+        balanced_coloring(cycle, "1/2")
+    assert triple._critical_shares is cycle._critical_shares is None
 
 
 def test_coloring_single_edge():
@@ -344,19 +359,26 @@ def seeded_forest(rng, size):
     return DirectedHypergraph(2, names, edges)
 
 
-def test_no_cycle_search_runs_on_a_forest_component(monkeypatch):
+def counted_karp(monkeypatch):
+    # the args of every Karp table, through the greatest-mean kernel
+    karp = digraph._karp
+    searches = []
+
+    def counted(n, rows, scale):
+        searches.append((n, len(rows) // 2))
+        return karp(n, rows, scale)
+
+    monkeypatch.setattr(digraph, "_karp", counted)
+    return searches
+
+
+def test_karp_runs_once_per_cyclic_weak_component_and_never_on_a_forest(monkeypatch):
     # a weak component with fewer edges than vertices is a tree, balanced
-    # for every alpha > 1, so Karp never sees one; in the union the tree is
+    # for every alpha > 1, so Karp never sees one; a cyclic one is searched
+    # on the graph's first balance call only.  In the union the tree is
     # declared after the directed triangle, so it has the greater least
     # vertex and is passed over before the triangle answers
-    searched = []
-    search = balance._positive_cycle
-
-    def spy(n, rows):
-        searched.append((n, len(rows) // 2))
-        return search(n, rows)
-
-    monkeypatch.setattr(balance, "_positive_cycle", spy)
+    searched = counted_karp(monkeypatch)
     rng = default_rng(2024)
     forests = [path_digraph(n) for n in range(1, 7)]
     forests += [seeded_forest(rng, rng.randint(1, 9)) for _ in range(40)]
@@ -371,14 +393,24 @@ def test_no_cycle_search_runs_on_a_forest_component(monkeypatch):
                 balanced_coloring(graph, alpha)
             else:
                 assert graph is union
-    assert searched == [(3, 3)] * len(ALPHAS)
+    assert searched == [(3, 3)]
+    searched.clear()
+    # two triangles: one table each, the later-declared one first
+    two = DirectedHypergraph(
+        2, "abcdefg", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"), ("f", "d"), ("f", "g")]
+    )
+    for alpha in ALPHAS:
+        is_alpha_balanced(two, alpha)
+    assert searched == [(4, 4), (3, 3)]
 
 
-def test_a_balanced_coloring_runs_no_karp_search(monkeypatch):
-    # balance is confirmed by relaxation, so only an unbalanced graph, decided
-    # again for its verdict, reaches Karp; the answers are those of the
-    # decision.  Arcs that each go up one level of three vertices close no
-    # traversal with more backward steps than forward ones: balanced, cyclic
+def test_no_later_balance_call_on_a_graph_runs_karp(monkeypatch):
+    # the first balance call on a graph object, here a coloring, keeps each
+    # cyclic weak component's critical share on the graph; no later call
+    # for any alpha, decision or coloring, runs Karp, and the answers are
+    # those of fresh copies.  Arcs that each go up one level of three
+    # vertices close no traversal with more backward steps than forward
+    # ones: balanced, cyclic
     rng = default_rng(2031)
     graphs = [random_digraph(rng, max_vertices=8, edge_prob=0.2) for _ in range(200)]
     for _ in range(50):
@@ -386,30 +418,75 @@ def test_a_balanced_coloring_runs_no_karp_search(monkeypatch):
         arcs = [(a, b) for a in names for b in names
                 if int(b) // 3 == int(a) // 3 + 1 and rng.random() < 0.5]
         graphs.append(DirectedHypergraph(2, names, arcs))
-    expected = [[is_alpha_balanced(graph, alpha) for alpha in ALPHAS] for graph in graphs]
-    karp = digraph._karp
-    searches = []
-
-    def counted(*args):
-        searches.append(args)
-        return karp(*args)
-
-    monkeypatch.setattr(digraph, "_karp", counted)
+    expected = [[is_alpha_balanced(DirectedHypergraph(2, graph.vertices, graph.edges), alpha)
+                 for alpha in ALPHAS] for graph in graphs]
+    searches = counted_karp(monkeypatch)
     cyclic = 0
     for graph, verdicts in zip(graphs, expected):
-        for alpha, verdict in zip(ALPHAS, verdicts):
+        components = sum(len(edges) >= len(vertices) for vertices, edges in graph.components)
+        for n, (alpha, verdict) in enumerate(zip(ALPHAS, verdicts)):
             searches.clear()
             if verdict.balanced:
                 assert balanced_coloring(graph, alpha).alpha == alpha
-                assert not searches
-                cyclic += any(len(edges) >= len(vertices) for vertices, edges in graph.components)
             else:
                 with pytest.raises(UnbalancedError) as caught:
                     balanced_coloring(graph, alpha)
                 assert caught.value.verdict == verdict
-                assert searches
+            assert is_alpha_balanced(graph, alpha) == verdict
+            assert len(searches) == (0 if n else components)
+            cyclic += components > 0 and verdict.balanced
     assert cyclic >= 100
     assert sum(not v.balanced for verdicts in expected for v in verdicts) >= 100
+
+
+def test_the_kept_share_is_the_greatest_backward_share_of_a_traversal():
+    # per weak component, the share kept on the graph is the greatest
+    # B/(F+B) over its simple closed traversals, its witness attains it,
+    # and every component passed over as a forest has greatest share 1/2
+    rng = default_rng(616)
+    kept_seen = 0
+    shares = set()
+    for _ in range(240):
+        graph = random_digraph(rng, max_vertices=6)
+        is_alpha_balanced(graph, 2)
+        least = {}
+        for vertices, _ in graph.components:
+            least.update((graph.vertices[v], vertices[0]) for v in vertices)
+        greatest = {}
+        for start, forward, backward in closed_traversals(graph):
+            share = Fraction(backward, forward + backward)
+            greatest[least[start]] = max(share, greatest.get(least[start], share))
+        cyclic = [vertices[0] for vertices, edges in sorted(graph.components, reverse=True)
+                  if len(edges) >= len(vertices)]
+        kept = graph._critical_shares
+        assert [Fraction(share, scale) for share, scale, _ in kept] == [greatest[v] for v in cyclic]
+        assert {share for v, share in greatest.items() if v not in cyclic} <= {Fraction(1, 2)}
+        for share, scale, steps in kept:
+            backward = sum(direction == "backward" for _, direction in steps)
+            assert Fraction(backward, len(steps)) == Fraction(share, scale)
+            # alpha 0: only the steps' chain is checked
+            assert_valid_witness(graph, BalanceVerdict(False, Fraction(0), steps))
+        kept_seen += len(kept)
+        shares.update(Fraction(share, scale) for share, scale, _ in kept)
+    assert kept_seen >= 100
+    assert len(shares) >= 5
+
+
+def test_every_alpha_a_component_answers_gets_its_one_witness():
+    # the witness is the answering component's tight cycle, whatever alpha
+    answered = {}
+    for graph in reference_balance_corpus():
+        witnesses = {}
+        for alpha in ALPHAS:
+            witness = is_alpha_balanced(graph, alpha).witness
+            if witness is not None:
+                first = graph.index_of(witness[0][0][0])
+                part = next(vertices for vertices, _ in graph.components if first in vertices)
+                witnesses.setdefault(part, set()).add(witness)
+        assert all(len(found) == 1 for found in witnesses.values())
+        answered[len(witnesses)] = answered.get(len(witnesses), 0) + 1
+    assert answered[1] >= 200
+    assert answered.get(2, 0) >= 1
 
 
 def test_no_decider_builds_a_name_keyed_digraph(monkeypatch):

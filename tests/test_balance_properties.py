@@ -1,4 +1,5 @@
-"""Balance and the balanced coloring on random oriented forests."""
+"""Balance and the balanced coloring on random oriented forests, and on
+random digraphs asked in any order."""
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from badcycle.balance import balanced_coloring, is_alpha_balanced  # noqa: E402
 from badcycle.checks import is_proper_coloring  # noqa: E402
+from badcycle.errors import UnbalancedError  # noqa: E402
 from badcycle.hypergraph import DirectedHypergraph, weak_components  # noqa: E402
-from test_balance import reference_balance  # noqa: E402
+from test_balance import ALPHAS, reference_balance  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=80, deadline=None, database=None, derandomize=True
@@ -72,3 +74,38 @@ def test_an_edge_closing_a_cycle_answers_as_the_reference(forest, alpha, data):
     assert verdict.witness == witness
     if verdict.balanced:
         assert balanced_coloring(closed, alpha).potentials == potentials
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    return DirectedHypergraph(2, draw(st.permutations(names)), edges)
+
+
+def fresh(graph):
+    return DirectedHypergraph(2, graph.vertices, graph.edges)
+
+
+@SETTINGS
+@hypothesis.given(
+    digraphs(),
+    st.permutations(ALPHAS),
+    st.lists(st.none() | st.sampled_from(ALPHAS), min_size=4, max_size=4),
+)
+def test_one_graph_asked_in_any_order_answers_as_fresh_copies(graph, order, colorings):
+    # the critical shares kept on the graph by whichever call comes first
+    # give every later decision and coloring the answers of a fresh copy
+    for alpha, coloring_alpha in zip(order, colorings):
+        if coloring_alpha is not None:
+            try:
+                expected = balanced_coloring(fresh(graph), coloring_alpha)
+            except UnbalancedError as caught:
+                with pytest.raises(UnbalancedError) as again:
+                    balanced_coloring(graph, coloring_alpha)
+                assert again.value.verdict == caught.verdict
+            else:
+                assert balanced_coloring(graph, coloring_alpha) == expected
+        assert is_alpha_balanced(graph, alpha) == is_alpha_balanced(fresh(graph), alpha)

@@ -6,7 +6,8 @@ verify orders and name checked types, no search, and goodness no order
 search; the machine keeps no ``cached_property``, no module keeps a
 name-keyed view of a machine's table, the digraph kernel keeps one
 name-keyed graph class and no ``fractions``, no module imports a name it
-never uses, and no private function, class or method goes unused.
+never uses, no private function, class or method goes unused, and no
+decider adds an attribute to a graph or a machine after ``__init__``.
 
 Each boundary check imports one module in a fresh interpreter under an
 empty ``badcycle`` package object, so the package ``__init__`` (which
@@ -22,7 +23,12 @@ from functools import cached_property
 from pathlib import Path
 
 import badcycle
+from badcycle.balance import balanced_coloring, is_alpha_balanced
+from badcycle.generators import gen_counter_machine, gen_example3_machine
+from badcycle.goodness import induced_order_system_coloring, is_good
+from badcycle.hypergraph import DirectedHypergraph, chromatic_number_exact, chromatic_upper_greedy
 from badcycle.machine import Machine
+from badcycle.orders import decide_cycling_2machine, find_compatible_order, find_order_system
 
 LOADER = """
 import importlib, json, sys, types
@@ -226,3 +232,26 @@ def test_every_exported_name_resolves_once():
     # __all__ is not sorted, so only membership and uniqueness are checked
     assert len(badcycle.__all__) == len(set(badcycle.__all__))
     assert [name for name in badcycle.__all__ if not hasattr(badcycle, name)] == []
+
+
+def test_no_decider_adds_an_attribute_after_init():
+    # every view a graph or a machine fills on first use is declared in its
+    # __init__: an attribute added later splits the instance's keys from
+    # the ones its class shares, which costs every later attribute load on
+    # CPython 3.11 (about 9 %, see DirectedHypergraph.components)
+    graph = DirectedHypergraph(2, "abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+    counter = gen_counter_machine(1)
+    example = gen_example3_machine()
+    objects = (graph, counter, example)
+    keys = [set(vars(obj)) for obj in objects]
+    chromatic_number_exact(graph)
+    chromatic_upper_greedy(graph)
+    assert not is_alpha_balanced(graph, 2)
+    assert balanced_coloring(graph, 3)
+    assert is_good(graph, counter)
+    is_good(graph, example)
+    induced_order_system_coloring(graph, counter)
+    assert decide_cycling_2machine(counter)
+    assert find_compatible_order(counter) is not None
+    assert find_order_system(example) is not None
+    assert [set(vars(obj)) for obj in objects] == keys
