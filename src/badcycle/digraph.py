@@ -9,11 +9,14 @@ then relaxes each cyclic component under two scaled weightings.
 ``balance`` and ``orders`` build their rows and call the kernels directly.
 ``tarjan_from`` runs from the given roots in order and hands control back
 after each, so a caller can stop at its answer; ``tarjan`` runs it from
-every node.  They, ``bfs`` and Kahn's (1962) in-degree peel, as the
-least-key topological order or as ``unpeeled``, the nodes it cannot remove,
-also serve ``goodness`` and ``orders``.  ``Digraph``, an unweighted
-name-keyed view, ``strong_components`` and ``goodness.build_auxiliary`` stay
-only because the benchmark's traced run calls them.
+every node.  They and ``bfs`` also serve ``goodness`` and ``orders``.
+Kahn's (1962) in-degree peel gives the least-key topological order of
+goodness's induced coloring and, as ``unpeeled``, the nodes it cannot
+remove, which ``has_zero_mean_span`` reads; goodness peels its product
+with a peel of its own that builds no successor lists.  ``Digraph``, an
+unweighted name-keyed view, ``strong_components`` and
+``goodness.build_auxiliary`` stay only because the benchmark's traced run
+calls them.
 """
 from __future__ import annotations
 

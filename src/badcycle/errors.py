@@ -13,6 +13,14 @@ class InputError(BadCycleError):
     """Malformed or out-of-contract input (CLI exit code 2)."""
 
 
+def require_int(value, what):
+    """``value`` itself when it is an int and not a bool; otherwise
+    InputError "<what> must be an integer", the file readers' wording."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer")
+    return value
+
+
 class BudgetError(BadCycleError):
     """Search budget exhausted before a definite answer (CLI exit code 3).
 

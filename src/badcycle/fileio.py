@@ -29,7 +29,7 @@ import json
 from pathlib import Path
 
 from .checks import BadCycleWitness, OrderSystem, _as_pairs
-from .errors import InputError
+from .errors import InputError, require_int
 from .hypergraph import DirectedHypergraph, HyperCycle
 from .machine import Machine, numbered_table
 from .relations import Relation
@@ -64,12 +64,6 @@ def _check_fields(obj, what, fields):
     unknown = [f for f in obj if f not in fields]
     if unknown:
         raise InputError(f"{what} has unknown fields: {', '.join(sorted(unknown))}")
-
-
-def _int_field(value, what):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer")
-    return value
 
 
 def _str_list(value, what):
@@ -128,8 +122,8 @@ def machine_from_obj(obj):
         rows.append(
             (
                 state(t["from"], "transition"),
-                _int_field(t["i"], "transition position i"),
-                _int_field(t["j"], "transition position j"),
+                require_int(t["i"], "transition position i"),
+                require_int(t["j"], "transition position j"),
                 tuple(state(x, "transition target") for x in _str_list(t["to"], "transition targets")),
             )
         )
@@ -139,7 +133,7 @@ def machine_from_obj(obj):
     for entry in obj["bad"]:
         a, b = _pair(entry, "bad pair")
         bad.append((state(a, "bad pair"), state(b, "bad pair")))
-    return Machine(_int_field(obj["k"], "machine k"), states, rows, bad)
+    return Machine(require_int(obj["k"], "machine k"), states, rows, bad)
 
 
 def save_machine(machine, path):
@@ -167,7 +161,7 @@ def hypergraph_from_obj(obj):
     if not isinstance(obj["edges"], list):
         raise InputError("hypergraph edges must be an array")
     edges = [tuple(_str_list(e, "hypergraph edge")) for e in obj["edges"]]
-    return DirectedHypergraph(_int_field(obj["k"], "hypergraph k"), vertices, edges)
+    return DirectedHypergraph(require_int(obj["k"], "hypergraph k"), vertices, edges)
 
 
 def save_hypergraph(graph, path):
@@ -193,7 +187,7 @@ def order_from_obj(obj):
         s, i = _pair(entry, "order entry")
         if not isinstance(s, str):
             raise InputError(f"order entry state {s!r} must be a string")
-        out.append((s, _int_field(i, "order entry position")))
+        out.append((s, require_int(i, "order entry position")))
     return tuple(out)
 
 
@@ -209,7 +203,7 @@ def _member_from_obj(entry):
     s, i = _pair(entry, "order system class member")
     if not isinstance(s, str):
         raise InputError(f"class member state {s!r} must be a string")
-    return (s, _int_field(i, "class member position"))
+    return (s, require_int(i, "class member position"))
 
 
 def order_system_to_obj(system):
@@ -234,7 +228,7 @@ def order_system_from_obj(obj):
         classes.append([_member_from_obj(entry) for entry in block])
     n = len(classes)
     if not isinstance(obj["linear"], list) or sorted(
-        _int_field(i, "linear entry") for i in obj["linear"]
+        require_int(i, "linear entry") for i in obj["linear"]
     ) != list(range(n)):
         raise InputError("order system linear must list every class index once")
     rank = {ci: pos for pos, ci in enumerate(obj["linear"])}
@@ -243,8 +237,8 @@ def order_system_from_obj(obj):
     partial = []
     for entry in obj["partial"]:
         a, b = _pair(entry, "partial pair")
-        a = _int_field(a, "partial pair index")
-        b = _int_field(b, "partial pair index")
+        a = require_int(a, "partial pair index")
+        b = require_int(b, "partial pair index")
         if not (0 <= a < n and 0 <= b < n):
             raise InputError(f"partial pair ({a}, {b}) is out of range")
         partial.append((rank[a], rank[b]))
@@ -273,8 +267,8 @@ def relation_from_obj(obj):
     pairs = []
     for entry in obj["pairs"]:
         a, b = _pair(entry, "relation pair")
-        pairs.append((_int_field(a, "relation pair"), _int_field(b, "relation pair")))
-    return Relation(_int_field(obj["n"], "relation n"), pairs)
+        pairs.append((require_int(a, "relation pair"), require_int(b, "relation pair")))
+    return Relation(require_int(obj["n"], "relation n"), pairs)
 
 
 def save_relation(relation, path):
@@ -309,7 +303,7 @@ def witness_from_obj(obj, graph):
         index, vertex = _pair(entry, "witness step")
         if not isinstance(vertex, str):
             raise InputError(f"witness step vertex {vertex!r} must be a string")
-        steps.append((_int_field(index, "witness step edge index"), vertex))
+        steps.append((require_int(index, "witness step edge index"), vertex))
     cycle = HyperCycle(graph, obj["base"], steps)
     a, b = _pair(obj["bad_pair"], "witness bad pair")
     return BadCycleWitness(

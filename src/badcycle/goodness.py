@@ -4,9 +4,10 @@ A hypergraph is good for a machine when no cycle admits an accepting
 state sequence ending in a bad pair.  The decision runs on the product
 digraph over vertex-state pairs: a step of a cycle together with a
 machine transition becomes one arc.  The decision builds integer
-successor lists from the machine's position-pair groups, and finds the
-edge behind an arc only for a witness.  Witness walks and induced linear
-orders come from ``digraph.bfs`` and ``least_first_order``.
+successor lists from the machine's position-pair groups, except for a
+cycling product its peel calls good, and finds the edge behind an arc only
+for a witness.  Witness walks and induced linear orders come from
+``digraph.bfs`` and ``least_first_order``.
 
 The decision asks its queries in order, (v, s) reaching (v, t) per vertex
 v and bad pair (s, t), or each node lying on a cycle.  The general first
@@ -15,9 +16,12 @@ tree membership, with the witness a BFS stopped at the target gives.  When
 they all miss, ``digraph.tarjan_from`` runs rooted at each remaining
 query's node in turn, ORing in reach bitsets as components close, and stops
 at the first query that hits.  Cycling queries are only the nodes that
-Kahn's in-degree peel, ``digraph.unpeeled``, leaves, a set closed under
-successors that holds every node on a cycle: an acyclic product, a good
-one, asks none and never starts the search.
+Kahn's in-degree peel leaves, a set closed under successors that holds
+every node on a cycle.  The peel, ``_unpeeled``, runs on the product
+factored through the hypergraph: per position-pair group, neighbour lists
+over the vertices, with each node's in-degree in closed form.  So an
+acyclic product, a good one, builds no successor lists, asks no query and
+never starts the search.
 
 ``is_good`` builds the product only on the machine's ``live_atoms``, the
 atoms that can lie on a bad walk, and on the states they touch.  Every bad
@@ -33,10 +37,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, takewhile
+from operator import add
 
 from .checks import BadCycleWitness, OrderSystem
-from .digraph import Digraph, bfs, least_first_order, tarjan_from, unpeeled
-from .errors import InputError, NotGoodError
+from .digraph import Digraph, bfs, least_first_order, tarjan_from
+from .errors import InputError, NotGoodError, require_int
 from .hypergraph import HyperCycle, path_digraph
 from .machine import require_valid
 
@@ -113,6 +118,48 @@ def _product(graph, width, groups):
     return succ
 
 
+def _unpeeled(graph, width, groups):
+    """Nodes, ascending, that Kahn's in-degree peel leaves in the product
+    ``_product`` would list, peeled without its successor lists.
+
+    Node (w, t) has in-degree (edges holding w at position j) x (the group's
+    pairs into t), summed over the groups (i, j).  When no node has in-degree
+    0, nothing peels, and the peel stops before it lists any neighbour.
+    Otherwise ``nb[a]`` lists, per group, b * width for each edge holding a
+    at position i and b at position j, in edge order, and popping (v, s)
+    takes one off node ``nb[v][x] + t`` for each of the group's pairs (s, t).
+    A repeated arc counts twice, as ``_product`` lists it.
+    """
+    n, k, members = len(graph.vertices), graph.k, graph.members
+    held = [[0] * n for _ in range(k)]
+    for j, counts in enumerate(held):
+        for b in members[j::k]:
+            counts[b] += 1
+    indeg = [0] * (n * width)
+    for _, j, pairs in groups:
+        for _, t in pairs:
+            indeg[t::width] = map(add, indeg[t::width], held[j])
+    peeled = [u for u, d in enumerate(indeg) if not d]
+    if peeled:
+        out = [[] for _ in range(width)]
+        for i, j, pairs in groups:
+            nb = [[] for _ in range(n)]
+            for a, b in zip(members[i::k], members[j::k]):
+                nb[a].append(b * width)
+            for s, t in pairs:
+                out[s].append((nb, t))
+        for u in peeled:
+            v, s = divmod(u, width)
+            for nb, t in out[s]:
+                for w in nb[v]:
+                    w += t
+                    d = indeg[w] - 1
+                    indeg[w] = d
+                    if not d:
+                        peeled.append(w)
+    return [u for u, d in enumerate(indeg) if d]
+
+
 def build_auxiliary(graph, machine):
     """Product digraph of a hypergraph and a machine, as a public view.
 
@@ -186,12 +233,19 @@ def _decide(graph, machine, states, groups, bad, reach=False):
     """The product on ``states``, ascending state numbers, from position-pair
     ``groups``, with ``bad`` pairs on places there; the verdict on it; and the
     search of ``_bad_walk``, which goes on from every node when resumed, with
-    reach bitsets under general semantics or with ``reach``."""
+    reach bitsets under general semantics or with ``reach``.  A cycling
+    product the peel leaves bare is good, and unless ``reach`` asks for the
+    search, its successor lists and search are None."""
     width = len(states)
+    if machine.is_cycling:
+        # cycling bad pairs are the diagonal: nodes on a cycle qualify, and the peel leaves each
+        queries = [(u, u) for u in _unpeeled(graph, width, groups)]
+        if not queries and not reach:
+            return None, GoodnessVerdict(True), None
+    else:
+        queries = [(v * width + s, v * width + t)
+                   for v in range(len(graph.vertices)) for s, t in bad]
     succ = _product(graph, width, groups)
-    # cycling bad pairs are the diagonal: nodes on a cycle qualify, and the peel leaves each
-    queries = ([(u, u) for u in unpeeled(succ)] if machine.is_cycling else
-               [(v * width + s, v * width + t) for v in range(len(graph.vertices)) for s, t in bad])
     walk, search = _bad_walk(graph, machine, states, succ, queries, reach)
     witness = walk and _witness(graph, machine, states, walk)
     return succ, GoodnessVerdict(walk is None, witness), search
@@ -207,7 +261,8 @@ def is_good(graph, machine):
     shortest ones through the first qualifying product vertex.  One BFS
     answers the first general source; the rooted search starts only if it
     misses.  A cycling decision asks only about the nodes an in-degree peel
-    leaves, so a good cycling product is decided by the peel alone.
+    leaves, so a good cycling product is decided by the peel alone, which
+    builds no successor lists.
 
     The product holds only the machine's ``live_atoms`` and ``live_states``:
     a bad walk projects onto a machine walk from a bad pair's first state to
@@ -222,12 +277,14 @@ def check_paths_good(machine, n_max):
     """Scan the directed paths P_1..P_n_max for a bad cycle.
 
     Returns (n, witness) for the first bad path, or None when every one
-    of them is good.
+    of them is good.  ``n_max`` must be a non-negative int, not a bool.
     """
+    if require_int(n_max, "n_max") < 0:
+        raise InputError(f"n_max must be non-negative, not {n_max}")
     require_valid(machine, "cycling")
     if machine.k != 2:
         raise InputError("path digraphs are 2-uniform")
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, n_max + 1):
         verdict = is_good(path_digraph(n), machine)
         if not verdict.good:
             return n, verdict.witness

@@ -31,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .errors import Budget, BudgetError, InputError
+from .errors import Budget, BudgetError, InputError, require_int
 
 
 class DirectedHypergraph:
     """Immutable k-uniform directed hypergraph with named vertices."""
 
     def __init__(self, k, vertices, edges=()):
-        self.k = int(k)
+        self.k = require_int(k, "hypergraph k")
         if self.k < 2:
             raise InputError(f"uniformity k must be at least 2, got {k}")
         self.vertices = tuple(vertices)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 SEMANTICS = ("cycling", "general")
 
@@ -34,7 +34,7 @@ class Machine:
     """
 
     def __init__(self, k, states, transitions=(), bad=()):
-        self.k = int(k)
+        self.k = require_int(k, "machine k")
         self.states = tuple(states)
         self._index = {s: n for n, s in enumerate(self.states)}
         if len(self._index) != len(self.states):
@@ -47,7 +47,11 @@ class Machine:
         else:
             rows = transitions
         for s, i, j, targets in rows:
-            key = (s, int(i), int(j))
+            # an exact int passes at the cost of two type tests, the rest as the readers check
+            if type(i) is not int or type(j) is not int:
+                require_int(i, "transition position i")
+                require_int(j, "transition position j")
+            key = (s, i, j)
             tset = frozenset(targets)
             if not tset:
                 continue

@@ -160,12 +160,9 @@ def test_product_lists_each_nodes_arcs_in_product_arc_order():
         assert goodness._product(graph, width, machine.atom_groups) == expected
 
 
-def test_repeated_product_arcs_change_no_answer(monkeypatch):
+def antiparallel_cases():
     # antiparallel edges (a, b), (b, a) and atoms (s,1,2,t), (s,2,1,t) put
-    # each arc (a,s) -> (b,t) and (b,s) -> (a,t) twice in the product; the
-    # components, BFS parents, whole-product verdict, the search's components
-    # and reach bitsets from every node, the verdict, witness and induced
-    # coloring are those of the deduplicated successor lists
+    # each arc (a,s) -> (b,t) and (b,s) -> (a,t) twice in the product
     graph = DirectedHypergraph(2, ["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
     both = [("s", 1, 2, ["t"]), ("s", 2, 1, ["t"])]
     loops = [("s", "s"), ("t", "t"), ("u", "u")]
@@ -175,6 +172,14 @@ def test_repeated_product_arcs_change_no_answer(monkeypatch):
         Machine(2, ["s", "t", "u"], both + [("t", 1, 2, ["u"])], [("u", "s")]),
         Machine(2, ["s", "t", "u"], both + [("t", 1, 2, ["u"])], [("s", "u")]),
     ]
+    return graph, machines
+
+
+def test_repeated_product_arcs_change_no_answer(monkeypatch):
+    # the components, BFS parents, whole-product verdict, the search's
+    # components and reach bitsets from every node, the verdict, witness and
+    # induced coloring are those of the deduplicated successor lists
+    graph, machines = antiparallel_cases()
     build = goodness._product
 
     def deduplicated(graph, width, groups):
@@ -1037,6 +1042,72 @@ def test_good_cycling_products_run_no_search(monkeypatch):
         for m in range(6, 11):
             graph = gen_cycling_construction(machine, counter_machine_order(n), m)
             assert is_good(graph, machine).good
+
+
+def test_factored_peel_leaves_what_the_successor_list_peel_leaves():
+    # on the live and the whole product: peel_corpus, seeded 3- and
+    # 4-uniform draws, and the antiparallel graph, whose repeated arcs count
+    # twice in both peels
+    rng = default_rng(3501)
+    draws = [(random_hypergraph(rng, k=k, max_vertices=7, max_edges=10),
+              random_cycling_machine(rng, k=k, max_states=4))
+             for k in (3, 4) for _ in range(150)]
+    graph, machines = antiparallel_cases()
+    outcomes = {"none": 0, "some": 0, "all": 0}
+    for graph, machine in chain(peel_corpus(), draws, ((graph, m) for m in machines)):
+        products = ((len(machine.live_states), machine.live_local[0]),
+                    (len(machine.states), machine.atom_groups))
+        for width, groups in products:
+            left = goodness._unpeeled(graph, width, groups)
+            assert left == digraph.unpeeled(goodness._product(graph, width, groups))
+            nodes = len(graph.vertices) * width
+            outcomes["none" if not left else "all" if len(left) == nodes else "some"] += 1
+    # bare products, ones the peel stops on unpeeled, and ones it peels in part
+    assert min(outcomes.values()) >= 100
+
+
+def test_good_cycling_decisions_build_no_successor_lists(monkeypatch):
+    def refused(graph, width, groups):
+        raise AssertionError("successor lists were built")
+
+    monkeypatch.setattr(goodness, "_product", refused)
+    for n in (1, 2, 3):
+        machine = gen_counter_machine(n)
+        # an edge spans k * |S| consecutive vertices, 8 for counter 3
+        for m in range(max(6, 2 * len(machine.states)), 13):
+            graph = gen_cycling_construction(machine, counter_machine_order(n), m)
+            assert is_good(graph, machine).good
+        assert check_paths_good(machine, 12) is None
+
+
+def test_bad_cycling_decisions_build_the_product_once(monkeypatch):
+    calls = []
+    build = goodness._product
+
+    def counting(graph, width, groups):
+        calls.append(width)
+        return build(graph, width, groups)
+
+    monkeypatch.setattr(goodness, "_product", counting)
+    bad = 0
+    for graph, machine in peel_corpus():
+        calls.clear()
+        verdict = is_good(graph, machine)
+        assert len(calls) == (not verdict.good)
+        bad += not verdict.good
+    assert bad >= 300
+
+
+def test_check_paths_good_refuses_a_bool_a_non_integer_or_a_negative_bound():
+    # int() read 2.9 as 2 and True as 1, and a negative bound scanned nothing
+    machine = gen_counter_machine(1)
+    for n_max in (2.9, 3.0, True, False, "3", None):
+        with pytest.raises(InputError, match="^n_max must be an integer$"):
+            check_paths_good(machine, n_max)
+    with pytest.raises(InputError, match="^n_max must be non-negative, not -1$"):
+        check_paths_good(machine, -1)
+    assert check_paths_good(machine, 0) is None
+    assert check_paths_good(machine, 3) is None
 
 
 def drawn_digraphs(seed, sizes, count):

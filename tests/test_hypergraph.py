@@ -62,6 +62,13 @@ def test_construction_rejects_bad_input():
         DirectedHypergraph(2, ["a", "b"], [("a", "b"), ("a", "b")])
 
 
+def test_construction_refuses_a_uniformity_that_is_not_an_integer():
+    # int() truncated it: DirectedHypergraph(2.5, ...).k was 2
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(InputError, match="^hypergraph k must be an integer$"):
+            DirectedHypergraph(k, ["a", "b"], [("a", "b")])
+
+
 def test_trace_on_digraph_edge():
     g = DirectedHypergraph(2, ["1", "2"], [("1", "2")])
     back_and_forth = HyperCycle(g, "1", [(0, "2"), (0, "1")])

@@ -69,6 +69,26 @@ def test_duplicate_state_names_rejected():
         Machine(2, ["a", "a"])
 
 
+def test_constructor_refuses_what_the_reader_refuses_as_an_integer():
+    # k and each row's positions were truncated by int(): Machine(2.9, ...).k
+    # was 2, and a row at position 1.7 or True read position 1
+    row = ("a", 1, 2, ["a"])
+    with pytest.raises(InputError, match="^machine k must be an integer$"):
+        Machine(2.9, ["a"], [row])
+    with pytest.raises(InputError, match="^machine k must be an integer$"):
+        Machine(True, ["a"], [row])
+    with pytest.raises(InputError, match="^machine k must be an integer$"):
+        Machine("2", ["a"], [row])
+    for i, j, name in ((1.7, 2, "i"), (True, 2, "i"), (1, 2.0, "j"), (1, False, "j"), (1, "2", "j")):
+        message = f"^transition position {name} must be an integer$"
+        with pytest.raises(InputError, match=message):
+            Machine(2, ["a"], [("a", i, j, ["a"])])
+        with pytest.raises(InputError, match=message):
+            Machine(2, ["a"], {("a", i, j): ["a"]})
+    # a position out of range is an int, so validation, not the constructor, reports it
+    assert Machine(2, ["a"], [("a", 1, 3, ["a"])]).targets("a", 1, 3) == {"a"}
+
+
 def test_canonical_rows_follow_declaration_order():
     m = Machine(
         2,
