@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .machine import numbered_table, require_valid
 
 
@@ -64,7 +64,10 @@ class OrderSystem:
         n = len(blocks)
         pairs = set()
         for a, b in partial:
-            a, b = int(a), int(b)
+            # an exact int passes at the cost of two type tests, as in Machine
+            if type(a) is not int or type(b) is not int:
+                require_int(a, "partial pair index")
+                require_int(b, "partial pair index")
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"class index pair ({a}, {b}) is out of range")
             pairs.add((a, b))

@@ -41,7 +41,7 @@ class Budget:
     """
 
     def __init__(self, budget, message):
-        self.left = None if budget is None else int(budget)
+        self.left = None if budget is None else require_int(budget, "budget")
         self.message = message
 
     def spend(self):

@@ -11,7 +11,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .checks import OrderSystem, verify_compatible_order
-from .errors import InputError
+from .errors import InputError, require_int
 from .hypergraph import DirectedHypergraph
 from .machine import Machine
 
@@ -41,7 +41,7 @@ def gen_counter_machine(n):
 
     Forward steps saturate at n; backward steps drop off below zero.
     """
-    n = int(n)
+    n = require_int(n, "n")
     if n < 0:
         raise InputError("the counter needs n >= 0")
     states = [str(i) for i in range(n + 1)]
@@ -60,7 +60,7 @@ def counter_machine_order(n):
     (i, 1) sits below (j, 2) exactly when i > j - 2.  The key 3p - 2s
     realizes this as a single sort.
     """
-    n = int(n)
+    n = require_int(n, "n")
     if n < 0:
         raise InputError("the counter needs n >= 0")
     pairs = [(str(s), p) for p in (1, 2) for s in range(n + 1)]
@@ -93,7 +93,7 @@ def gen_unbalanced_machine(k):
     opposite way and absorb forward steps at b_0.  Every pair (a_0, x)
     with x != a_0 is bad.
     """
-    k = int(k)
+    k = require_int(k, "k")
     if k < 1:
         raise InputError("the unbalanced machine needs k >= 1")
     states = [_a(i) for i in range(-k, k + 1)] + [_b(j) for j in range(k + 1)]
@@ -122,7 +122,7 @@ def unbalanced_machine_order_system(k):
     index sum clears the machine size, so a_0 stays incomparable to every
     other state in the induced order.
     """
-    k = int(k)
+    k = require_int(k, "k")
     if k < 1:
         raise InputError("the unbalanced machine needs k >= 1")
     classes = [{(_a(-k), 2)}]
@@ -154,7 +154,7 @@ def gen_explicit_hasse_digraph(n):
     {a,b} sits below {c,d} when max(a,b) <= min(c,d); edges are the cover
     pairs of that strict order.  Chromatic number grows linearly in n.
     """
-    n = int(n)
+    n = require_int(n, "n")
     if not 1 <= n <= 4:
         raise InputError("supported range is 1 <= n <= 4")
     # the cover pairs of this order are exactly the shift digraph's edges
@@ -183,7 +183,7 @@ def gen_cycling_construction(machine, order, m):
         raise InputError(
             "the order is not compatible with the machine: " + result.violations[0]
         )
-    m = int(m)
+    m = require_int(m, "m")
     size = len(machine.states)
     span = machine.k * size
     if m < span:
@@ -211,7 +211,7 @@ def gen_incomparable_pairs_digraph(m):
     contained in the other; (A, B) points to (B, C) when A is properly
     contained in C.
     """
-    m = int(m)
+    m = require_int(m, "m")
     if not 2 <= m <= 4:
         raise InputError("supported range is 2 <= m <= 4")
     subsets = {}
@@ -235,7 +235,7 @@ def gen_incomparable_pairs_digraph(m):
 def gen_shift_digraph(m):
     """Digraph of increasing pairs (a, b), a < b <= m, with edges
     (a, b) -> (b, c).  Chromatic number is the log of m, rounded up."""
-    m = int(m)
+    m = require_int(m, "m")
     if m < 2:
         raise InputError("needs m >= 2")
     names = _subset_names(m, 2)

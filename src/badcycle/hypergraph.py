@@ -131,7 +131,7 @@ class HyperCycle:
         indices = []
         at = base
         for edge_index, nxt in steps:
-            if not 0 <= edge_index < len(graph.edges):
+            if not 0 <= require_int(edge_index, "edge index") < len(graph.edges):
                 raise InputError(f"edge index {edge_index} out of range")
             edge = graph.edges[edge_index]
             if at not in edge:
@@ -187,7 +187,7 @@ class HyperCycle:
 
 def path_digraph(n):
     """Directed path with n edges: vertices "1".."n+1", arcs i -> i+1."""
-    if n < 0:
+    if require_int(n, "path length") < 0:
         raise InputError(f"path length must be nonnegative, got {n}")
     vertices = [str(i) for i in range(1, n + 2)]
     edges = [(str(i), str(i + 1)) for i in range(1, n + 1)]

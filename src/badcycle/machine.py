@@ -291,7 +291,7 @@ def step(machine, s, i, j):
     if s not in machine._index:
         raise InputError(f"unknown state {s!r}")
     for pos in (i, j):
-        if not isinstance(pos, int) or not 1 <= pos <= machine.k:
+        if not 1 <= require_int(pos, "position") <= machine.k:
             raise InputError(f"position {pos!r} out of range 1..{machine.k}")
     return machine.targets(s, i, j)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .balance import _require_digraph, is_alpha_balanced
 from .checks import BadCycleWitness, validate_witness
-from .errors import BudgetError
+from .errors import BudgetError, require_int
 from .generators import gen_counter_machine
 from .goodness import GoodnessVerdict, is_good
 from .goodness import _require_same_k, _semantics
@@ -85,7 +85,7 @@ def brute_force_is_good(graph, machine, max_len):
     _require_same_k(graph, machine)
     semantics = _semantics(machine)
     require_valid(machine, semantics)
-    max_len = int(max_len)
+    max_len = require_int(max_len, "max_len")
     for length in range(1 if semantics == "cycling" else 0, max_len + 1):
         for base in graph.vertices:
             cycle = _bad_cycle(graph, machine, base, length)
@@ -173,7 +173,7 @@ def check_two_balanced_equivalence(graph, n_max=None):
     _require_digraph(graph)
     if n_max is None:
         n_max = 2 * len(graph.edges) + 2
-    n_max = int(n_max)
+    n_max = require_int(n_max, "n_max")
     balanced = is_alpha_balanced(graph, 2).balanced
     good_all = all(is_good(graph, gen_counter_machine(n)).good for n in range(1, n_max + 1))
     return balanced == good_all

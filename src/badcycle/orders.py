@@ -9,7 +9,7 @@ from itertools import permutations
 
 from .checks import OrderSystem
 from .digraph import has_zero_mean_span
-from .errors import Budget, InputError
+from .errors import Budget, InputError, require_int
 from .machine import require_valid
 
 
@@ -99,7 +99,7 @@ def iter_order_systems(carrier):
 
 def count_order_systems(n):
     """Number of order systems on an n-element set."""
-    return sum(1 for _ in _systems_on(range(int(n))))
+    return sum(1 for _ in _systems_on(range(require_int(n, "n"))))
 
 
 def find_compatible_order(machine, budget=None):

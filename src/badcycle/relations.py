@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, require_int
 from .machine import Machine, require_valid
 
 
@@ -24,7 +24,7 @@ class Relation:
     """Immutable binary relation on the ground set ``{1..n}``."""
 
     def __init__(self, n, pairs=()):
-        self.n = int(n)
+        self.n = n if type(n) is int else require_int(n, "relation n")
         if self.n < 1:
             raise InputError("relation ground set must have at least one element")
         clean = set()
@@ -33,7 +33,10 @@ class Relation:
                 a, b = pair
             except (TypeError, ValueError):
                 raise InputError(f"malformed relation pair {pair!r}") from None
-            a, b = int(a), int(b)
+            # an exact int passes at the cost of two type tests, as in Machine
+            if type(a) is not int or type(b) is not int:
+                require_int(a, "relation pair")
+                require_int(b, "relation pair")
             if not (1 <= a <= self.n and 1 <= b <= self.n):
                 raise InputError(
                     f"pair ({a}, {b}) is outside the ground set [1..{self.n}]"
@@ -64,11 +67,12 @@ class Relation:
 
 
 def diagonal_relation(n):
-    return Relation(n, ((i, i) for i in range(1, int(n) + 1)))
+    n = require_int(n, "relation n")
+    return Relation(n, ((i, i) for i in range(1, n + 1)))
 
 
 def full_relation(n):
-    n = int(n)
+    n = require_int(n, "relation n")
     return Relation(n, ((a, b) for a in range(1, n + 1) for b in range(1, n + 1)))
 
 
@@ -90,7 +94,7 @@ def reverse(r):
 
 def relation_power(r, exponent):
     """Compose ``r`` with itself ``exponent`` times; exponent 0 is the diagonal."""
-    exponent = int(exponent)
+    exponent = require_int(exponent, "exponent")
     if exponent < 0:
         raise InputError("relation powers need a nonnegative exponent")
     out = diagonal_relation(r.n)
@@ -234,9 +238,10 @@ def build_relation_machine(allowed, projections):
     for key, rel in dict(projections).items():
         try:
             i, j = key
-            i, j = int(i), int(j)
         except (TypeError, ValueError):
             raise InputError(f"malformed position pair {key!r}") from None
+        require_int(i, f"malformed position pair {key!r}: position")
+        require_int(j, f"malformed position pair {key!r}: position")
         if i == j or i < 1 or j < 1:
             raise InputError(f"position pair ({i}, {j}) is not an ordered pair")
         table[(i, j)] = rel
@@ -408,7 +413,7 @@ def loop_lemma_exponent(r, k_max):
     walks of r, counting forward steps minus backward steps, generate all of
     the integers; computed as a gcd over a potential labeling).
     """
-    k_max = int(k_max)
+    k_max = require_int(k_max, "k_max")
     if k_max < 1:
         raise InputError("the exponent window must be at least 1")
     if not r.is_subdirect:

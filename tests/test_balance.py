@@ -524,3 +524,13 @@ def test_no_decider_builds_a_name_keyed_digraph(monkeypatch):
     assert counter and not swing and order is not None and no_order is None
     with pytest.raises(UnbalancedError):
         balanced_coloring(triangle, 2)
+
+
+def test_two_balanced_equivalence_refuses_a_bool_or_a_float_bound():
+    # int() read n_max 2.9 as 2 and True as 1; None keeps the default bound
+    graph = path_digraph(2)
+    for bad in (2.9, 2.0, True, "2"):
+        with pytest.raises(InputError, match="^n_max must be an integer$"):
+            check_two_balanced_equivalence(graph, n_max=bad)
+    assert check_two_balanced_equivalence(graph)
+    assert check_two_balanced_equivalence(graph, n_max=2)

@@ -497,3 +497,28 @@ def test_shift_digraph_small():
 @pytest.mark.parametrize("m, chi", [(2, 1), (3, 2), (4, 2), (8, 3)])
 def test_shift_digraph_chromatic_is_log(m, chi):
     assert chromatic_number_exact(gen_shift_digraph(m)).number == chi
+
+
+def test_generator_sizes_refuse_a_float_or_a_bool():
+    # int() read gen_counter_machine(2.5) as counter 2 and
+    # gen_shift_digraph(4.7) as shift 4; the range messages are unchanged
+    machine = gen_counter_machine(1)
+    sized = [
+        (gen_counter_machine, "n"),
+        (counter_machine_order, "n"),
+        (gen_unbalanced_machine, "k"),
+        (unbalanced_machine_order_system, "k"),
+        (gen_explicit_hasse_digraph, "n"),
+        (lambda m: gen_cycling_construction(machine, counter_machine_order(1), m), "m"),
+        (gen_incomparable_pairs_digraph, "m"),
+        (gen_shift_digraph, "m"),
+    ]
+    for build, name in sized:
+        for bad in (2.5, 4.0, True, "3", None):
+            with pytest.raises(InputError, match=f"^{name} must be an integer$"):
+                build(bad)
+    with pytest.raises(InputError, match="^the counter needs n >= 0$"):
+        gen_counter_machine(-1)
+    with pytest.raises(InputError, match="^supported range is 2 <= m <= 4$"):
+        gen_incomparable_pairs_digraph(5)
+    assert gen_counter_machine(2).states == ("0", "1", "2")

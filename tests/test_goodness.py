@@ -1209,3 +1209,12 @@ def test_a_good_first_part_leaves_the_answer_to_the_fallback_search(monkeypatch)
         assert witness_to_obj(whole.witness) == shifted
         checked += 1
     assert checked >= 100
+
+
+def test_brute_force_is_good_refuses_a_bool_or_a_float_length():
+    # int() read max_len 2.9 as 2 and True as 1
+    graph = gen_shift_digraph(3)
+    machine = gen_alternating_machine().machine
+    for bad in (2.9, 2.0, True, "2", None):
+        with pytest.raises(InputError, match="^max_len must be an integer$"):
+            brute_force_is_good(graph, machine, bad)

@@ -867,3 +867,15 @@ def test_chi_runs_one_kernel_per_uniformity(monkeypatch):
             chromatic_number_exact(graph, budget=10)
         assert len(entered) >= 3
         assert set(entered) == {kernel}
+
+
+def test_path_length_and_cycle_edge_index_refuse_a_float_or_a_bool():
+    # path_digraph(2.5) raised a bare TypeError and path_digraph(True) built
+    # P_1; a bool edge index read True as edge 1
+    graph = path_digraph(2)
+    for bad in (2.5, 1.0, True, False, "1", None):
+        with pytest.raises(InputError, match="^path length must be an integer$"):
+            path_digraph(bad)
+        with pytest.raises(InputError, match="^edge index must be an integer$"):
+            HyperCycle(graph, "2", [(bad, "3"), (1, "2")])
+    assert HyperCycle(graph, "2", [(1, "3"), (1, "2")]).edge_indices == (1, 1)

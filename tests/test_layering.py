@@ -16,9 +16,11 @@ loaded.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
+import types
 from functools import cached_property
 from pathlib import Path
 
@@ -232,6 +234,24 @@ def test_every_exported_name_resolves_once():
     # __all__ is not sorted, so only membership and uniqueness are checked
     assert len(badcycle.__all__) == len(set(badcycle.__all__))
     assert [name for name in badcycle.__all__ if not hasattr(badcycle, name)] == []
+
+
+def test_the_package_binds_each_export_once_from_its_module():
+    # __init__ names every public name once, in _EXPORTS; its loop binds
+    # nothing else public, and the module a name sits under defines it
+    public = {
+        name for name, value in vars(badcycle).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(badcycle.__all__)
+    assert len(badcycle.__all__) == len(set(badcycle.__all__))
+    listed = [name for names in badcycle._EXPORTS.values() for name in names]
+    assert listed == badcycle.__all__
+    for module, names in badcycle._EXPORTS.items():
+        source = importlib.import_module(f"badcycle.{module}")
+        for name in names:
+            assert getattr(badcycle, name) is vars(source)[name], name
+            assert getattr(badcycle, name).__module__ == source.__name__, name
 
 
 def test_no_decider_adds_an_attribute_after_init():

@@ -544,3 +544,13 @@ def test_live_atoms_are_those_on_walks_between_bad_pairs():
                     [("d", 1, 2, ["a"]), ("a", 1, 2, ["b"]), ("b", 2, 1, ["c"])],
                     bad=[("a", "b")])
     assert chain.live_atoms == ((0, 1, 2, 1),)
+
+
+def test_step_refuses_a_bool_or_a_float_position():
+    m = gen_hasse_machine()
+    for bad in (True, 1.0, 1.5, "1", None):
+        with pytest.raises(InputError, match="^position must be an integer$"):
+            step(m, "s", bad, 2)
+        with pytest.raises(InputError, match="^position must be an integer$"):
+            step(m, "s", 1, bad)
+    assert step(m, "s", 1, 2) == {"t"}

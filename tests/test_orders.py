@@ -1137,3 +1137,19 @@ def test_find_order_system_matches_the_reference(monkeypatch):
     assert found >= 100
     assert listed >= 200
     assert new_units * 10 < old_units
+
+
+def test_counts_class_indices_and_budgets_refuse_a_float_or_a_bool():
+    # count_order_systems(2.5) answered 5, OrderSystem read the class pair
+    # (0.5, 1) as (0, 1), and Budget ran budget=2.5 as 2 and True as 1
+    for bad in (2.5, 1.0, True, "2"):
+        with pytest.raises(InputError, match="^n must be an integer$"):
+            count_order_systems(bad)
+        with pytest.raises(InputError, match="^budget must be an integer$"):
+            Budget(bad, "")
+    for pair in ((0.5, 1), (0, 1.0), (False, 1), (0, True)):
+        with pytest.raises(InputError, match="^partial pair index must be an integer$"):
+            OrderSystem([["a"], ["b"]], [pair])
+    assert count_order_systems(2) == 5
+    assert OrderSystem([["a"], ["b"]], [(0, 1)]).partial == {(0, 1)}
+    assert Budget(None, "").left is None

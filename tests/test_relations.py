@@ -579,3 +579,30 @@ def test_loop_exponent_matches_the_modular_window_reference():
             exponents.add(getattr(got, "exponent", got))
     outcomes = {None, 1, 2, 3, "smooth", "weakly-connected", "algebraic-length", "input"}
     assert outcomes <= exponents
+
+
+def test_relation_sizes_and_indices_refuse_a_float_or_a_bool():
+    # int() read Relation(2.5, [(1.9, True)]) as Relation(2, [(1, 1)]),
+    # relation_power(r, 2.5) as r squared and diagonal_relation(True) as n = 1
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(InputError, match="^relation n must be an integer$"):
+            Relation(bad, [(1, 1)])
+        with pytest.raises(InputError, match="^relation pair must be an integer$"):
+            Relation(2, [(bad, 1)])
+        with pytest.raises(InputError, match="^relation pair must be an integer$"):
+            Relation(2, [(1, bad)])
+        with pytest.raises(InputError, match="^relation n must be an integer$"):
+            diagonal_relation(bad)
+        with pytest.raises(InputError, match="^relation n must be an integer$"):
+            full_relation(bad)
+        with pytest.raises(InputError, match="^exponent must be an integer$"):
+            relation_power(SEED, bad)
+        with pytest.raises(InputError, match="^k_max must be an integer$"):
+            loop_lemma_exponent(SEED, bad)
+        with pytest.raises(
+            InputError, match=r"^malformed position pair \(.*\): position must be an integer$"
+        ):
+            build_relation_machine([SEED], {(1, bad): SEED, (2, 1): SEED})
+    assert Relation(2, [(1, 2)]).pair_list() == ((1, 2),)
+    assert diagonal_relation(2) == Relation(2, [(1, 1), (2, 2)])
+    assert relation_power(SEED, 1) == SEED
